@@ -53,6 +53,17 @@ def parse_rational(value: Any, where: str) -> Fraction:
                        f"{type(value).__name__}")
 
 
+def is_int(value: Any) -> bool:
+    """True for a JSON integer; a boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_int(value: Any, where: str) -> int:
+    if not is_int(value):
+        raise JobFileError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def rational_to_str(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -76,16 +87,17 @@ def parse_surface(doc: Any) -> SurfaceModel:
                                f"(available: {', '.join(sorted(PRESETS))})")
         try:
             if name == "K3" and "h_square" in doc:
-                return PRESETS[name](int(doc["h_square"]))
+                return PRESETS[name](parse_int(doc["h_square"], "h_square"))
             return PRESETS[name]()
         except (TypeError, ValueError) as exc:
             raise JobFileError(f"surface: {exc}") from None
     try:
-        gram = tuple(tuple(int(x) for x in row) for row in doc["gram"])
-        canonical = tuple(int(x) for x in doc["canonical"])
-        c2 = int(doc["c2"])
+        gram = tuple(tuple(parse_int(x, "surface: gram") for x in row)
+                     for row in doc["gram"])
+        canonical = tuple(parse_int(x, "surface: canonical") for x in doc["canonical"])
+        c2 = parse_int(doc["c2"], "surface: c2")
         name = str(doc.get("name", "surface"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise JobFileError(f"surface: {exc}") from None
     try:
         return SurfaceModel(name, gram, canonical, c2)
@@ -113,10 +125,7 @@ def parse_bundles(doc: Any, surface: SurfaceModel) -> dict[str, ChernCharacter]:
                 parse_divisor(ch[1], surface.picard_rank, where),
                 parse_rational(ch[2], where))
         else:
-            try:
-                rank = int(b["rank"])
-            except (KeyError, TypeError, ValueError):
-                raise JobFileError(f"{where}: missing or bad rank") from None
+            rank = parse_int(b.get("rank"), f"{where}: rank")
             c1 = parse_divisor(b.get("c1", [0] * surface.picard_rank),
                                surface.picard_rank, where)
             c2num = parse_rational(b.get("c2", 0), where)
@@ -162,6 +171,9 @@ def parse_job_file(doc: Any) -> JobFile:
         twist = ChernCharacter.line_bundle(
             parse_divisor(doc["line_bundle"], surface.picard_rank, "line_bundle"),
             surface)
+        if not twist.is_line_bundle_class(surface):
+            raise JobFileError(f"line_bundle: coordinates must be integers, got "
+                               f"{doc['line_bundle']!r}")
     else:
         twist = ChernCharacter.unit(surface)
     raw_jobs = doc.get("jobs")
@@ -188,7 +200,7 @@ def parse_job_file(doc: Any) -> JobFile:
                                    f"an n-sweep")
             raw = j["sweep_n"]
             if (not isinstance(raw, list) or len(raw) != 2
-                    or not all(isinstance(x, int) for x in raw)):
+                    or not all(is_int(x) for x in raw)):
                 raise JobFileError(f"job {jid!r}: sweep_n must be [first, last]")
             sweep = (raw[0], raw[1])
         payload = {k: v for k, v in j.items() if k not in ("id", "kind", "sweep_n")}
@@ -246,7 +258,7 @@ def _need_int(jid: str, payload: dict, key: str, minimum: int) -> int:
     if key not in payload:
         raise JobFileError(f"job {jid!r}: missing {key}")
     v = payload[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+    if not is_int(v) or v < minimum:
         raise JobFileError(f"job {jid!r}: {key} must be an integer >= {minimum}")
     return v
 
@@ -300,16 +312,16 @@ def validate_job(jf: JobFile, job: Job) -> None:
                                f"comma-joined subsets")
         for key, v in h2.items():
             _parse_subset_key(jid, key, k)
-            if not isinstance(v, int) or v < 0:
+            if not is_int(v) or v < 0:
                 raise JobFileError(f"job {jid!r}: h2[{key!r}] must be a "
                                    f"nonnegative integer")
         q = p.get("q", 0)
-        if not isinstance(q, int) or q < 0:
+        if not is_int(q) or q < 0:
             raise JobFileError(f"job {jid!r}: q must be a nonnegative integer")
     elif job.kind == "h0":
         h0 = p.get("h0")
         if (not isinstance(h0, list) or not h0
-                or not all(isinstance(v, int) and v >= 0 for v in h0)):
+                or not all(is_int(v) and v >= 0 for v in h0)):
             raise JobFileError(f"job {jid!r}: h0 must be a nonempty list of "
                                f"nonnegative integers")
         if job.sweep is None:

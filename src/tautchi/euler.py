@@ -2,7 +2,10 @@
 of points, evaluated exactly over a surface model.
 
 Every operation reduces to Riemann-Roch evaluations of truncated Chern
-characters on the surface itself.  Inputs may be virtual (arbitrary rational
+characters on the surface itself.  Sums over subsets and set partitions are
+not enumerated: they are graded products in the truncated ring and dynamic
+programs over blocks, polynomial in the number of bundles, with one term per
+grade.  Inputs may be virtual (arbitrary rational
 rank), so objects of the derived category are admissible wherever a formula
 extends additively.  Results carry a term-by-term breakdown whose recombined
 value is checked at construction time.
@@ -16,19 +19,19 @@ computation for cross-validation.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping, Sequence
+from math import comb, prod
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import complexes
-from .surface import (ChernCharacter, SurfaceModel, ch_anticanonical, ch_hom,
+from .surface import (ChernCharacter, ClassMultiplier, SurfaceModel,
+                      ch_anticanonical, ch_coords, ch_dual, ch_hom,
                       ch_sym_cotangent, ch_tangent, ch_tensor, ch_tensor_all,
-                      gen_binomial, hrr_chi, sym_pow_chi)
-from .symgroup import product_orbit_reps
+                      chi_functional, gen_binomial, hrr_chi, sym_pow_chi)
 
-SUBSET_GUARD_DEFAULT = 24
-SUBSET_GUARD_MAX = 62
 BRUTE_MULTIPLICITY_MAX_K = 7
 
 
@@ -70,7 +73,7 @@ def _result(terms: list[Term]) -> ChiResult:
 def require_line_bundle_class(ch: ChernCharacter, surface: SurfaceModel, what: str) -> None:
     if not ch.is_line_bundle_class(surface):
         raise ValueError(f"{what} must be the class of a line bundle "
-                         f"(rank 1 with ch2 = c1^2/2)")
+                         f"(rank 1, integral c1, ch2 = c1^2/2)")
 
 
 def default_twist(surface: SurfaceModel) -> ChernCharacter:
@@ -106,25 +109,63 @@ def chi_taut(surface: SurfaceModel, n: int, bundle: ChernCharacter,
             * sym_pow_chi(n - 1, hrr_chi(twist, surface)))
 
 
-def _diag_chi(surface: SurfaceModel, bundles: Sequence[ChernCharacter],
+def _diag_chi(surface: SurfaceModel, product: ChernCharacter,
               twist: ChernCharacter, ell: int) -> Fraction:
     """chi of the ell-th diagonal correction class: S^(ell-1) of the cotangent
-    bundle times all inputs times the twist squared."""
-    cls = ch_sym_cotangent(ell - 1, surface)
-    cls = ch_tensor(cls, ch_tensor_all(bundles, surface), surface)
+    bundle times the product of all inputs times the twist squared."""
+    cls = ch_tensor(ch_sym_cotangent(ell - 1, surface), product, surface)
     cls = ch_tensor(cls, ch_tensor(twist, twist, surface), surface)
     return hrr_chi(cls, surface)
 
 
+# Sums over splittings P | P^c are evaluated in A (x) A, where A is the
+# truncated ring in coordinates (see `surface.ch_coords`).  An element of
+# A (x) A is a tuple of rows indexed by the left coordinate; a z-graded
+# element is a list of such tensors indexed by the power of z.
+
+def _unit_coords(surface: SurfaceModel) -> tuple[Fraction, ...]:
+    return ch_coords(ChernCharacter.unit(surface))
+
+
+def _split_step(graded: list, y: ClassMultiplier) -> list:
+    """Multiply a z-graded element of A (x) A by (z y (x) 1 + 1 (x) y)."""
+    left = [tuple(zip(*map(y, zip(*t)))) for t in graded]
+    right = [tuple(map(y, t)) for t in graded]
+    middle = [tuple(tuple(map(operator.add, a, b)) for a, b in zip(lt, rt))
+              for lt, rt in zip(left, right[1:])]
+    return [right[0], *middle, left[-1]]
+
+
+def _split_sums(surface: SurfaceModel, first: ChernCharacter,
+                others: Sequence[ChernCharacter]) -> list:
+    """(x_1 (x) 1) * prod over the others of (z x_t (x) 1 + 1 (x) x_t): the
+    coefficient of z^(r-1) is the sum of x_P (x) x_(P^c) over the subsets P
+    of size r that contain the first index."""
+    unit = _unit_coords(surface)
+    graded = [tuple(tuple(a * b for b in unit) for a in ch_coords(first))]
+    for e in others:
+        graded = _split_step(graded, ClassMultiplier(e, surface))
+    return graded
+
+
+def _pair_eval(phi: Sequence[Fraction], tensor: tuple,
+               psi: Sequence[Fraction]) -> Fraction:
+    """(phi (x) psi) applied to an element of A (x) A."""
+    return sum((a * sum(map(operator.mul, row, psi))
+                for a, row in zip(phi, tensor)), Fraction(0))
+
+
 def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter],
                          twist: ChernCharacter | None = None, *,
-                         brute_multiplicities: bool = False,
-                         subset_guard: int = SUBSET_GUARD_DEFAULT) -> ChiResult:
+                         brute_multiplicities: bool = False) -> ChiResult:
     """Euler characteristic of a product of induced bundles on the two-point
     space, twisted by a determinant line bundle.
 
     The main sum runs over subsets P of [k] containing 1 and multiplies the
-    two complementary twisted products; from it, one diagonal correction per
+    two complementary twisted products chi(E_P L) chi(E_(P^c) L).  It is
+    (chi_L (x) chi_L) applied to (x_1 (x) 1) * prod_(t>=2) (z x_t (x) 1 + 1 (x) x_t)
+    in A (x) A [z], one term per power of z, labelled |P|=r; the cost is
+    O(k^2 (p+2)^2) for Picard rank p.  From it, one diagonal correction per
     ell in 1..k-1 is subtracted with the closed-form invariant count as its
     coefficient.  With brute_multiplicities the coefficients are recomputed by
     exact linear algebra (k <= 7 only).
@@ -132,9 +173,6 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     k = len(bundles)
     if k < 1:
         raise ValueError("need at least one bundle")
-    guard = min(subset_guard, SUBSET_GUARD_MAX)
-    if k > guard:
-        raise ValueError(f"k = {k} exceeds the subset-enumeration guard {guard}")
     if twist is None:
         twist = default_twist(surface)
     require_line_bundle_class(twist, surface, "twist")
@@ -142,26 +180,61 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
         raise ValueError("brute-force multiplicities are limited to k <= "
                          f"{BRUTE_MULTIPLICITY_MAX_K}")
 
-    terms = []
-    rest = list(range(2, k + 1))
-    for r in range(0, k):
-        for extra in itertools.combinations(rest, r):
-            p_set = (1,) + extra
-            q_set = tuple(t for t in rest if t not in extra)
-            chi_p = hrr_chi(ch_tensor(ch_tensor_all(
-                (bundles[t - 1] for t in p_set), surface), twist, surface), surface)
-            chi_q = hrr_chi(ch_tensor(ch_tensor_all(
-                (bundles[t - 1] for t in q_set), surface), twist, surface), surface)
-            label = "P={" + ",".join(map(str, p_set)) + "}"
-            terms.append(Term(label, Fraction(1), (chi_p, chi_q)))
+    phi = chi_functional(twist, surface)
+    terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, phi),))
+             for r, t in enumerate(_split_sums(surface, bundles[0], bundles[1:]), 1)]
+    product = ch_tensor_all(bundles, surface)
     for ell in range(1, k):
         if brute_multiplicities:
             mult = complexes.swap_invariant_kernel_dim(k, ell)
         else:
             mult = complexes.diagonal_multiplicity(k, ell)
         terms.append(Term(f"diag ell={ell}", Fraction(-mult),
-                          (_diag_chi(surface, bundles, twist, ell),)))
+                          (_diag_chi(surface, product, twist, ell),)))
     return _result(terms)
+
+
+def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], Fraction | int],
+                max_blocks: int) -> list:
+    """Set-partition sums graded by the number of blocks.
+
+    The elements come in types with multiplicities `mults`; a block is
+    described by its composition beta (how many elements of each type it
+    holds).  Entry b of the result is the sum, over the set partitions of the
+    elements into b <= max_blocks blocks, of the product of weight(beta) over
+    the blocks.  The recursion pins the block of the first remaining element,
+    so each set partition is counted once: choosing the rest of that block
+    from the remaining multiset mu gives C(mu_i0 - 1, beta_i0 - 1) *
+    prod_(i != i0) C(mu_i, beta_i) set partitions per composition.  Weights are
+    looked up only for blocks of partitions that the sum contains.
+    """
+    memo: dict[tuple, list] = {}
+
+    def sums(mu: tuple[int, ...], budget: int) -> list:
+        budget = min(budget, sum(mu))
+        if (mu, budget) in memo:
+            return memo[mu, budget]
+        out = [0] * (budget + 1)
+        i0 = next(i for i, m in enumerate(mu) if m)
+        pinned = list(mu)
+        pinned[i0] -= 1
+        for others in itertools.product(*(range(m + 1) for m in pinned)):
+            rest = tuple(map(operator.sub, pinned, others))
+            if any(rest):
+                if budget == 1:
+                    continue
+                below = sums(rest, budget - 1)
+            else:
+                below = [1]
+            block = list(others)
+            block[i0] += 1
+            w = prod(map(comb, pinned, others)) * weight(tuple(block))
+            for b, v in enumerate(below):
+                out[b + 1] += w * v
+        memo[mu, budget] = out
+        return out
+
+    return sums(tuple(mults), max_blocks)
 
 
 def chi_product_invariants(surface: SurfaceModel, n: int,
@@ -170,9 +243,13 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
     """Euler characteristic of the invariants of the ambient product of
     pullbacks on the n-fold product (the uncorrected first approximation).
 
-    One term per orbit representative a: the product over occupied values of
-    the twisted fiber products, times the symmetric-power factor of the bare
-    twist for the n - max(a) unused values.
+    The sum runs over set partitions of [k] into b <= n blocks: the product
+    of chi(E_B L) over the blocks B, times S^(n-b) chi(L) for the n - b
+    unused points.  Equal bundles are grouped into types, the block weight
+    chi(L prod y_i^beta_i) is computed once per sub-multiset beta, and the
+    partitions are summed by `_block_sums`.  One term per block count b,
+    labelled blocks=b, with factors (sum over partitions into b blocks of the
+    product of weights, S^(n-b) chi(L)).
     """
     k = len(bundles)
     if k < 1 or n < 1:
@@ -180,17 +257,26 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
     if twist is None:
         twist = default_twist(surface)
     require_line_bundle_class(twist, surface, "twist")
-    chi_twist = hrr_chi(twist, surface)
-    terms = []
-    for mi, _stab in product_orbit_reps(k, n):
-        factors = []
-        for fiber in mi.fibers():
-            cls = ch_tensor(ch_tensor_all(
-                (bundles[t - 1] for t in sorted(fiber)), surface), twist, surface)
-            factors.append(hrr_chi(cls, surface))
-        factors.append(sym_pow_chi(n - mi.max_value, chi_twist))
-        terms.append(Term(f"a={mi.values}", Fraction(1), tuple(factors)))
-    return _result(terms)
+    types = Counter(bundles)
+    mults = list(types.values())
+    # The class prod y_i^beta_i of every sub-multiset beta, one product each.
+    classes = {(): _unit_coords(surface)}
+    for e, m in types.items():
+        y = ClassMultiplier(e, surface)
+        grown = {}
+        for beta, v in classes.items():
+            for j in range(m + 1):
+                grown[beta + (j,)] = v
+                if j < m:
+                    v = y(v)
+        classes = grown
+    phi = chi_functional(twist, surface)
+    block_sums = _block_sums(
+        mults, lambda beta: sum(map(operator.mul, phi, classes[beta]), Fraction(0)), n)
+    chi_twist = phi[0]
+    return _result([Term(f"blocks={b}", Fraction(1),
+                         (Fraction(block_sums[b]), sym_pow_chi(n - b, chi_twist)))
+                    for b in range(1, len(block_sums))])
 
 
 def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
@@ -221,10 +307,11 @@ def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
             total += chi_j * chi_rest
         else:
             total += sym_pow_chi(2, chi_j)
+    product = _power(surface, bundle, k)
     for ell in range(1, k + 1):
         mult = complexes.sym_power_multiplicity(k, ell)
         if mult:
-            total -= mult * _diag_chi(surface, [bundle] * k, twist, ell)
+            total -= mult * _diag_chi(surface, product, twist, ell)
     return total
 
 
@@ -259,10 +346,11 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
         else:
             if j == 1:
                 total += gen_binomial(chi_j, 2)
+    product = _power(surface, bundle, k)
     for ell in range(1, k + 1):
         mult = complexes.ext_power_multiplicity(k, ell)
         if mult:
-            total -= mult * _diag_chi(surface, [bundle] * k, twist, ell)
+            total -= mult * _diag_chi(surface, product, twist, ell)
     return total
 
 
@@ -290,8 +378,7 @@ def hom_coeff_pair(k: int, khat: int, ell: int, ellhat: int) -> tuple[int, int]:
 
 
 def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
-                     target: Sequence[ChernCharacter], *,
-                     subset_guard: int = SUBSET_GUARD_DEFAULT) -> ChiResult:
+                     target: Sequence[ChernCharacter]) -> ChiResult:
     """Alternating sum of Ext dimensions between two products of induced
     bundles on the two-point space.
 
@@ -299,35 +386,29 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     single diagonal corrections (the target-side one twisted by the
     anticanonical class); and the diagonal-vs-diagonal block, where the
     tangent-twisted middle extension enters with the smaller coefficient c-.
+
+    The double sum over P containing 1 and arbitrary Q of
+    chi(Hom(E_P, F_Q)) chi(Hom(E_(P^c), F_(Q^c))) factors like the main sum of
+    `chi_taut_product_two`: the duals of the source classes and then the
+    target classes are multiplied in with grading variables z and w, and
+    (chi (x) chi) of the coefficient of z^(a-1) w^b is the term |P|=a,|Q|=b.
     """
     k, khat = len(source), len(target)
     if k < 1 or khat < 1:
         raise ValueError("need at least one bundle on each side")
-    if k + khat - 1 > min(subset_guard, SUBSET_GUARD_MAX):
-        raise ValueError("subset enumeration guard exceeded")
-    terms = []
-    rest = list(range(2, k + 1))
     all_e = ch_tensor_all(source, surface)
     all_f = ch_tensor_all(target, surface)
     canon_dual = ch_anticanonical(surface)
     tangent = ch_tangent(surface)
 
-    for r in range(0, k):
-        for extra in itertools.combinations(rest, r):
-            p_set = (1,) + extra
-            p_comp = tuple(t for t in rest if t not in extra)
-            ch_p = ch_tensor_all((source[t - 1] for t in p_set), surface)
-            ch_pc = ch_tensor_all((source[t - 1] for t in p_comp), surface)
-            for rq in range(0, khat + 1):
-                for q_set in itertools.combinations(range(1, khat + 1), rq):
-                    q_comp = tuple(t for t in range(1, khat + 1) if t not in q_set)
-                    ch_q = ch_tensor_all((target[t - 1] for t in q_set), surface)
-                    ch_qc = ch_tensor_all((target[t - 1] for t in q_comp), surface)
-                    lab = ("P={" + ",".join(map(str, p_set)) + "} Q={"
-                           + ",".join(map(str, q_set)) + "}")
-                    terms.append(Term(lab, Fraction(1), (
-                        hrr_chi(ch_hom(ch_p, ch_q, surface), surface),
-                        hrr_chi(ch_hom(ch_pc, ch_qc, surface), surface))))
+    duals = [ch_dual(e) for e in source]
+    by_size = [[t] for t in _split_sums(surface, duals[0], duals[1:])]
+    for f in target:
+        y = ClassMultiplier(f, surface)
+        by_size = [_split_step(graded, y) for graded in by_size]
+    phi = chi_functional(ChernCharacter.unit(surface), surface)
+    terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (_pair_eval(phi, t, phi),))
+             for a, graded in enumerate(by_size, 1) for b, t in enumerate(graded)]
 
     for ellhat in range(1, khat + 1):
         cls = ch_hom(all_e, ch_tensor(ch_sym_cotangent(ellhat - 1, surface),
@@ -431,29 +512,32 @@ def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
     """Dimension of the top-degree cohomology of a product of k induced
     bundles on the n-point space.
 
-    h2_by_subset supplies, for each subset of [k] occurring as a fiber of an
-    orbit representative, the top cohomology dimension of the corresponding
-    (twisted) product on the surface; q is the top cohomology dimension of the
-    twist itself.  These are genuine cohomology dimensions, which Riemann-Roch
-    cannot provide, so they are caller-supplied.
+    The sum runs over set partitions of [k] into b <= n blocks: the product
+    of the block values times dim S^(n-b) of the q-dimensional top cohomology
+    of the twist.  h2_by_subset supplies, for each subset of [k] occurring as
+    a block, the top cohomology dimension of the corresponding (twisted)
+    product on the surface; q is the top cohomology dimension of the twist
+    itself.  These are genuine cohomology dimensions, which Riemann-Roch
+    cannot provide, so they are caller-supplied.  The per-subset data admit
+    no grouping into types, so `_block_sums` runs over the k elements as k
+    distinct types: a subset DP with the first element of each block pinned,
+    in integers only.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    total = 0
-    for mi, _stab in product_orbit_reps(k, n):
-        prod = 1
-        for fiber in mi.fibers():
-            key = frozenset(fiber)
-            if key not in h2_by_subset:
-                raise ValueError(
-                    "missing top-cohomology value for subset {"
-                    + ",".join(map(str, sorted(key))) + "}")
-            prod *= h2_by_subset[key]
-        m = n - mi.max_value
-        total += prod * int(gen_binomial(q + m - 1, m))
-    return total
+
+    def weight(beta: tuple[int, ...]) -> int:
+        key = frozenset(t for t, inside in enumerate(beta, 1) if inside)
+        if key not in h2_by_subset:
+            raise ValueError(
+                "missing top-cohomology value for subset {"
+                + ",".join(map(str, sorted(key))) + "}")
+        return h2_by_subset[key]
+
+    block_sums = _block_sums([1] * k, weight, n)
+    return sum(g * int(sym_pow_chi(n - b, q)) for b, g in enumerate(block_sums))
 
 
 def global_sections_dim(h0_values: Sequence[int], n: int) -> int:

@@ -222,7 +222,10 @@ class ChernCharacter:
         return ChernCharacter(Fraction(1), c1, surface.pair(c1.coeffs, c1.coeffs) / 2)
 
     def is_line_bundle_class(self, surface: SurfaceModel) -> bool:
+        """Rank 1, integral c1 and ch2 = c1.c1/2: the character of a line
+        bundle whose first Chern class lies in the chosen lattice."""
         return (self.ch0 == 1
+                and all(c.denominator == 1 for c in self.ch1.coeffs)
                 and self.ch2 == surface.pair(self.ch1.coeffs, self.ch1.coeffs) / 2)
 
 
@@ -314,6 +317,50 @@ def hrr_chi(a: ChernCharacter, surface: SurfaceModel) -> Fraction:
     return (a.ch2
             - surface.pair(a.ch1.coeffs, k.coeffs) / 2
             + a.ch0 * surface.chi_structure_sheaf)
+
+
+# Coordinate form of the truncated ring A = Q + Pic_Q + Q, for sums that
+# multiply many classes: a class is the tuple (ch0, ch1_1, ..., ch1_p, ch2).
+
+def ch_coords(a: ChernCharacter) -> tuple[Fraction, ...]:
+    return (a.ch0, *a.ch1.coeffs, a.ch2)
+
+
+def _gram_times(surface: SurfaceModel, v: Sequence[Rat]) -> tuple[Fraction, ...]:
+    return tuple(sum((g * x for g, x in zip(row, v)), Fraction(0))
+                 for row in surface.gram)
+
+
+class ClassMultiplier:
+    """Multiplication by a fixed class y = (r, c, s) on coordinate vectors.
+
+    y.v = r v + v0 (0, c, s) + (0, ..., 0, (Gc).v_c) with the Gram image Gc
+    computed once, so one product costs O(p) for Picard rank p.
+    """
+
+    __slots__ = ("r", "c", "s", "gc")
+
+    def __init__(self, y: ChernCharacter, surface: SurfaceModel):
+        if len(y.ch1) != surface.picard_rank:
+            raise ValueError("divisor class length does not match picard rank")
+        self.r, self.c, self.s = y.ch0, y.ch1.coeffs, y.ch2
+        self.gc = _gram_times(surface, self.c)
+
+    def __call__(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        r, v0, mid = self.r, v[0], v[1:-1]
+        return (r * v0,
+                *(r * x + v0 * c for x, c in zip(mid, self.c)),
+                r * v[-1] + v0 * self.s + sum(g * x for g, x in zip(self.gc, mid)))
+
+
+def chi_functional(twist: ChernCharacter, surface: SurfaceModel) -> tuple[Fraction, ...]:
+    """Coordinates of the linear form v -> chi(v.L) for L = twist = (L0, l, .).
+
+    By Riemann-Roch, chi(v.L) = v0 chi(L) + v_c.G(l - L0 K/2) + L0 v2.
+    """
+    half_k = [Fraction(x, 2) for x in surface.canonical]
+    shifted = [x - twist.ch0 * h for x, h in zip(twist.ch1.coeffs, half_k)]
+    return (hrr_chi(twist, surface), *_gram_times(surface, shifted), twist.ch0)
 
 
 # Bundled test surfaces with classically known invariants.

@@ -1,0 +1,85 @@
+"""Brute-force enumerations that the production sums in `tautchi.euler`
+replace, kept as test oracles.
+
+Each function sums term by term over subsets or set partitions, with one
+Riemann-Roch evaluation per summand, and groups the summands the way the
+production breakdown labels them: by |P|, by (|P|, |Q|), or by block count.
+The cost is exponential in the number of bundles, so callers keep k small.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import defaultdict
+from fractions import Fraction
+
+from tautchi.surface import (ch_hom, ch_tensor, ch_tensor_all, gen_binomial,
+                             hrr_chi, sym_pow_chi)
+from tautchi.symgroup import product_orbit_reps
+
+
+def _twisted_chi(surface, chars, twist):
+    return hrr_chi(ch_tensor(ch_tensor_all(chars, surface), twist, surface), surface)
+
+
+def two_point_main_by_size(surface, bundles, twist):
+    """{|P|: sum over P containing 1 of chi(E_P L) chi(E_{P^c} L)}."""
+    k = len(bundles)
+    rest = range(2, k + 1)
+    out = defaultdict(Fraction)
+    for r in range(k):
+        for extra in itertools.combinations(rest, r):
+            p_set = (1,) + extra
+            q_set = [t for t in rest if t not in extra]
+            out[r + 1] += (_twisted_chi(surface, [bundles[t - 1] for t in p_set], twist)
+                           * _twisted_chi(surface, [bundles[t - 1] for t in q_set], twist))
+    return dict(out)
+
+
+def hom_pair_main_by_sizes(surface, source, target):
+    """{(|P|, |Q|): sum over P containing 1 and all Q of
+    chi(Hom(E_P, F_Q)) chi(Hom(E_{P^c}, F_{Q^c}))}."""
+    k, khat = len(source), len(target)
+    rest = range(2, k + 1)
+    out = defaultdict(Fraction)
+    for r in range(k):
+        for extra in itertools.combinations(rest, r):
+            p_set = (1,) + extra
+            p_comp = [t for t in rest if t not in extra]
+            ch_p = ch_tensor_all([source[t - 1] for t in p_set], surface)
+            ch_pc = ch_tensor_all([source[t - 1] for t in p_comp], surface)
+            for rq in range(khat + 1):
+                for q_set in itertools.combinations(range(1, khat + 1), rq):
+                    q_comp = [t for t in range(1, khat + 1) if t not in q_set]
+                    ch_q = ch_tensor_all([target[t - 1] for t in q_set], surface)
+                    ch_qc = ch_tensor_all([target[t - 1] for t in q_comp], surface)
+                    out[(r + 1, rq)] += (hrr_chi(ch_hom(ch_p, ch_q, surface), surface)
+                                         * hrr_chi(ch_hom(ch_pc, ch_qc, surface), surface))
+    return dict(out)
+
+
+def product_invariants_by_blocks(surface, n, bundles, twist):
+    """{b: sum over set partitions of [k] into b <= n blocks of the product
+    of chi(E_B L) over the blocks B, times S^(n-b) chi(L)}, one orbit
+    representative of [k] -> [n] per set partition."""
+    chi_twist = hrr_chi(twist, surface)
+    out = defaultdict(Fraction)
+    for mi, _stab in product_orbit_reps(len(bundles), n):
+        prod = sym_pow_chi(n - mi.max_value, chi_twist)
+        for fiber in mi.fibers():
+            prod *= _twisted_chi(surface, [bundles[t - 1] for t in sorted(fiber)], twist)
+        out[mi.max_value] += prod
+    return dict(out)
+
+
+def top_cohomology_by_enumeration(k, n, h2_by_subset, q):
+    """Top cohomology dimension summed over one orbit representative per set
+    partition of [k] into at most n blocks."""
+    total = 0
+    for mi, _stab in product_orbit_reps(k, n):
+        prod = 1
+        for fiber in mi.fibers():
+            prod *= h2_by_subset[frozenset(fiber)]
+        m = n - mi.max_value
+        total += prod * int(gen_binomial(q + m - 1, m))
+    return total

@@ -182,10 +182,16 @@ def test_criterion_09_formula_consistency():
         for k in (1, 2, 3):
             bundles = [_random_chern(rng, P2) for _ in range(k)]
             tw = ChernCharacter.line_bundle([rng.randint(-1, 1)], P2)
-            inv = euler.chi_product_invariants(P2, 2, bundles, tw).value
+            inv = euler.chi_product_invariants(P2, 2, bundles, tw)
             full = euler.chi_taut_product_two(P2, bundles, tw)
-            main = sum(t.value for t in full.terms if t.label.startswith("P="))
-            assert inv == main
+            main = {t.label: t.value for t in full.terms
+                    if t.label.startswith("|P|=")}
+            assert inv.value == sum(main.values())
+            # one block is the split P = [k]; two blocks are the proper splits
+            by_blocks = {t.label: t.value for t in inv.terms}
+            assert by_blocks["blocks=1"] == main[f"|P|={k}"]
+            assert by_blocks.get("blocks=2", 0) == sum(
+                main[f"|P|={r}"] for r in range(1, k))
 
     report(9, "single-bundle, triple-regrouping, and ambient-term identities", check)
 

@@ -215,3 +215,47 @@ def test_h0_job(tmp_path, capsys):
     assert cli.run(path) == 0
     out = capsys.readouterr().out
     assert [ln for ln in out.splitlines() if ln.startswith("h ")][0].split()[2] == "6"
+
+
+EXPLICIT_P2 = {"name": "plane", "gram": [[1]], "canonical": [-3], "c2": 3}
+
+
+NON_INTEGER_FIELDS = [
+    ("gram", {**BASE, "surface": {**EXPLICIT_P2, "gram": [[1.5]]}, "jobs": []}),
+    ("canonical", {**BASE, "surface": {**EXPLICIT_P2, "canonical": [-3.0]},
+                   "jobs": []}),
+    ("c2", {**BASE, "surface": {**EXPLICIT_P2, "c2": 3.7}, "jobs": []}),
+    ("h_square", {**BASE, "surface": {"preset": "K3", "h_square": 2.5},
+                  "bundles": [], "jobs": []}),
+    ("rank", {**BASE, "bundles": [{"name": "E", "rank": 1.9, "c1": [0]}],
+              "jobs": []}),
+    ("sweep_n", {**BASE, "jobs": [{"id": "s", "kind": "scala", "bundle": "O",
+                                   "sweep_n": [True, 2]}]}),
+    ("h2", {**BASE, "jobs": [{"id": "t", "kind": "h_top", "k": 1, "n": 1,
+                              "h2": {"1": True}}]}),
+    ("q", {**BASE, "jobs": [{"id": "t", "kind": "h_top", "k": 1, "n": 1,
+                             "h2": {"1": 1}, "q": True}]}),
+    ("h0", {**BASE, "jobs": [{"id": "g", "kind": "h0", "h0": [True, 2], "n": 2}]}),
+]
+
+
+@pytest.mark.parametrize("field,doc", NON_INTEGER_FIELDS,
+                         ids=[f for f, _ in NON_INTEGER_FIELDS])
+def test_non_integer_in_integer_field_rejected(tmp_path, capsys, field, doc):
+    assert cli.run(write_jobs(tmp_path, doc)) == cli.EXIT_BAD_INPUT
+    assert field in capsys.readouterr().err
+
+
+def test_fractional_twist_rejected(tmp_path, capsys):
+    path = write_jobs(tmp_path, {**BASE, "line_bundle": ["1/2"], "jobs": [
+        {"id": "a", "kind": "euler_two", "bundles": ["O1", "O1"]}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert "line_bundle" in capsys.readouterr().err
+
+
+def test_fractional_line_bundle_class_rejected_for_sym_power(tmp_path, capsys):
+    # rank 1 and ch2 = c1^2/2 hold, but c1 = H/2 is not in the lattice
+    doc = {**BASE, "bundles": [{"name": "H", "ch": [1, ["1/2"], "1/8"]}],
+           "jobs": [{"id": "s", "kind": "sym_power_two", "bundle": "H", "k": 2}]}
+    assert cli.run(write_jobs(tmp_path, doc)) == cli.EXIT_BAD_INPUT
+    assert "line-bundle class" in capsys.readouterr().err

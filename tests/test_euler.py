@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,7 @@ from tautchi.euler import (ChiRequest, ChiResult, Term, chi_ext_power_two,
                            global_sections_dim, hom_coeff_pair,
                            top_cohomology_dim)
 from tautchi.surface import (ChernCharacter, DivisorClass,
-                             graded_sym_chi_oracle, k3, p1xp1, p2)
+                             graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2)
 from tautchi.symgroup import stirling2
 
 P2 = p2()
@@ -68,7 +69,7 @@ def test_product_two_structure_sheaf_pair():
     res = chi_taut_product_two(P2, [unit(P2), unit(P2)])
     assert res.value == 1
     labels = [t.label for t in res.terms]
-    assert labels == ["P={1}", "P={1,2}", "diag ell=1"]
+    assert labels == ["|P|=1", "|P|=2", "diag ell=1"]
 
 
 def test_product_two_line_bundle_pairs():
@@ -108,10 +109,29 @@ def test_product_two_brute_multiplicities_agree():
 
 
 def test_product_two_guard():
-    with pytest.raises(ValueError, match="guard"):
-        chi_taut_product_two(P2, [unit(P2)] * 30, subset_guard=24)
     with pytest.raises(ValueError, match="brute"):
         chi_taut_product_two(P2, [unit(P2)] * 8, brute_multiplicities=True)
+
+
+@pytest.mark.parametrize("surface,ycoords,lcoords", [
+    (P2, [1], [0]), (QUADRIC, [1, -1], [0, 1]), (K3, [-1], [1]),
+])
+def test_product_two_thirty_copies_of_one_line_bundle(surface, ycoords, lcoords):
+    # With E_t = y for all t the subsets of size r contribute
+    # C(k-1, r-1) chi(y^r L) chi(y^(k-r) L), with y^r the line bundle r*c1(y).
+    k = 30
+    y = o_line(surface, ycoords)
+    tw = o_line(surface, lcoords)
+    res = chi_taut_product_two(surface, [y] * k, tw)
+
+    def chi_power(r):
+        return hrr_chi(o_line(surface, [r * a + b for a, b in zip(ycoords, lcoords)]),
+                       surface)
+
+    main = {t.label: t.value for t in res.terms if t.label.startswith("|P|=")}
+    assert main == {f"|P|={r}": comb(k - 1, r - 1) * chi_power(r) * chi_power(k - r)
+                    for r in range(1, k + 1)}
+    assert res.value.denominator == 1
 
 
 def test_term_breakdown_recombines():
@@ -141,9 +161,12 @@ def test_product_invariants_counts_partitions_for_trivial_bundles():
             assert res.value == expected
 
 
-def test_product_invariants_has_five_terms_for_three_bundles():
+def test_product_invariants_has_one_term_per_block_count():
     res = chi_product_invariants(P2, 3, [unit(P2)] * 3)
-    assert len(res.terms) == 5
+    assert [t.label for t in res.terms] == ["blocks=1", "blocks=2", "blocks=3"]
+    # S(3, b) set partitions of weight 1 each, all points used or S^j chi(O) = 1
+    assert [t.factors for t in res.terms] == [(1, 1), (3, 1), (1, 1)]
+    assert len(chi_product_invariants(P2, 2, [unit(P2)] * 3).terms) == 2
 
 
 def test_product_invariants_n2_matches_product_two_main_term():
@@ -153,7 +176,7 @@ def test_product_invariants_n2_matches_product_two_main_term():
         tw = o_line(P2, [rng.randint(-1, 1)])
         inv = chi_product_invariants(P2, 2, bundles, tw).value
         full = chi_taut_product_two(P2, bundles, tw)
-        main = sum(t.value for t in full.terms if t.label.startswith("P="))
+        main = sum(t.value for t in full.terms if t.label.startswith("|P|="))
         assert inv == main
 
 
@@ -206,8 +229,9 @@ def test_hom_pair_fixture():
     assert res.value == 2
     # hand-recomputable pieces: main 2, into-diag 1, from-diag chi(O(3)) = 10,
     # diag-diag c+ = 1 on 1 + 10 and c- = 0
-    main = sum(t.value for t in res.terms if t.label.startswith("P="))
+    main = sum(t.value for t in res.terms if t.label.startswith("|P|="))
     assert main == 2
+    assert [t.label for t in res.terms][:2] == ["|P|=1,|Q|=0", "|P|=1,|Q|=1"]
 
 
 def test_hom_coeff_pair_values():

@@ -1,0 +1,93 @@
+"""The polynomial-time sums of `tautchi.euler` against the subset and
+set-partition enumerations in `oracles`, value by value and term by term."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from tautchi.euler import (chi_hom_pair_two, chi_product_invariants,
+                           chi_taut_product_two, top_cohomology_dim)
+from tautchi.surface import ChernCharacter, DivisorClass, SurfaceModel, k3, p1xp1, p2
+
+# The plane blown up in three points: Pic = Z^4, H^2 = 1, E_i^2 = -1.
+BLOWUP = SurfaceModel("P2-blown-up-3",
+                      ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+                      (-3, 1, 1, 1), 6)
+SURFACES = [p2(), k3(), p1xp1(), BLOWUP]
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+surfaces = st.sampled_from(SURFACES)
+oracle_settings = settings(max_examples=15, deadline=None)
+
+
+def virtual_bundles(surface, min_size, max_size, pool=None):
+    """Random virtual classes; with a pool size, drawn with repetition from
+    that many distinct classes so that equal bundles occur."""
+    rank = surface.picard_rank
+    chern = st.builds(
+        lambda c0, c1, c2: ChernCharacter.make(c0, DivisorClass.of(c1), c2),
+        rationals, st.lists(rationals, min_size=rank, max_size=rank), rationals)
+    if pool is None:
+        return st.lists(chern, min_size=min_size, max_size=max_size)
+    return st.lists(chern, min_size=1, max_size=pool).flatmap(
+        lambda classes: st.lists(st.sampled_from(classes),
+                                 min_size=min_size, max_size=max_size))
+
+
+def twists(surface):
+    return st.lists(st.integers(-2, 2), min_size=surface.picard_rank,
+                    max_size=surface.picard_rank).map(
+        lambda c: ChernCharacter.line_bundle(c, surface))
+
+
+def with_data(draw_bundles):
+    return surfaces.flatmap(lambda s: st.tuples(st.just(s), draw_bundles(s), twists(s)))
+
+
+def labelled(result, prefix):
+    return {t.label: t.value for t in result.terms if t.label.startswith(prefix)}
+
+
+@oracle_settings
+@given(with_data(lambda s: virtual_bundles(s, 1, 7)))
+def test_euler_two_main_sum_matches_subset_enumeration(data):
+    surface, bundles, twist = data
+    res = chi_taut_product_two(surface, bundles, twist)
+    expected = oracles.two_point_main_by_size(surface, bundles, twist)
+    assert labelled(res, "|P|=") == {f"|P|={r}": v for r, v in expected.items()}
+
+
+@oracle_settings
+@given(surfaces.flatmap(lambda s: st.tuples(
+    st.just(s), virtual_bundles(s, 1, 4), virtual_bundles(s, 1, 4))))
+def test_bichar_double_sum_matches_subset_enumeration(data):
+    surface, source, target = data
+    res = chi_hom_pair_two(surface, source, target)
+    expected = oracles.hom_pair_main_by_sizes(surface, source, target)
+    assert labelled(res, "|P|=") == {f"|P|={a},|Q|={b}": v
+                                     for (a, b), v in expected.items()}
+
+
+@oracle_settings
+@given(with_data(lambda s: virtual_bundles(s, 1, 6, pool=3)), st.integers(1, 6))
+def test_k0_invariants_match_partition_enumeration(data, n):
+    surface, bundles, twist = data
+    res = chi_product_invariants(surface, n, bundles, twist)
+    expected = oracles.product_invariants_by_blocks(surface, n, bundles, twist)
+    assert labelled(res, "blocks=") == {f"blocks={b}": v for b, v in expected.items()}
+    assert res.value == sum(expected.values())
+
+
+@oracle_settings
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(1, 6), st.integers(0, 3),
+    st.lists(st.integers(0, 4), min_size=2 ** k - 1, max_size=2 ** k - 1))))
+def test_h_top_matches_partition_enumeration(data):
+    k, n, q, values = data
+    subsets = [frozenset(c) for r in range(1, k + 1)
+               for c in itertools.combinations(range(1, k + 1), r)]
+    h2 = dict(zip(subsets, values))
+    assert (top_cohomology_dim(k, n, h2, q)
+            == oracles.top_cohomology_by_enumeration(k, n, h2, q))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tautchi.surface import (BundleSpec, ChernCharacter, DivisorClass, SurfaceModel,
-                             as_fraction, ch_add, ch_dual, ch_hom, ch_sub,
-                             ch_sym_cotangent, ch_tangent, ch_tensor, gen_binomial,
+from tautchi.surface import (BundleSpec, ChernCharacter, ClassMultiplier,
+                             DivisorClass, SurfaceModel, as_fraction, ch_add,
+                             ch_coords, ch_dual, ch_hom, ch_sub, ch_sym_cotangent,
+                             ch_tangent, ch_tensor, chi_functional, gen_binomial,
                              graded_sym_chi_oracle, graded_tensor_chi_oracle,
                              hrr_chi, k3, p1xp1, p2, sym_pow_chi)
 
@@ -102,6 +103,30 @@ def test_dual_of_line_bundle():
     d = ch_dual(line_on_p2(1))
     assert (d.ch0, d.ch1.coeffs, d.ch2) == (1, (Fraction(-1),), Fraction(1, 2))
     assert ch_dual(ChernCharacter.unit(P2)) == ChernCharacter.unit(P2)
+
+
+def test_line_bundle_class_needs_integral_c1():
+    assert line_on_p2(3).is_line_bundle_class(P2)
+    half = ChernCharacter.line_bundle([Fraction(1, 2)], P2)
+    assert half.ch2 == Fraction(1, 8)
+    assert not half.is_line_bundle_class(P2)
+    assert not ChernCharacter.make(1, [1], 0).is_line_bundle_class(P2)
+
+
+QUADRIC = p1xp1()
+
+
+@given(chern_on(QUADRIC), chern_on(QUADRIC))
+def test_class_multiplier_is_ch_tensor_in_coordinates(x, y):
+    assert ClassMultiplier(y, QUADRIC)(ch_coords(x)) == ch_coords(ch_tensor(y, x, QUADRIC))
+
+
+@given(chern_on(QUADRIC), st.integers(-3, 3), st.integers(-3, 3))
+def test_chi_functional_is_twisted_riemann_roch(x, a, b):
+    twist = ChernCharacter.line_bundle([a, b], QUADRIC)
+    phi = chi_functional(twist, QUADRIC)
+    assert (sum(p * v for p, v in zip(phi, ch_coords(x)))
+            == hrr_chi(ch_tensor(x, twist, QUADRIC), QUADRIC))
 
 
 def test_hom_examples():
