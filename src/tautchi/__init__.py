@@ -5,7 +5,7 @@ underlying combinatorial chain complexes."""
 from .surface import (BundleSpec, ChernCharacter, DivisorClass, SurfaceModel,
                       ch_add, ch_dual, ch_hom, ch_sym_cotangent, ch_tensor,
                       graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2, sym_pow_chi)
-from .euler import (ChiRequest, ChiResult, chi_ext_power_two, chi_hom_pair_two,
+from .euler import (ChiResult, chi_ext_power_two, chi_hom_pair_two,
                     chi_product_invariants, chi_sym_power_two, chi_taut,
                     chi_taut_product_two, chi_taut_triple, global_sections_dim,
                     top_cohomology_dim)
@@ -14,7 +14,7 @@ from .complexes import (build_complex, diagonal_multiplicity,
                         verify_exactness)
 
 __all__ = [
-    "BundleSpec", "ChernCharacter", "ChiRequest", "ChiResult", "DivisorClass",
+    "BundleSpec", "ChernCharacter", "ChiResult", "DivisorClass",
     "SurfaceModel", "build_complex", "ch_add", "ch_dual", "ch_hom",
     "ch_sym_cotangent", "ch_tensor", "chi_ext_power_two", "chi_hom_pair_two",
     "chi_product_invariants", "chi_sym_power_two", "chi_taut",

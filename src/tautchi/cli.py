@@ -7,7 +7,7 @@ divisor, and a list of jobs.  Rationals are encoded as integers or as strings
 "p/q"; all output values are exact.
 
 Exit codes: 0 on success, 1 if a job raised at run time, 2 if a verification
-job reported a failure, 3 on parse or validation errors.
+job reported a failure, 3 on command-line, parse or validation errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -202,6 +201,9 @@ def parse_job_file(doc: Any) -> JobFile:
             if (not isinstance(raw, list) or len(raw) != 2
                     or not all(is_int(x) for x in raw)):
                 raise JobFileError(f"job {jid!r}: sweep_n must be [first, last]")
+            if raw[0] > raw[1]:
+                raise JobFileError(f"job {jid!r}: sweep_n {raw} is reversed "
+                                   f"(first must not exceed last)")
             sweep = (raw[0], raw[1])
         payload = {k: v for k, v in j.items() if k not in ("id", "kind", "sweep_n")}
         jobs.append(Job(jid, kind, payload, sweep))
@@ -264,8 +266,7 @@ def _need_int(jid: str, payload: dict, key: str, minimum: int) -> int:
 
 
 def _check_sweep_min(jid: str, sweep: tuple[int, int], minimum: int) -> None:
-    lo, hi = sweep
-    if lo <= hi and lo < minimum:
+    if sweep[0] < minimum:
         raise JobFileError(f"job {jid!r}: sweep over n must start at {minimum}")
 
 
@@ -295,9 +296,9 @@ def validate_job(jf: JobFile, job: Job) -> None:
     elif job.kind == "sym_power_two":
         bundle = _resolve_one(jf, jid, p.get("bundle"))
         k = _need_int(jid, p, "k", 1)
-        if k > complexes_guard_k():
+        if k > euler.BRUTE_MULTIPLICITY_MAX_K:
             raise JobFileError(f"job {jid!r}: k = {k} exceeds the invariant "
-                               f"computation bound {complexes_guard_k()}")
+                               f"computation bound {euler.BRUTE_MULTIPLICITY_MAX_K}")
         if not bundle.is_line_bundle_class(jf.surface):
             raise JobFileError(f"job {jid!r}: bundle must be a line-bundle class")
     elif job.kind == "h_top":
@@ -310,8 +311,13 @@ def validate_job(jf: JobFile, job: Job) -> None:
         if not isinstance(h2, dict):
             raise JobFileError(f"job {jid!r}: h2 must be an object keyed by "
                                f"comma-joined subsets")
+        keys_by_subset: dict[frozenset, str] = {}
         for key, v in h2.items():
-            _parse_subset_key(jid, key, k)
+            subset = _parse_subset_key(jid, key, k)
+            if subset in keys_by_subset:
+                raise JobFileError(f"job {jid!r}: h2 keys {keys_by_subset[subset]!r} "
+                                   f"and {key!r} name the same subset")
+            keys_by_subset[subset] = key
             if not is_int(v) or v < 0:
                 raise JobFileError(f"job {jid!r}: h2[{key!r}] must be a "
                                    f"nonnegative integer")
@@ -342,17 +348,15 @@ def validate_job(jf: JobFile, job: Job) -> None:
             _need_int(jid, p, "k_max", 1)
 
 
-def complexes_guard_k() -> int:
-    return euler.BRUTE_MULTIPLICITY_MAX_K
-
-
 def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
     try:
-        parts = [int(x) for x in key.split(",")] if key else []
+        parts = [int(x) for x in key.split(",")]
     except ValueError:
         raise JobFileError(f"job {jid!r}: bad subset key {key!r}") from None
     if any(x < 1 or x > k for x in parts):
         raise JobFileError(f"job {jid!r}: subset key {key!r} out of range 1..{k}")
+    if len(set(parts)) != len(parts):
+        raise JobFileError(f"job {jid!r}: subset key {key!r} repeats an element")
     return frozenset(parts)
 
 
@@ -404,6 +408,7 @@ def run_one_job(jf: JobFile, job: Job, force_brute: bool) -> list[ResultRow]:
     elif job.kind == "sym_power_two":
         value = euler.chi_sym_power_two(jf.surface, jf.bundles[p["bundle"]],
                                         p["k"], jf.twist)
+        # "swap_variant" stays in the params so that --out keeps its bytes
         params = {"bundle": p["bundle"], "k": p["k"], "swap_variant": "twisted"}
     elif job.kind == "h_top":
         k = p["k"]
@@ -514,8 +519,7 @@ def render_table(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def run(path: str, out: str | None = None, force_brute: bool = False,
-        threads: int = 1) -> int:
+def run(path: str, out: str | None = None, force_brute: bool = False) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -532,27 +536,15 @@ def run(path: str, out: str | None = None, force_brute: bool = False,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    results: list[list[ResultRow] | None] = [None] * len(jf.jobs)
+    rows: list[ResultRow] = []
     errors: list[tuple[str, str]] = []
-
-    def exec_job(i: int, job: Job):
+    for job in jf.jobs:
         try:
-            results[i] = run_one_job(jf, job, force_brute)
+            rows.extend(run_one_job(jf, job, force_brute))
         except Exception as exc:
             errors.append((job.id, f"{type(exc).__name__}: {exc}"))
-            results[i] = [ResultRow(job.id, job.kind, {}, f"ERROR ({exc})")]
+            rows.append(ResultRow(job.id, job.kind, {}, f"ERROR ({exc})"))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(exec_job, i, job)
-                       for i, job in enumerate(jf.jobs)]
-            for f in futures:
-                f.result()
-    else:
-        for i, job in enumerate(jf.jobs):
-            exec_job(i, job)
-
-    rows = [row for sub in results if sub for row in sub]
     print(render_table(rows))
     if out is not None:
         payload = json.dumps([r.to_json() for r in rows], sort_keys=True, indent=2)
@@ -578,12 +570,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--force-brute-N", action="store_true", dest="force_brute",
                         help="recompute two-point diagonal coefficients by "
                              "brute-force invariant linear algebra")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="run independent jobs in up to N threads")
     parser.add_argument("--verify", metavar="k=MAX",
                         help="run the structural verification suite up to the "
                              "given k and exit")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
 
     if args.verify is not None:
         spec = args.verify
@@ -610,11 +603,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print("error: --jobs FILE or --verify k=MAX is required", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    return run(args.jobs, out=args.out, force_brute=args.force_brute,
-               threads=args.threads)
+    return run(args.jobs, out=args.out, force_brute=args.force_brute)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,14 @@ in the euler module, and is verified here by exact rank computation.
 Two commuting group actions are attached: the "slot" action of the symmetric
 group on k letters (permuting the k tensor slots, with a restriction sign and
 the exterior-power action on the wedge factor) and a "swap" involution coming
-from interchanging the two values.  The swap action exists in two variants
-which differ by the scalar (-1)^(ell-1): "plain" uses the sign (-1)^(ell+i)
-in degree i, "twisted" uses (-1)^(i-1) and is the variant entering all
-invariant-dimension bookkeeping.  Invariant dimensions are computed by two
+from interchanging the two values, with the sign (-1)^(i-1) in degree i >= 0
+and (-1)^(ell-1) in degree -1.  Invariant dimensions are computed by two
 independent methods (character average and projector rank) that are asserted
-to agree.
+to agree.  Of this module, the formulas in `euler` use only the closed
+forms `surviving_count` and `diagonal_multiplicity` (and, under
+`--force-brute-N`, `swap_invariant_kernel_dim`); the complexes and invariant
+counts are the references that the tests and the verification suite compare
+the closed forms against.
 
 All matrices are sparse with exact integer or rational entries; ranks are
 computed by fraction-free elimination.
@@ -38,16 +40,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import comb, gcd
+from typing import Iterable, Iterator, Sequence
 
 from .symgroup import Permutation, position_sign, sign_on_subset
-
-SWAP_VARIANTS = ("plain", "twisted")
-
-# projector computations that enumerate the whole slot group stop here;
-# beyond this only the closed dimension formulas are offered
-FULL_GROUP_MAX_K = 7
 
 
 class SparseRationalMatrix:
@@ -115,16 +111,6 @@ class SparseRationalMatrix:
                 out[r] = acc
         return SparseRationalMatrix(self.nrows, other.ncols, out)
 
-    def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
-        out = SparseRationalMatrix(self.nrows, self.ncols,
-                                   {r: dict(row) for r, row in self.rows.items()})
-        for r, row in other.rows.items():
-            for c, v in row.items():
-                out.add_entry(r, c, v)
-        return out
-
     def scale(self, t) -> "SparseRationalMatrix":
         if not t:
             return SparseRationalMatrix(self.nrows, self.ncols)
@@ -160,14 +146,6 @@ class SparseRationalMatrix:
             if nr:
                 out[r] = nr
         return SparseRationalMatrix(self.nrows, len(cols), out)
-
-    def apply(self, vec: Mapping[int, Fraction | int]) -> dict[int, Fraction | int]:
-        out = {}
-        for r, row in self.rows.items():
-            s = sum((v * vec[c] for c, v in row.items() if c in vec), 0)
-            if s:
-                out[r] = s
-        return out
 
     def _integer_rows(self) -> list[dict[int, int]]:
         rows = []
@@ -235,53 +213,6 @@ class SparseRationalMatrix:
             rows = nxt
             rank += 1
         return rank
-
-    def kernel_basis(self) -> list[dict[int, Fraction]]:
-        """A basis of the right kernel, as sparse coordinate vectors."""
-        pivots: dict[int, dict[int, Fraction]] = {}
-        for raw in self.rows.values():
-            row = {c: Fraction(v) for c, v in raw.items()}
-            while row:
-                c = min(row)
-                if c in pivots:
-                    f = row.pop(c)
-                    for cc, vv in pivots[c].items():
-                        if cc == c:
-                            continue
-                        nv = row.get(cc, Fraction(0)) - f * vv
-                        if nv:
-                            row[cc] = nv
-                        else:
-                            row.pop(cc, None)
-                else:
-                    f = row[c]
-                    pivots[c] = {cc: vv / f for cc, vv in row.items()}
-                    break
-        # back-substitute so each pivot row involves only free columns
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            for c2 in [x for x in row if x != c and x in pivots]:
-                f = row.pop(c2)
-                for cc, vv in pivots[c2].items():
-                    if cc == c2:
-                        continue
-                    nv = row.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivots:
-                continue
-            vec = {free: Fraction(1)}
-            for c, row in pivots.items():
-                v = row.get(free)
-                if v:
-                    vec[c] = -v
-            basis.append(vec)
-        return basis
-
 
 DegreeLabel = tuple  # (M, a, T) in degrees >= 0; a bare value tuple in degree -1
 
@@ -538,78 +469,22 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
     return mat
 
 
-def swap_action_matrix(cx: ChainComplexQ, degree: int, variant: str = "twisted"
-                       ) -> SparseRationalMatrix:
-    """Matrix of the value-swap involution in the given degree.
-
-    The "plain" variant carries the scalar (-1)^(ell + i) in degree i and acts
-    by the bare relabelling in degree -1; the "twisted" variant differs from
-    it by the global factor (-1)^(ell - 1) in every degree (so it is
-    (-1)^(i-1) in degree i >= 0), which keeps it a chain map.
-    """
-    if variant not in SWAP_VARIANTS:
-        raise ValueError(f"unknown swap variant {variant!r}")
+def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
+    """Matrix of the value-swap involution in the given degree: the flip
+    1 <-> 2 of the values, times (-1)^(ell-1) in degree -1 and (-1)^(i-1) in
+    degree i >= 0, the signs that make it a chain map."""
     labels = cx.basis[degree]
     idx = cx.index[degree]
     mat = SparseRationalMatrix(len(labels), len(labels))
     if degree == -1:
-        scalar = 1
-    else:
-        scalar = -1 if (cx.ell + degree) % 2 else 1
-    if variant == "twisted":
-        scalar *= -1 if (cx.ell - 1) % 2 else 1
-    if degree == -1:
+        scalar = -1 if (cx.ell - 1) % 2 else 1
         for col, a in enumerate(labels):
-            flipped = tuple(3 - v for v in a)
-            mat.add_entry(idx[flipped], col, scalar)
+            mat.add_entry(idx[tuple(3 - v for v in a)], col, scalar)
         return mat
+    scalar = -1 if (degree - 1) % 2 else 1
     for col, (m_set, a, wedge) in enumerate(labels):
-        flipped = tuple(3 - v for v in a)
-        mat.add_entry(idx[(m_set, flipped, wedge)], col, scalar)
+        mat.add_entry(idx[(m_set, tuple(3 - v for v in a), wedge)], col, scalar)
     return mat
-
-
-@dataclass
-class ComplexGroupAction:
-    """A group action on a built complex, given by generator matrices per
-    degree.  For the swap actions the single generator is the involution; for
-    the slot action the generators are the adjacent transposition (1 2) and
-    the long cycle."""
-
-    group: str  # "swap" or "slot"
-    variant: str | None
-    generators: dict[str, dict[int, SparseRationalMatrix]]
-
-    def generator(self, name: str, degree: int) -> SparseRationalMatrix:
-        return self.generators[name][degree]
-
-
-def attach_swap_action(cx: ChainComplexQ, variant: str = "twisted") -> ComplexGroupAction:
-    """Build the swap involution in every degree and verify the chain-map
-    property; a failure here means a sign convention is broken."""
-    mats = {d: swap_action_matrix(cx, d, variant) for d in cx.degrees}
-    for d in range(-1, cx.k - cx.ell):
-        if not (mats[d + 1] @ cx.differential(d)) == (cx.differential(d) @ mats[d]):
-            raise ArithmeticError(
-                f"swap action ({variant}) is not a chain map in degree {d}")
-    return ComplexGroupAction("swap", variant, {"tau": mats})
-
-
-def attach_slot_action(cx: ChainComplexQ) -> ComplexGroupAction:
-    """Build slot-permutation generator matrices and verify the chain-map
-    property for both generators."""
-    gens = {"s12": Permutation.transposition(cx.k, 1, 2) if cx.k >= 2
-            else Permutation.identity(1),
-            "cycle": Permutation.cycle(cx.k)}
-    out: dict[str, dict[int, SparseRationalMatrix]] = {}
-    for name, perm in gens.items():
-        mats = {d: slot_action_matrix(cx, perm, d) for d in cx.degrees}
-        for d in range(-1, cx.k - cx.ell):
-            if not (mats[d + 1] @ cx.differential(d)) == (cx.differential(d) @ mats[d]):
-                raise ArithmeticError(
-                    f"slot action of {name} is not a chain map in degree {d}")
-        out[name] = mats
-    return ComplexGroupAction("slot", None, out)
 
 
 def _slot_elements(k: int) -> Iterator[Permutation]:
@@ -617,43 +492,7 @@ def _slot_elements(k: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-def _slot_trace(cx: ChainComplexQ, perm: Permutation, degree: int) -> int:
-    """Trace of a slot permutation in a degree, without building the matrix.
-
-    Only components fixed by the index action contribute; on those the block
-    is the exterior-power matrix whose diagonal is summed directly.
-    """
-    if degree == -1:
-        total = 0
-        for a in cx.basis[-1]:
-            if all(a[perm(t) - 1] == a[t - 1] for t in range(1, cx.k + 1)):
-                total += 1
-        return total
-    total = 0
-    universe = range(1, cx.k + 1)
-    inv = perm.inverse()
-    seen: set[tuple] = set()
-    for (n_set, b, _w) in cx.basis[degree]:
-        key = (n_set, b)
-        if key in seen:
-            continue
-        seen.add(key)
-        m_set = tuple(sorted(perm(t) for t in n_set))
-        if m_set != n_set:
-            continue
-        comp = [t for t in universe if t not in n_set]
-        bval = dict(zip(comp, b))
-        if any(bval[inv(t)] != bval[t] for t in comp):
-            continue
-        e = sign_on_subset(perm, n_set)
-        cols = _difference_rep_matrix(perm, n_set, m_set)
-        for wedge in _wedge_indices(cx.ell, len(n_set)):
-            total += e * _wedge_of_map(cols, wedge).get(wedge, 0)
-    return total
-
-
 def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
-                        swap_variant: str = "twisted",
                         slot_character: str = "trivial") -> int:
     """Dimension of the invariant subspace in a degree, for group one of
     "swap", "slot", or "slot_swap" (the product of the two).
@@ -664,9 +503,6 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
     """
     if slot_character not in ("trivial", "sign"):
         raise ValueError(f"unknown character {slot_character!r}")
-    if group in ("slot", "slot_swap") and cx.k > FULL_GROUP_MAX_K:
-        raise ValueError(
-            f"full-group projector computations are limited to k <= {FULL_GROUP_MAX_K}")
     dim = cx.dim(degree)
     elements: list[tuple[Permutation | None, bool, int]] = []
     if group == "swap":
@@ -681,7 +517,7 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
         raise ValueError(f"unknown group {group!r}")
 
     order = len(elements)
-    swap_mat = swap_action_matrix(cx, degree, swap_variant)
+    swap_mat = swap_action_matrix(cx, degree)
 
     trace_sum = 0
     acc: dict[int, dict[int, Fraction | int]] = {}
@@ -713,19 +549,6 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
     return by_trace
 
 
-def slot_invariant_dim_fast(cx: ChainComplexQ, degree: int,
-                            slot_character: str = "trivial") -> int:
-    """Trace-only slot-invariant dimension (no projector cross-check)."""
-    total = 0
-    for perm in _slot_elements(cx.k):
-        chi = perm.sign() if slot_character == "sign" else 1
-        total += chi * _slot_trace(cx, perm, degree)
-    order = factorial(cx.k)
-    if total % order != 0:
-        raise ArithmeticError("non-integral trace average in invariant count")
-    return total // order
-
-
 def swap_invariant_kernel_dim(k: int, ell: int) -> int:
     """Brute-force count of swap-invariant kernel vectors in degree 0.
 
@@ -739,7 +562,7 @@ def swap_invariant_kernel_dim(k: int, ell: int) -> int:
     cx = build_complex(k, ell)
     dim0 = cx.dim(0)
     d0 = cx.differential(0)
-    tau0 = swap_action_matrix(cx, 0, "twisted")
+    tau0 = swap_action_matrix(cx, 0)
     stacked = SparseRationalMatrix(d0.nrows + dim0, dim0)
     for r, c, v in d0.triples():
         stacked.add_entry(r, c, v)
@@ -751,7 +574,7 @@ def swap_invariant_kernel_dim(k: int, ell: int) -> int:
 
     alternating = 0
     for i in range(0, k - ell + 1):
-        inv_dim = group_invariant_dim(cx, i, "swap", swap_variant="twisted")
+        inv_dim = group_invariant_dim(cx, i, "swap")
         alternating += inv_dim if i % 2 == 0 else -inv_dim
 
     closed = diagonal_multiplicity(k, ell)
@@ -765,9 +588,10 @@ def swap_invariant_kernel_dim(k: int, ell: int) -> int:
 def sym_power_multiplicity(k: int, ell: int) -> int:
     """Multiplicity of the ell-th diagonal term in the symmetric-power Euler
     characteristic on the two-point space: the dimension of the joint
-    (slot x twisted-swap)-invariants in degree 0."""
+    (slot x twisted-swap)-invariants in degree 0, by projector rank.  The
+    reference for the closed form `euler.sym_power_coefficient`."""
     cx = build_complex(k, ell)
-    return group_invariant_dim(cx, 0, "slot_swap", swap_variant="twisted")
+    return group_invariant_dim(cx, 0, "slot_swap")
 
 
 def ext_power_multiplicity(k: int, ell: int) -> int:
@@ -776,13 +600,12 @@ def ext_power_multiplicity(k: int, ell: int) -> int:
     The slot factor is twisted by its sign character; because the
     sign-isotypic parts of the positive degrees need not vanish, the correct
     coefficient is the alternating sum over all degrees >= 0 rather than the
-    degree-0 count alone.
+    degree-0 count alone.  It vanishes, as `euler.chi_ext_power_two`, which
+    has no diagonal term, requires.
     """
     cx = build_complex(k, ell)
     total = 0
     for i in range(0, k - ell + 1):
-        inv_dim = group_invariant_dim(cx, i, "slot_swap",
-                                      swap_variant="twisted",
-                                      slot_character="sign")
+        inv_dim = group_invariant_dim(cx, i, "slot_swap", slot_character="sign")
         total += inv_dim if i % 2 == 0 else -inv_dim
     return total

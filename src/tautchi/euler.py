@@ -11,9 +11,11 @@ extends additively.  Results carry a term-by-term breakdown whose recombined
 value is checked at construction time.
 
 The two-point formulas subtract diagonal correction terms whose integer
-coefficients are the invariant counts computed in `complexes`; production
-uses the closed form, and a flag switches to the brute-force invariant
-computation for cross-validation.
+coefficients are invariant counts of the complexes in `complexes`.  Every
+coefficient here is a closed form; only `chi_taut_product_two` offers a flag
+that recomputes its coefficients by brute-force linear algebra, for
+cross-validation.  The symmetric- and exterior-power formulas build no
+complex and enumerate no group.
 """
 
 from __future__ import annotations
@@ -78,24 +80,6 @@ def require_line_bundle_class(ch: ChernCharacter, surface: SurfaceModel, what: s
 
 def default_twist(surface: SurfaceModel) -> ChernCharacter:
     return ChernCharacter.unit(surface)
-
-
-@dataclass(frozen=True)
-class ChiRequest:
-    """A bundled computation request: surface, ordered (possibly virtual)
-    bundle classes, a line-bundle twist, and the number of points where the
-    formula needs one."""
-
-    surface: SurfaceModel
-    bundles: tuple[ChernCharacter, ...]
-    twist: ChernCharacter
-    n: int | None = None
-
-    def validate(self, min_n: int | None = None) -> None:
-        require_line_bundle_class(self.twist, self.surface, "twist")
-        if min_n is not None:
-            if self.n is None or self.n < min_n:
-                raise ValueError(f"this computation requires n >= {min_n}")
 
 
 def chi_taut(surface: SurfaceModel, n: int, bundle: ChernCharacter,
@@ -279,39 +263,60 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
                     for b in range(1, len(block_sums))])
 
 
+def sym_power_coefficient(k: int, ell: int) -> int:
+    """Coefficient of the ell-th diagonal correction in chi(S^k E^[2] (x) D_L):
+    ceil((k - ell)/2).
+
+    It is the dimension of the joint (slot x twisted-swap)-invariants in
+    degree 0 of the complex for (k, ell) (`complexes.sym_power_multiplicity`
+    computes it by projector rank).  A degree-0 basis vector (M; a; T) has
+    |M| = ell, a fill a of the complement by the values {1, 2}, and T the
+    single top wedge of the (ell-1)-dimensional difference representation.
+    The slot group is transitive on the ell-subsets M.  On the stabilizer
+    of M, the restriction sign times the top exterior power of the
+    difference representation is the square of the sign, hence trivial, so
+    the slot invariants are the sums over the orbits of fills of the
+    complement: one per number j = 0..k-ell of values equal to 2, k-ell+1 in
+    all.  The twisted swap acts in degree 0 as -1 times the flip
+    j -> k-ell-j, so each pair {j, k-ell-j} with j != k-ell-j leaves one
+    invariant and the balanced fill j = (k-ell)/2 leaves none.
+    """
+    return (k - ell + 1) // 2
+
+
+def _check_power_args(surface: SurfaceModel, bundle: ChernCharacter, k: int,
+                      twist: ChernCharacter | None) -> ChernCharacter:
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if twist is None:
+        twist = default_twist(surface)
+    require_line_bundle_class(bundle, surface, "bundle")
+    require_line_bundle_class(twist, surface, "twist")
+    return twist
+
+
 def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
                       twist: ChernCharacter | None = None) -> Fraction:
     """Euler characteristic of the k-th symmetric power of one induced
     line-bundle class on the two-point space, with determinant twist.
 
-    The ambient term runs over unordered fiber-size splits {j, k-j}; a
-    balanced split contributes the graded symmetric square of its factor.
-    The diagonal corrections carry the joint invariant multiplicities from
-    `complexes.sym_power_multiplicity`.
+    The ambient term runs over unordered fiber-size splits {j, k-j}: the
+    product chi(E^j L) chi(E^(k-j) L), or for a balanced split the graded
+    symmetric square of chi(E^(k/2) L).  From it the ell-th diagonal term,
+    chi(S^(ell-1) Omega (x) E^k (x) L^2), is subtracted with the closed-form
+    coefficient `sym_power_coefficient`, for ell = 1..k-1 (it vanishes at
+    ell = k).
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if k > complexes.FULL_GROUP_MAX_K:
-        raise ValueError("symmetric-power multiplicities are limited to k <= "
-                         f"{complexes.FULL_GROUP_MAX_K}")
-    if twist is None:
-        twist = default_twist(surface)
-    require_line_bundle_class(bundle, surface, "bundle")
-    require_line_bundle_class(twist, surface, "twist")
-    total = Fraction(0)
-    for j in range(0, k // 2 + 1):
-        chi_j = hrr_chi(ch_tensor(_power(surface, bundle, j), twist, surface), surface)
-        chi_rest = hrr_chi(ch_tensor(_power(surface, bundle, k - j), twist, surface),
-                           surface)
-        if j < k - j:
-            total += chi_j * chi_rest
-        else:
-            total += sym_pow_chi(2, chi_j)
-    product = _power(surface, bundle, k)
-    for ell in range(1, k + 1):
-        mult = complexes.sym_power_multiplicity(k, ell)
-        if mult:
-            total -= mult * _diag_chi(surface, product, twist, ell)
+    twist = _check_power_args(surface, bundle, k, twist)
+    powers = [ChernCharacter.unit(surface)]
+    for _ in range(k):
+        powers.append(ch_tensor(powers[-1], bundle, surface))
+    chi = [hrr_chi(ch_tensor(p, twist, surface), surface) for p in powers]
+    total = sum((chi[j] * chi[k - j] for j in range((k + 1) // 2)), Fraction(0))
+    if k % 2 == 0:
+        total += sym_pow_chi(2, chi[k // 2])
+    for ell in range(1, k):
+        total -= sym_power_coefficient(k, ell) * _diag_chi(surface, powers[k], twist, ell)
     return total
 
 
@@ -320,42 +325,21 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     """Euler characteristic of the k-th exterior power of one induced
     line-bundle class on the two-point space, with determinant twist.
 
-    Sign-character analogue of chi_sym_power_two.  In the ambient term the
-    sign character kills every split whose stabilizer moves two slots within
-    one factor, so only k <= 2 splits survive; a balanced split contributes
-    the graded exterior square.  The corrections use the alternating-sum
-    multiplicities from `complexes.ext_power_multiplicity`.
+    E^[2] has rank 2, so Lambda^k E^[2] = 0 for k >= 3.  For k = 1 this is
+    chi(E^[2] (x) D_L) = `chi_taut` at n = 2.  For k = 2, S^2 + Lambda^2 =
+    E^[2] (x) E^[2]: `chi_taut_product_two` of (E, E) is
+    chi(EL)^2 + chi(E^2 L) chi(L) - chi(E^2 L^2), and `chi_sym_power_two` at
+    k = 2 is chi(L) chi(E^2 L) + S^2 chi(EL) - chi(E^2 L^2), so the
+    difference is Lambda^2 chi(EL) = chi(EL)(chi(EL) - 1)/2.  No diagonal
+    term remains, matching the vanishing of the sign-character coefficients
+    `complexes.ext_power_multiplicity`.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if k > complexes.FULL_GROUP_MAX_K:
-        raise ValueError("exterior-power multiplicities are limited to k <= "
-                         f"{complexes.FULL_GROUP_MAX_K}")
-    if twist is None:
-        twist = default_twist(surface)
-    require_line_bundle_class(bundle, surface, "bundle")
-    require_line_bundle_class(twist, surface, "twist")
-    total = Fraction(0)
-    for j in range(0, k // 2 + 1):
-        chi_j = hrr_chi(ch_tensor(_power(surface, bundle, j), twist, surface), surface)
-        chi_rest = hrr_chi(ch_tensor(_power(surface, bundle, k - j), twist, surface),
-                           surface)
-        if j < k - j:
-            if j <= 1 and k - j <= 1:
-                total += chi_j * chi_rest
-        else:
-            if j == 1:
-                total += gen_binomial(chi_j, 2)
-    product = _power(surface, bundle, k)
-    for ell in range(1, k + 1):
-        mult = complexes.ext_power_multiplicity(k, ell)
-        if mult:
-            total -= mult * _diag_chi(surface, product, twist, ell)
-    return total
-
-
-def _power(surface: SurfaceModel, ch: ChernCharacter, m: int) -> ChernCharacter:
-    return ch_tensor_all([ch] * m, surface)
+    twist = _check_power_args(surface, bundle, k, twist)
+    if k == 1:
+        return chi_taut(surface, 2, bundle, twist)
+    if k == 2:
+        return gen_binomial(hrr_chi(ch_tensor(bundle, twist, surface), surface), 2)
+    return Fraction(0)
 
 
 def hom_coeff_left(k: int, khat: int, ellhat: int) -> int:
@@ -480,31 +464,6 @@ def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
     terms.append(Term("cotangent L^3", Fraction(1),
                       (tchi([cot, e1, e2, e3], 3), s3)))
     return _result(terms)
-
-
-def chi_taut_triple_grouped(surface: SurfaceModel, n: int, e1: ChernCharacter,
-                            e2: ChernCharacter, e3: ChernCharacter) -> Fraction:
-    """Untwisted triple-product value in its regrouped form; used as an
-    independent cross-check of chi_taut_triple at trivial twist."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    chi_o = Fraction(surface.chi_structure_sheaf)
-    s1 = sym_pow_chi(n - 1, chi_o)
-    s2 = sym_pow_chi(n - 2, chi_o)
-    s3 = sym_pow_chi(n - 3, chi_o)
-    e = (e1, e2, e3)
-
-    def chi_of(chars):
-        return hrr_chi(ch_tensor_all(chars, surface), surface)
-
-    pair_sum = sum((chi_of([e[a - 1], e[b - 1]]) * chi_of([e[c - 1]])
-                    for (a, b, c) in _TRIPLE_PAIRS), Fraction(0))
-    full = chi_of(e)
-    cot_full = chi_of([ch_sym_cotangent(1, surface), e1, e2, e3])
-    return (chi_of([e1]) * chi_of([e2]) * chi_of([e3]) * s3
-            + pair_sum * (s2 - s3)
-            + full * (s1 - 3 * s2 + 2 * s3)
-            + cot_full * (s3 - s2))
 
 
 def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],

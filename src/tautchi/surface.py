@@ -79,19 +79,6 @@ def graded_sym_chi_oracle(dims: Iterable[tuple[int, int]], m: int) -> int:
     return total
 
 
-def graded_tensor_chi_oracle(dims_v: Iterable[tuple[int, int]],
-                             dims_w: Iterable[tuple[int, int]]) -> int:
-    """Euler characteristic of the tensor product of two graded vector spaces,
-    by explicit enumeration of the product basis."""
-    total = 0
-    dv = list(dims_v)
-    dw = list(dims_w)
-    for (p, a) in dv:
-        for (q, b) in dw:
-            total += (a * b) * (-1 if (p + q) % 2 else 1)
-    return total
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
     """A smooth projective surface given by exact intersection data.

@@ -44,11 +44,6 @@ class Permutation:
         """The long cycle 1 -> 2 -> ... -> n -> 1."""
         return Permutation(tuple(i % n + 1 for i in range(1, n + 1)))
 
-    @staticmethod
-    def from_map(images: dict[int, int]) -> "Permutation":
-        n = len(images)
-        return Permutation(tuple(images[i] for i in range(1, n + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -92,13 +87,6 @@ def position_sign(m: int, subset: Iterable[int]) -> int:
         raise ValueError(f"{m} is not an element of the subset")
     below = sum(1 for j in elems if j < m)
     return -1 if below % 2 else 1
-
-
-def pair_map_sign(values: Iterable[int], larger: int = 2) -> int:
-    """Sign (-1)^(multiplicity of the larger value) for a map into a totally
-    ordered two-element set."""
-    count = sum(1 for v in values if v == larger)
-    return -1 if count % 2 else 1
 
 
 @dataclass(frozen=True)

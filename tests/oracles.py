@@ -1,7 +1,8 @@
 """Brute-force enumerations that the production sums in `tautchi.euler`
-replace, kept as test oracles.
+replace, kept as test oracles, and an independent regrouping of the
+triple-product formula.
 
-Each function sums term by term over subsets or set partitions, with one
+Each enumeration sums term by term over subsets or set partitions, with one
 Riemann-Roch evaluation per summand, and groups the summands the way the
 production breakdown labels them: by |P|, by (|P|, |Q|), or by block count.
 The cost is exponential in the number of bundles, so callers keep k small.
@@ -13,8 +14,8 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from tautchi.surface import (ch_hom, ch_tensor, ch_tensor_all, gen_binomial,
-                             hrr_chi, sym_pow_chi)
+from tautchi.surface import (ch_hom, ch_sym_cotangent, ch_tensor, ch_tensor_all,
+                             gen_binomial, hrr_chi, sym_pow_chi)
 from tautchi.symgroup import product_orbit_reps
 
 
@@ -83,3 +84,27 @@ def top_cohomology_by_enumeration(k, n, h2_by_subset, q):
         m = n - mi.max_value
         total += prod * int(gen_binomial(q + m - 1, m))
     return total
+
+
+def chi_taut_triple_grouped(surface, n, e1, e2, e3):
+    """Untwisted triple-product value in its regrouped form; an independent
+    cross-check of `chi_taut_triple` at trivial twist."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    chi_o = Fraction(surface.chi_structure_sheaf)
+    s1 = sym_pow_chi(n - 1, chi_o)
+    s2 = sym_pow_chi(n - 2, chi_o)
+    s3 = sym_pow_chi(n - 3, chi_o)
+    e = (e1, e2, e3)
+
+    def chi_of(chars):
+        return hrr_chi(ch_tensor_all(chars, surface), surface)
+
+    pair_sum = sum((chi_of([e[a - 1], e[b - 1]]) * chi_of([e[c - 1]])
+                    for (a, b, c) in ((1, 2, 3), (1, 3, 2), (2, 3, 1))), Fraction(0))
+    full = chi_of(e)
+    cot_full = chi_of([ch_sym_cotangent(1, surface), e1, e2, e3])
+    return (chi_of([e1]) * chi_of([e2]) * chi_of([e3]) * s3
+            + pair_sum * (s2 - s3)
+            + full * (s1 - 3 * s2 + 2 * s3)
+            + cot_full * (s3 - s2))

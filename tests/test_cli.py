@@ -1,10 +1,13 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from tautchi import cli
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_jobs(tmp_path, doc, name="jobs.json"):
@@ -83,12 +86,20 @@ def test_sweep_rows(tmp_path, capsys):
     assert values == ["2", "4", "6", "8", "10"]
 
 
-def test_empty_sweep_is_empty_and_ok(tmp_path, capsys):
+def test_reversed_sweep_rejected(tmp_path, capsys):
     path = write_jobs(tmp_path, {**BASE, "jobs": [
-        {"id": "sw", "kind": "scala", "bundle": "O", "sweep_n": [5, 4]}]})
+        {"id": "sw", "kind": "scala", "bundle": "O", "sweep_n": [5, 3]}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "sw" in err and "reversed" in err
+
+
+def test_single_point_sweep_gives_one_row(tmp_path, capsys):
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "sw", "kind": "scala", "bundle": "O", "sweep_n": [4, 4]}]})
     assert cli.run(path) == 0
     out = capsys.readouterr().out
-    assert not [ln for ln in out.splitlines() if ln.startswith("sw[")]
+    assert [ln.split()[0] for ln in out.splitlines() if ln.startswith("sw[")] == ["sw[n=4]"]
 
 
 def test_euler_three_sweep_constant_on_plane(tmp_path, capsys):
@@ -121,17 +132,21 @@ def test_machine_output_deterministic(tmp_path, capsys):
     assert Fraction(rows[0]["value"]) == Fraction(9)
 
 
-def test_threads_give_same_rows(tmp_path, capsys):
-    doc = {**BASE, "jobs": [
-        {"id": f"j{i}", "kind": "scala", "bundle": "O1", "n": i + 1}
-        for i in range(6)]}
-    path = write_jobs(tmp_path, doc)
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
-    assert cli.run(path, out=str(seq), threads=1) == 0
-    assert cli.run(path, out=str(par), threads=4) == 0
+def test_sample_jobs_out_matches_golden(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.run(str(REPO / "scripts" / "sample_jobs.json"), out=str(out)) == 0
     capsys.readouterr()
-    assert seq.read_bytes() == par.read_bytes()
+    assert out.read_bytes() == (REPO / "tests" / "data" / "sample_jobs.out.json").read_bytes()
+
+
+USAGE_ERRORS = {"unknown-flag": ["--bogus"], "missing-value": ["--jobs"],
+                "threads": ["--jobs", "x.json", "--threads", "2"]}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_bad_input(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert "usage" in capsys.readouterr().err
 
 
 def test_round_trip_parse_serialize_parse():
@@ -184,6 +199,11 @@ def test_main_requires_jobs_or_verify(capsys):
     assert cli.main(["--verify", "k=x"]) == cli.EXIT_BAD_INPUT
 
 
+def test_help_exits_ok(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert "--force-brute-N" in capsys.readouterr().out
+
+
 def test_duplicate_ids_rejected(tmp_path, capsys):
     path = write_jobs(tmp_path, {**BASE, "jobs": [
         {"id": "d", "kind": "scala", "bundle": "O", "n": 1},
@@ -207,6 +227,30 @@ def test_force_brute_flag_end_to_end(tmp_path, capsys):
     line = [ln for ln in out.splitlines() if ln.startswith("fb")][0]
     assert line.split()[2] == "9"
     assert "brute=True" in line
+
+
+AMBIGUOUS_H2 = {
+    "repeated": ({"1": 1, "2": 1, "1,2": 1, "1,1": 7}, "'1,1'"),
+    "empty": ({"1": 1, "2": 1, "1,2": 1, "": 3}, "''"),
+    "same-subset": ({"1": 1, "2": 1, "1,2": 1, "2,1": 5}, "'2,1'"),
+}
+
+
+@pytest.mark.parametrize("h2,key", AMBIGUOUS_H2.values(), ids=AMBIGUOUS_H2.keys())
+def test_ambiguous_h2_key_rejected(tmp_path, capsys, h2, key):
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "t", "kind": "h_top", "k": 2, "n": 2, "q": 0, "h2": h2}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "'t'" in err and key in err
+
+
+def test_sym_power_k_bound(tmp_path, capsys):
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "s", "kind": "sym_power_two", "bundle": "O1", "k": 8}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert ("job 's': k = 8 exceeds the invariant computation bound 7"
+            in capsys.readouterr().err)
 
 
 def test_h0_job(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The Euler characteristic engine against its independent oracles."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tautchi.euler import (ChiRequest, ChiResult, Term, chi_ext_power_two,
+import oracles
+from tautchi import cli, complexes
+from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_hom_pair_two, chi_product_invariants,
                            chi_sym_power_two, chi_taut, chi_taut_product_two,
-                           chi_taut_triple, chi_taut_triple_grouped,
-                           global_sections_dim, hom_coeff_pair,
-                           top_cohomology_dim)
+                           chi_taut_triple, global_sections_dim,
+                           hom_coeff_pair, top_cohomology_dim)
 from tautchi.surface import (ChernCharacter, DivisorClass,
                              graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2)
 from tautchi.symgroup import stirling2
@@ -222,6 +224,29 @@ def test_sym_power_rejects_higher_rank():
         chi_sym_power_two(P2, ChernCharacter.make(2, [0], 0), 2)
 
 
+def test_powers_build_no_complex(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production formula built a complex")
+
+    monkeypatch.setattr(complexes, "build_complex", refuse)
+    monkeypatch.setattr(complexes, "group_invariant_dim", refuse)
+    for surface, coords, lcoords in [(P2, [1], [1]), (K3, [1], [0]),
+                                     (QUADRIC, [1, 2], [0, 1])]:
+        e, tw = o_line(surface, coords), o_line(surface, lcoords)
+        for k in range(1, 8):
+            assert chi_sym_power_two(surface, e, k, tw).denominator == 1
+        for k in range(1, 7):
+            ext = chi_ext_power_two(surface, e, k, tw)
+            assert ext.denominator == 1 and (k <= 2 or ext == 0)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({
+        "surface": {"preset": "P2"},
+        "bundles": [{"name": "O1", "rank": 1, "c1": [1], "c2": 0}],
+        "jobs": [{"id": "s", "kind": "sym_power_two", "bundle": "O1", "k": 7}]}))
+    assert cli.run(str(path)) == cli.EXIT_OK
+    assert "ERROR" not in capsys.readouterr().out
+
+
 # --- Hom pairings ---------------------------------------------------------------------
 
 def test_hom_pair_fixture():
@@ -275,7 +300,7 @@ def test_triple_grouped_form_agrees_with_nine_terms():
         e1, e2, e3 = (random_chern(rng, surface) for _ in range(3))
         n = rng.randint(3, 6)
         nine = chi_taut_triple(surface, n, e1, e2, e3).value
-        grouped = chi_taut_triple_grouped(surface, n, e1, e2, e3)
+        grouped = oracles.chi_taut_triple_grouped(surface, n, e1, e2, e3)
         assert nine == grouped
 
 
@@ -327,16 +352,6 @@ def test_global_sections_dim():
     assert global_sections_dim([4], 1) == 4
     with pytest.raises(ValueError, match="n >= k"):
         global_sections_dim([1, 1, 1], 2)
-
-
-def test_chi_request_validation():
-    good = ChiRequest(P2, (unit(P2),), o_line(P2, [1]), n=3)
-    good.validate(min_n=3)
-    with pytest.raises(ValueError, match="n >= 4"):
-        good.validate(min_n=4)
-    bad_twist = ChiRequest(P2, (unit(P2),), ChernCharacter.make(2, [0], 0))
-    with pytest.raises(ValueError, match="line bundle"):
-        bad_twist.validate()
 
 
 # --- integrality across engines ----------------------------------------------------------

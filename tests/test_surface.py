@@ -10,8 +10,7 @@ from tautchi.surface import (BundleSpec, ChernCharacter, ClassMultiplier,
                              DivisorClass, SurfaceModel, as_fraction, ch_add,
                              ch_coords, ch_dual, ch_hom, ch_sub, ch_sym_cotangent,
                              ch_tangent, ch_tensor, chi_functional, gen_binomial,
-                             graded_sym_chi_oracle, graded_tensor_chi_oracle,
-                             hrr_chi, k3, p1xp1, p2, sym_pow_chi)
+                             graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2, sym_pow_chi)
 
 P2 = p2()
 
@@ -253,6 +252,13 @@ def test_graded_sym_oracle_examples():
     assert graded_sym_chi_oracle([(0, 1)], 5) == 1
     assert graded_sym_chi_oracle([(1, 1)], 2) == 0
     assert graded_sym_chi_oracle([(0, 2), (1, 1)], 2) == 1
+
+
+def graded_tensor_chi_oracle(dims_v, dims_w):
+    """Euler characteristic of the tensor product of two graded vector spaces,
+    by explicit enumeration of the product basis."""
+    return sum(a * b * (-1 if (p + q) % 2 else 1)
+               for p, a in dims_v for q, b in dims_w)
 
 
 @pytest.mark.parametrize("dims_v", GRADED_SPACES[:5])

@@ -8,7 +8,7 @@ import pytest
 from tautchi.symgroup import (DiagonalTuple, Permutation,
                               act_on_diagonal_tuple, act_on_multiindex,
                               diagonal_orbit_reps, orbit_decompose,
-                              pair_map_sign, position_sign, product_orbit_reps,
+                              position_sign, product_orbit_reps,
                               set_partitions, sign_on_subset, stirling2,
                               subset_key)
 
@@ -44,12 +44,6 @@ def test_position_sign_examples():
     assert position_sign(7, {2, 5, 7}) == 1
     with pytest.raises(ValueError):
         position_sign(4, {1, 2, 3})
-
-
-def test_pair_map_sign_examples():
-    assert pair_map_sign([1, 1, 1]) == 1
-    assert pair_map_sign([2]) == -1
-    assert pair_map_sign([2, 1, 2]) == 1
 
 
 def test_composition_sign_lemma():
