@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,11 @@ EXIT_OK = 0
 EXIT_JOB_ERROR = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_BAD_INPUT = 3
+
+# Canonical positive decimals: no sign, blank, underscore or leading zero.
+_DECIMAL = r"[1-9][0-9]*"
+POSITIVE_DECIMAL = re.compile(_DECIMAL)
+SUBSET_KEY = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*")
 
 
 class JobFileError(ValueError):
@@ -161,7 +167,7 @@ class ResultRow:
                 "value": self.value, "terms": self.terms}
 
 
-def parse_job_file(doc: Any) -> JobFile:
+def parse_job_file(doc: Any, force_brute: bool = False) -> JobFile:
     if not isinstance(doc, dict):
         raise JobFileError("top level: expected an object")
     surface = parse_surface(doc.get("surface"))
@@ -209,7 +215,7 @@ def parse_job_file(doc: Any) -> JobFile:
         jobs.append(Job(jid, kind, payload, sweep))
     jf = JobFile(surface, bundles, twist, tuple(jobs))
     for job in jf.jobs:
-        validate_job(jf, job)
+        validate_job(jf, job, force_brute)
     return jf
 
 
@@ -270,7 +276,7 @@ def _check_sweep_min(jid: str, sweep: tuple[int, int], minimum: int) -> None:
         raise JobFileError(f"job {jid!r}: sweep over n must start at {minimum}")
 
 
-def validate_job(jf: JobFile, job: Job) -> None:
+def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
     p = job.payload
     jid = job.id
     if job.kind == "scala":
@@ -280,7 +286,11 @@ def validate_job(jf: JobFile, job: Job) -> None:
         else:
             _check_sweep_min(jid, job.sweep, 1)
     elif job.kind == "euler_two":
-        _resolve(jf, jid, p.get("bundles"), "bundles")
+        k = len(_resolve(jf, jid, p.get("bundles"), "bundles"))
+        if force_brute and k > euler.BRUTE_MULTIPLICITY_MAX_K:
+            raise JobFileError(f"job {jid!r}: --force-brute-N is limited to "
+                               f"k <= {euler.BRUTE_MULTIPLICITY_MAX_K} bundles, "
+                               f"got k = {k}")
     elif job.kind == "euler_bichar_two":
         _resolve(jf, jid, p.get("source"), "source")
         _resolve(jf, jid, p.get("target"), "target")
@@ -349,10 +359,11 @@ def validate_job(jf: JobFile, job: Job) -> None:
 
 
 def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
-    try:
-        parts = [int(x) for x in key.split(",")]
-    except ValueError:
-        raise JobFileError(f"job {jid!r}: bad subset key {key!r}") from None
+    if not SUBSET_KEY.fullmatch(key):
+        raise JobFileError(f"job {jid!r}: bad subset key {key!r} (expected "
+                           f"comma-joined positive integers without signs, "
+                           f"blanks or leading zeros)")
+    parts = [int(x) for x in key.split(",")]
     if any(x < 1 or x > k for x in parts):
         raise JobFileError(f"job {jid!r}: subset key {key!r} out of range 1..{k}")
     if len(set(parts)) != len(parts):
@@ -531,7 +542,7 @@ def run(path: str, out: str | None = None, force_brute: bool = False) -> int:
               f"{exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        jf = parse_job_file(doc)
+        jf = parse_job_file(doc, force_brute)
     except JobFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -579,18 +590,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
 
     if args.verify is not None:
-        spec = args.verify
-        if spec.startswith("k="):
-            spec = spec[2:]
-        try:
-            k_max = int(spec)
-            if k_max < 1:
-                raise ValueError
-        except ValueError:
+        spec = args.verify.removeprefix("k=")
+        if not POSITIVE_DECIMAL.fullmatch(spec):
             print(f"error: --verify expects k=<positive integer>, got "
                   f"{args.verify!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        rows, ok = run_verification(k_max)
+        rows, ok = run_verification(int(spec))
         print(render_table(rows))
         if args.out:
             payload = json.dumps([r.to_json() for r in rows],

@@ -23,8 +23,9 @@ group on k letters (permuting the k tensor slots, with a restriction sign and
 the exterior-power action on the wedge factor) and a "swap" involution coming
 from interchanging the two values, with the sign (-1)^(i-1) in degree i >= 0
 and (-1)^(ell-1) in degree -1.  Invariant dimensions are computed by two
-independent methods (character average and projector rank) that are asserted
-to agree.  Of this module, the formulas in `euler` use only the closed
+independent methods, the character average over cycle types and the fixed
+space of generators, that are asserted to agree; neither runs over the k!
+slot permutations.  Of this module, the formulas in `euler` use only the closed
 forms `surviving_count` and `diagonal_multiplicity` (and, under
 `--force-brute-N`, `swap_invariant_kernel_dim`); the complexes and invariant
 counts are the references that the tests and the verification suite compare
@@ -40,10 +41,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
-from typing import Iterable, Iterator, Sequence
+from math import comb, factorial, gcd
+from typing import Iterable, Sequence
 
-from .symgroup import Permutation, position_sign, sign_on_subset
+from .symgroup import (Permutation, class_representative, class_size,
+                       cycle_types, generators, position_sign, sign_on_subset)
 
 
 class SparseRationalMatrix:
@@ -137,6 +139,13 @@ class SparseRationalMatrix:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
         return sum((row.get(r, 0) for r, row in self.rows.items()), 0)
+
+    def trace_of_product(self, other: "SparseRationalMatrix"):
+        """tr(self @ other), without forming the product."""
+        if self.ncols != other.nrows or self.nrows != other.ncols:
+            raise ValueError("shape mismatch in trace of a product")
+        return sum((v * other.rows.get(j, {}).get(r, 0)
+                    for r, row in self.rows.items() for j, v in row.items()), 0)
 
     def select_columns(self, cols: Sequence[int]) -> "SparseRationalMatrix":
         pos = {c: i for i, c in enumerate(cols)}
@@ -252,13 +261,11 @@ def enumerated_dim(k: int, ell: int, i: int) -> int:
     building the matrices; the independent counterpart of expected_dim."""
     if i < 0 or i > k - ell:
         return 0
-    universe = range(1, k + 1)
-    total = 0
-    for m_set in itertools.combinations(universe, ell + i):
-        for _a in itertools.product((1, 2), repeat=k - ell - i):
-            for _w in itertools.combinations(range(1, ell + i), ell - 1):
-                total += 1
-    return total
+    labels = itertools.product(
+        itertools.combinations(range(1, k + 1), ell + i),
+        itertools.product((1, 2), repeat=k - ell - i),
+        itertools.combinations(range(1, ell + i), ell - 1))
+    return sum(1 for _ in labels)
 
 
 def surviving_count(k: int, ell: int) -> int:
@@ -487,65 +494,66 @@ def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
     return mat
 
 
-def _slot_elements(k: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, k + 1)):
-        yield Permutation(images)
-
-
 def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
                         slot_character: str = "trivial") -> int:
     """Dimension of the invariant subspace in a degree, for group one of
     "swap", "slot", or "slot_swap" (the product of the two).
 
     The slot factor may be twisted by its sign character.  Computed twice:
-    as the average of traces over the group, and as the rank of the summed
-    projector matrix; the two results are asserted equal.
+    as the character average over cycle types (one class representative g
+    per cycle type, weighted by its class size; the swap commutes with the
+    slot action, so tr(swap g) is a class function as well), and as the
+    fixed space of generators (the kernel of the stacked blocks g - I for
+    the transposition (1 2), the long cycle and the swap); the two results
+    are asserted equal.  Neither enumerates the k! slot permutations.
     """
     if slot_character not in ("trivial", "sign"):
         raise ValueError(f"unknown character {slot_character!r}")
-    dim = cx.dim(degree)
-    elements: list[tuple[Permutation | None, bool, int]] = []
-    if group == "swap":
-        elements = [(None, False, 1), (None, True, 1)]
-    elif group in ("slot", "slot_swap"):
-        for perm in _slot_elements(cx.k):
-            chi = perm.sign() if slot_character == "sign" else 1
-            elements.append((perm, False, chi))
-            if group == "slot_swap":
-                elements.append((perm, True, chi))
-    else:
+    if group not in ("swap", "slot", "slot_swap"):
         raise ValueError(f"unknown group {group!r}")
+    dim = cx.dim(degree)
 
-    order = len(elements)
-    swap_mat = swap_action_matrix(cx, degree)
+    def twisted(perm: Permutation) -> SparseRationalMatrix:
+        """chi(perm) times the slot action of perm."""
+        mat = slot_action_matrix(cx, perm, degree)
+        return mat.scale(perm.sign()) if slot_character == "sign" else mat
 
-    trace_sum = 0
-    acc: dict[int, dict[int, Fraction | int]] = {}
-    for perm, with_swap, chi in elements:
-        if perm is None:
-            mat = SparseRationalMatrix.identity(dim) if not with_swap else swap_mat
-        else:
-            mat = slot_action_matrix(cx, perm, degree)
-            if with_swap:
-                mat = swap_mat @ mat
-        if chi == -1:
-            mat = mat.scale(-1)
-        trace_sum += mat.trace()
+    swap_mat = swap_action_matrix(cx, degree) if group != "slot" else None
+    if group == "swap":
+        order, gens = 2, [swap_mat]
+        trace_sum = dim + swap_mat.trace()
+    else:
+        # (1 2) and the long cycle are class representatives too: build once
+        gen_mats = {g: twisted(g) for g in generators(cx.k)}
+        order, trace_sum = factorial(cx.k), 0
+        for ct in cycle_types(cx.k):
+            rep = class_representative(ct)
+            mat = gen_mats[rep] if rep in gen_mats else twisted(rep)
+            tr = mat.trace()
+            if swap_mat is not None:
+                tr += swap_mat.trace_of_product(mat)
+            trace_sum += class_size(ct) * tr
+        gens = list(gen_mats.values())
+        if swap_mat is not None:
+            order *= 2
+            gens.append(swap_mat)
+
+    stacked = SparseRationalMatrix(len(gens) * dim, dim)
+    for block, mat in enumerate(gens):
+        offset = block * dim
+        for r in range(dim):
+            stacked.add_entry(offset + r, r, -1)
         for r, row in mat.rows.items():
-            arow = acc.setdefault(r, {})
             for c, v in row.items():
-                arow[c] = arow.get(c, 0) + v
-    projector = SparseRationalMatrix(
-        dim, dim, {r: {c: v for c, v in row.items() if v}
-                   for r, row in acc.items() if any(row.values())})
+                stacked.add_entry(offset + r, c, v)
 
     if trace_sum % order != 0:
         raise ArithmeticError("non-integral trace average in invariant count")
     by_trace = trace_sum // order
-    by_rank = projector.rank()
+    by_rank = dim - stacked.rank()
     if by_trace != by_rank:
         raise ArithmeticError(
-            f"invariant dimension mismatch: trace {by_trace} vs projector {by_rank}")
+            f"invariant dimension mismatch: trace {by_trace} vs fixed space {by_rank}")
     return by_trace
 
 
@@ -588,7 +596,7 @@ def swap_invariant_kernel_dim(k: int, ell: int) -> int:
 def sym_power_multiplicity(k: int, ell: int) -> int:
     """Multiplicity of the ell-th diagonal term in the symmetric-power Euler
     characteristic on the two-point space: the dimension of the joint
-    (slot x twisted-swap)-invariants in degree 0, by projector rank.  The
+    (slot x twisted-swap)-invariants in degree 0, by `group_invariant_dim`.  The
     reference for the closed form `euler.sym_power_coefficient`."""
     cx = build_complex(k, ell)
     return group_invariant_dim(cx, 0, "slot_swap")

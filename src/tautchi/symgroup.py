@@ -1,5 +1,7 @@
-"""Symmetric-group combinatorics: permutations, restriction signs, and orbit
-enumeration for the index sets that organize products of pullback sheaves.
+"""Symmetric-group combinatorics: permutations, restriction signs, conjugacy
+classes (cycle types, representatives and sizes), a two-element generating
+set, and orbit enumeration for the index sets that organize products of
+pullback sheaves.
 
 Two families of index sets appear downstream.  Plain multi-indices are maps
 a: [k] -> [n]; the full symmetric group on n letters acts by postcomposition
@@ -14,9 +16,10 @@ canonical orbit representatives together with stabilizer orders, and
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,49 @@ class Permutation:
 
     def sign(self) -> int:
         return sign_on_subset(self, range(1, self.degree + 1))
+
+
+def generators(n: int) -> list[Permutation]:
+    """A generating set of the symmetric group on n letters: the
+    transposition (1 2) for n >= 2 and the long cycle for n >= 3."""
+    gens = [Permutation.transposition(n, 1, 2)] if n >= 2 else []
+    if n >= 3:
+        gens.append(Permutation.cycle(n))
+    return gens
+
+
+def cycle_types(n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n, as weakly decreasing cycle lengths: one per
+    conjugacy class of the symmetric group on n letters."""
+    def rec(rest: int, largest: int) -> Iterator[tuple[int, ...]]:
+        if rest == 0:
+            yield ()
+            return
+        for part in range(min(rest, largest), 0, -1):
+            for tail in rec(rest - part, part):
+                yield (part,) + tail
+
+    return rec(n, n)
+
+
+def class_representative(cycle_type: Sequence[int]) -> Permutation:
+    """The permutation with consecutive cycles (1 .. l_1)(l_1+1 .. l_1+l_2)...
+    of the given lengths."""
+    images = []
+    start = 1
+    for length in cycle_type:
+        images.extend(start + (i + 1) % length for i in range(length))
+        start += length
+    return Permutation(tuple(images))
+
+
+def class_size(cycle_type: Sequence[int]) -> int:
+    """Size n!/z of a conjugacy class, with z = prod_i i^(m_i) m_i! the order
+    of the centralizer, where m_i counts the cycles of length i."""
+    z = 1
+    for length, mult in Counter(cycle_type).items():
+        z *= length ** mult * factorial(mult)
+    return factorial(sum(cycle_type)) // z
 
 
 def sign_on_subset(perm: Permutation, subset: Iterable[int]) -> int:
@@ -307,9 +353,7 @@ def orbit_decompose(n: int, act: Callable[[Permutation, Hashable], Hashable],
     the long cycle, so the full group of order n! is never materialized.
     Stabilizer orders come from orbit-stabilizer.
     """
-    gens = [Permutation.transposition(n, 1, 2)] if n >= 2 else []
-    if n >= 3:
-        gens.append(Permutation.cycle(n))
+    gens = generators(n)
     pool = list(dict.fromkeys(elements))
     seen: set[Hashable] = set()
     orbits = []

@@ -1,6 +1,7 @@
 """Brute-force enumerations that the production sums in `tautchi.euler`
-replace, kept as test oracles, and an independent regrouping of the
-triple-product formula.
+replace, kept as test oracles, an independent regrouping of the
+triple-product formula, and the k!-element projector count that
+`tautchi.complexes.group_invariant_dim` replaces.
 
 Each enumeration sums term by term over subsets or set partitions, with one
 Riemann-Roch evaluation per summand, and groups the summands the way the
@@ -14,9 +15,11 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
+from tautchi.complexes import (SparseRationalMatrix, slot_action_matrix,
+                               swap_action_matrix)
 from tautchi.surface import (ch_hom, ch_sym_cotangent, ch_tensor, ch_tensor_all,
                              gen_binomial, hrr_chi, sym_pow_chi)
-from tautchi.symgroup import product_orbit_reps
+from tautchi.symgroup import Permutation, product_orbit_reps
 
 
 def _twisted_chi(surface, chars, twist):
@@ -108,3 +111,33 @@ def chi_taut_triple_grouped(surface, n, e1, e2, e3):
             + pair_sum * (s2 - s3)
             + full * (s1 - 3 * s2 + 2 * s3)
             + cot_full * (s3 - s2))
+
+
+def projector_invariant_dim(cx, degree, group, slot_character="trivial"):
+    """Invariant dimension by enumerating every group element: the average
+    of the traces, checked against the rank of the summed projector.  The
+    slot factor runs over all k! permutations, so callers keep k small."""
+    dim = cx.dim(degree)
+    swap_mat = swap_action_matrix(cx, degree)
+    if group == "swap":
+        mats = [SparseRationalMatrix.identity(dim), swap_mat]
+    else:
+        mats = []
+        for images in itertools.permutations(range(1, cx.k + 1)):
+            perm = Permutation(images)
+            mat = slot_action_matrix(cx, perm, degree)
+            if slot_character == "sign":
+                mat = mat.scale(perm.sign())
+            mats.append(mat)
+            if group == "slot_swap":
+                mats.append(swap_mat @ mat)
+    acc = SparseRationalMatrix(dim, dim)
+    trace_sum = 0
+    for mat in mats:
+        trace_sum += mat.trace()
+        for r, c, v in mat.triples():
+            acc.add_entry(r, c, v)
+    assert trace_sum % len(mats) == 0
+    by_trace = trace_sum // len(mats)
+    assert by_trace == acc.rank()
+    return by_trace

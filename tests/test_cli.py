@@ -199,6 +199,36 @@ def test_main_requires_jobs_or_verify(capsys):
     assert cli.main(["--verify", "k=x"]) == cli.EXIT_BAD_INPUT
 
 
+def stub_verification(monkeypatch):
+    """Replace the suite by a recorder of its k_max; returns the record."""
+    calls = []
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda k_max: (calls.append(k_max) or [], True))
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["k=1_0", "k= 3 ", "k=03", "k=+3", "k=0", "3 "])
+def test_noncanonical_verify_spec_rejected(monkeypatch, capsys, spec):
+    calls = stub_verification(monkeypatch)
+    assert cli.main(["--verify", spec]) == cli.EXIT_BAD_INPUT
+    assert calls == []
+    assert repr(spec) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["k=10", "10"])
+def test_canonical_verify_spec_accepted(monkeypatch, capsys, spec):
+    calls = stub_verification(monkeypatch)
+    assert cli.main(["--verify", spec]) == cli.EXIT_OK
+    assert calls == [10]
+
+
+def test_verify_k5_out_matches_golden(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert cli.main(["--verify", "k=5", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (REPO / "tests" / "data" / "verify_k5.out.json").read_bytes()
+
+
 def test_help_exits_ok(capsys):
     assert cli.main(["--help"]) == cli.EXIT_OK
     assert "--force-brute-N" in capsys.readouterr().out
@@ -229,10 +259,24 @@ def test_force_brute_flag_end_to_end(tmp_path, capsys):
     assert "brute=True" in line
 
 
+def test_force_brute_bound_checked_at_validation(tmp_path, capsys):
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "fb8", "kind": "euler_two", "bundles": ["O1"] * 8}]})
+    assert cli.main(["--jobs", path, "--force-brute-N"]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "job 'fb8': --force-brute-N is limited to k <= 7" in captured.err
+    # without the flag the closed forms take any k
+    assert cli.main(["--jobs", path]) == cli.EXIT_OK
+
+
 AMBIGUOUS_H2 = {
     "repeated": ({"1": 1, "2": 1, "1,2": 1, "1,1": 7}, "'1,1'"),
     "empty": ({"1": 1, "2": 1, "1,2": 1, "": 3}, "''"),
     "same-subset": ({"1": 1, "2": 1, "1,2": 1, "2,1": 5}, "'2,1'"),
+    "space": ({" 1": 1, "2": 1, "1,2": 1}, "' 1'"),
+    "sign": ({"1": 1, "+2": 1, "1,2": 1}, "'+2'"),
+    "leading-zero": ({"1": 1, "2": 1, "01,2": 1}, "'01,2'"),
 }
 
 

@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 
+import oracles
+from tautchi import complexes, symgroup
 from tautchi.complexes import (SparseRationalMatrix, build_complex,
                                diagonal_multiplicity, enumerated_dim,
                                expected_dim, ext_power_multiplicity,
@@ -228,6 +230,34 @@ def test_slot_invariants_in_degree_zero_count_fills():
         assert group_invariant_dim(build_complex(k, ell), 0, "slot") == k - ell + 1
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_invariant_dim_matches_projector_oracle(k):
+    for ell in range(1, k + 1):
+        cx = build_complex(k, ell)
+        for d in cx.degrees:
+            for group in ("swap", "slot", "slot_swap"):
+                for character in ("trivial", "sign"):
+                    assert (group_invariant_dim(cx, d, group, character)
+                            == oracles.projector_invariant_dim(cx, d, group, character)
+                            ), (ell, d, group, character)
+
+
+def test_slot_swap_invariants_match_projector_oracle_k5_degree_zero():
+    for ell in range(1, 6):
+        cx = build_complex(5, ell)
+        for character in ("trivial", "sign"):
+            assert (group_invariant_dim(cx, 0, "slot_swap", character)
+                    == oracles.projector_invariant_dim(cx, 0, "slot_swap", character))
+
+
+def test_dropped_generator_breaks_the_cross_check(monkeypatch):
+    # (1 2) alone fixes more than S_3 does: the fixed-space count grows and
+    # no longer agrees with the character average
+    monkeypatch.setattr(complexes, "generators", lambda n: symgroup.generators(n)[:1])
+    with pytest.raises(ArithmeticError, match="mismatch"):
+        group_invariant_dim(build_complex(3, 1), 0, "slot")
+
+
 # --- multiplicities -----------------------------------------------------------------
 
 def test_diagonal_multiplicity_values():
@@ -245,7 +275,7 @@ def test_diagonal_multiplicity_brute_force(k):
 
 
 def test_sym_power_multiplicity_values():
-    # the projector ranks against the closed form that production uses
+    # the invariant counts against the closed form that production uses
     for k in range(1, 6):
         for ell in range(1, k + 1):
             assert sym_power_multiplicity(k, ell) == sym_power_coefficient(k, ell)

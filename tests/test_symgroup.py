@@ -1,13 +1,16 @@
 """Signs, orbit enumeration, and the brute-force orbit decomposition oracle."""
 
+import itertools
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
 
 from tautchi.symgroup import (DiagonalTuple, Permutation,
                               act_on_diagonal_tuple, act_on_multiindex,
-                              diagonal_orbit_reps, orbit_decompose,
+                              class_representative, class_size, cycle_types,
+                              diagonal_orbit_reps, generators, orbit_decompose,
                               position_sign, product_orbit_reps,
                               set_partitions, sign_on_subset, stirling2,
                               subset_key)
@@ -28,6 +31,51 @@ def test_permutation_basics():
     assert Permutation.cycle(4).images == (2, 3, 4, 1)
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
+
+
+def cycle_type_of(perm):
+    """Cycle lengths of a permutation, weakly decreasing."""
+    seen, lengths = set(), []
+    for start in range(1, perm.degree + 1):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm(x)
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]  # p(0), ..., p(8)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_class_sizes_sum_to_group_order(k):
+    types = list(cycle_types(k))
+    assert len(types) == len(set(types)) == PARTITION_COUNTS[k]
+    assert sum(class_size(ct) for ct in types) == factorial(k)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_classes_against_enumeration(k):
+    counts = Counter(cycle_type_of(Permutation(images))
+                     for images in itertools.permutations(range(1, k + 1)))
+    assert set(counts) == set(cycle_types(k))
+    for ct in cycle_types(k):
+        assert cycle_type_of(class_representative(ct)) == ct
+        assert counts[ct] == class_size(ct)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_generators_generate_the_symmetric_group(k):
+    group = {Permutation.identity(k)}
+    frontier = list(group)
+    while frontier:
+        frontier = [g * p for p in frontier for g in generators(k)
+                    if g * p not in group]
+        group.update(frontier)
+    assert len(group) == factorial(k)
 
 
 def test_sign_on_subset_examples():
