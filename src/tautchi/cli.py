@@ -450,31 +450,46 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
     falling-factorial reflection identity; and vanishing of slot-invariants
     in positive degrees (k <= min(k_max, 6)).
     """
-    rows: list[ResultRow] = []
     all_ok = True
 
-    def add(name: str, params: dict, ok: bool, detail: str = "") -> None:
+    def add(rows: list[ResultRow], name: str, params: dict, ok: bool,
+            detail: str = "") -> None:
         nonlocal all_ok
         all_ok = all_ok and ok
         value = "PASS" if ok else ("FAIL" + (f" ({detail})" if detail else ""))
         rows.append(ResultRow(f"{id_prefix}[{name}]", "verify_complexes",
                               params, value))
 
+    # Each complex is built once and serves the exactness, kernel-count and
+    # slot-invariant checks; their rows are buffered to keep the row order.
+    exact_rows: list[ResultRow] = []
+    kernel_rows: list[ResultRow] = []
+    slot_rows: list[ResultRow] = []
     for k in range(1, k_max + 1):
+        slot_ok = True
+        slot_detail = ""
         for ell in range(1, k + 1):
             cx = complexes.build_complex(k, ell)
             report = complexes.verify_exactness(cx)
             bad = {i: d for i, d in report.cohomology.items() if i >= 0 and d}
-            add(f"exact k={k},l={ell}", {"k": k, "ell": ell},
+            add(exact_rows, f"exact k={k},l={ell}", {"k": k, "ell": ell},
                 report.passed, f"H={bad}" if bad else "")
-    for k in range(1, k_max + 1):
-        for ell in range(1, k + 1):
             try:
-                complexes.swap_invariant_kernel_dim(k, ell)
-                add(f"kernel-count k={k},l={ell}", {"k": k, "ell": ell}, True)
+                complexes.swap_invariant_kernel_dim(cx)
+                add(kernel_rows, f"kernel-count k={k},l={ell}",
+                    {"k": k, "ell": ell}, True)
             except ArithmeticError as exc:
-                add(f"kernel-count k={k},l={ell}", {"k": k, "ell": ell},
-                    False, str(exc))
+                add(kernel_rows, f"kernel-count k={k},l={ell}",
+                    {"k": k, "ell": ell}, False, str(exc))
+            if k <= 6:
+                for i in range(1, k - ell + 1):
+                    d = complexes.group_invariant_dim(cx, i, "slot")
+                    if d != 0:
+                        slot_ok = False
+                        slot_detail = f"dim={d} at ell={ell}, i={i}"
+        if k <= 6:
+            add(slot_rows, f"slot-invariants k={k}", {"k": k}, slot_ok, slot_detail)
+    rows = exact_rows + kernel_rows
     for k in range(1, max(k_max, 10) + 1):
         ok = True
         for ell in range(1, k + 1):
@@ -485,7 +500,7 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
                       for i in range(0, k - ell + 1))
             if alt != complexes.surviving_count(k, ell):
                 ok = False
-        add(f"dims k={k}", {"k": k}, ok)
+        add(rows, f"dims k={k}", {"k": k}, ok)
     ok = True
     for k in range(1, max(k_max, 20) + 1):
         for ell in range(1, k + 1):
@@ -493,7 +508,7 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
                       * comb(ell + i - 1, ell - 1) for i in range(0, k - ell + 1))
             if lhs != complexes.surviving_count(k, ell):
                 ok = False
-    add("alternating-binomial", {"k_max": max(k_max, 20)}, ok)
+    add(rows, "alternating-binomial", {"k_max": max(k_max, 20)}, ok)
     ok = True
     for chi in range(-10, 11):
         for m in range(0, 11):
@@ -501,19 +516,8 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
                 ok = False
             if sym_pow_chi(m, chi) != gen_binomial(chi + m - 1, m):
                 ok = False
-    add("reflection-binomial", {"chi_max": 10, "m_max": 10}, ok)
-    for k in range(1, min(k_max, 6) + 1):
-        ok = True
-        detail = ""
-        for ell in range(1, k + 1):
-            cx = complexes.build_complex(k, ell)
-            for i in range(1, k - ell + 1):
-                d = complexes.group_invariant_dim(cx, i, "slot")
-                if d != 0:
-                    ok = False
-                    detail = f"dim={d} at ell={ell}, i={i}"
-        add(f"slot-invariants k={k}", {"k": k}, ok, detail)
-    return rows, all_ok
+    add(rows, "reflection-binomial", {"chi_max": 10, "m_max": 10}, ok)
+    return rows + slot_rows, all_ok
 
 
 def render_table(rows: Sequence[ResultRow]) -> str:

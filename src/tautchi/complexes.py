@@ -37,6 +37,7 @@ computed by fraction-free elimination.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,15 +148,6 @@ class SparseRationalMatrix:
         return sum((v * other.rows.get(j, {}).get(r, 0)
                     for r, row in self.rows.items() for j, v in row.items()), 0)
 
-    def select_columns(self, cols: Sequence[int]) -> "SparseRationalMatrix":
-        pos = {c: i for i, c in enumerate(cols)}
-        out: dict[int, dict[int, Fraction | int]] = {}
-        for r, row in self.rows.items():
-            nr = {pos[c]: v for c, v in row.items() if c in pos}
-            if nr:
-                out[r] = nr
-        return SparseRationalMatrix(self.nrows, len(cols), out)
-
     def _integer_rows(self) -> list[dict[int, int]]:
         rows = []
         for row in self.rows.values():
@@ -178,34 +170,39 @@ class SparseRationalMatrix:
         Rows are scaled to coprime integers (rank is scaling-invariant);
         elimination uses the cross-multiplication update a*row - b*pivot with
         a gcd reduction per row, so no divisions occur.  Pivots are chosen
-        deterministically: the column with fewest live entries, then within it
-        the shortest row with the smallest leading magnitude.
+        deterministically: the column with fewest live entries (ties: the
+        smaller column index), then within it the shortest row, then the
+        smallest leading magnitude, then the earlier row.
+
+        A live column index maps each column to the ids of the live rows that
+        hold it, so no step recounts the remaining rows.  Eliminating with a
+        pivot changes the entries of the updated rows only in the pivot's
+        columns (fill-in and cancellation happen there and nowhere else), so
+        only those columns' index entries are updated.  A heap of
+        (live count, column) pairs, with stale pairs skipped when popped,
+        yields the pivot column.
         """
-        rows = self._integer_rows()
+        rows = dict(enumerate(self._integer_rows()))
+        holders: dict[int, set[int]] = {}
+        for rid, row in rows.items():
+            for c in row:
+                holders.setdefault(c, set()).add(rid)
+        heap = [(len(ids), c) for c, ids in holders.items()]
+        heapq.heapify(heap)
         rank = 0
-        while rows:
-            colcount: dict[int, int] = {}
-            for row in rows:
-                for c in row:
-                    colcount[c] = colcount.get(c, 0) + 1
-            pc = min(colcount, key=lambda c: (colcount[c], c))
-            best = None
-            for i, row in enumerate(rows):
-                if pc in row:
-                    key = (len(row), abs(row[pc]), i)
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            pi = best[1]
-            pivot = rows[pi]
+        while heap:
+            count, pc = heapq.heappop(heap)
+            ids = holders.get(pc)
+            if ids is None or len(ids) != count:
+                continue
+            pid = min(ids, key=lambda r: (len(rows[r]), abs(rows[r][pc]), r))
+            pivot = rows.pop(pid)
             a = pivot[pc]
-            nxt = []
-            for i, row in enumerate(rows):
-                if i == pi:
-                    continue
-                b = row.get(pc)
-                if b is None:
-                    nxt.append(row)
-                    continue
+            for c in pivot:
+                holders[c].discard(pid)
+            for rid in list(ids):
+                row = rows[rid]
+                b = row[pc]
                 nr = {}
                 for c, v in row.items():
                     nv = a * v - b * pivot.get(c, 0)
@@ -214,12 +211,21 @@ class SparseRationalMatrix:
                 for c, v in pivot.items():
                     if c not in row:
                         nr[c] = -b * v
+                        holders[c].add(rid)
+                    elif c not in nr:
+                        holders[c].discard(rid)
                 if nr:
                     g = reduce(gcd, (abs(x) for x in nr.values()))
                     if g > 1:
                         nr = {c: x // g for c, x in nr.items()}
-                    nxt.append(nr)
-            rows = nxt
+                    rows[rid] = nr
+                else:
+                    del rows[rid]
+            for c in pivot:
+                if holders[c]:
+                    heapq.heappush(heap, (len(holders[c]), c))
+                else:
+                    del holders[c]
             rank += 1
         return rank
 
@@ -458,21 +464,34 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
     idx = cx.index[degree]
     mat = SparseRationalMatrix(len(labels), len(labels))
     inv = perm.inverse()
+    universe = range(1, cx.k + 1)
     if degree == -1:
         # (g.s)(a) = s(a o g): the component at a o g^{-1} reads off column a
+        order = [inv(t) - 1 for t in universe]
         for col, a in enumerate(labels):
-            target = tuple(a[inv(t) - 1] for t in range(1, cx.k + 1))
-            mat.add_entry(idx[target], col, 1)
+            mat.add_entry(idx[tuple(a[p] for p in order)], col, 1)
         return mat
+    # Everything but the value map depends only on the support N: its image
+    # M, the reordering of the values onto the complement of M, the sign and
+    # the wedge images.  Compute them once per support, not once per column.
+    per_support: dict[tuple[int, ...], tuple] = {}
     for col, (n_set, b, wedge) in enumerate(labels):
-        m_set = tuple(sorted(perm(t) for t in n_set))
-        comp_m = [t for t in range(1, cx.k + 1) if t not in m_set]
-        bval = dict(zip([t for t in range(1, cx.k + 1) if t not in n_set], b))
-        a = tuple(bval[inv(t)] for t in comp_m)
-        e = sign_on_subset(perm, n_set)
-        cols = _difference_rep_matrix(perm, n_set, m_set)
-        for wedge2, coeff in _wedge_of_map(cols, wedge).items():
-            mat.add_entry(idx[(m_set, a, wedge2)], col, e * coeff)
+        support = per_support.get(n_set)
+        if support is None:
+            m_set = tuple(sorted(perm(t) for t in n_set))
+            comp_n = [t for t in universe if t not in n_set]
+            order = [comp_n.index(inv(t)) for t in universe if t not in m_set]
+            e = sign_on_subset(perm, n_set)
+            cols = _difference_rep_matrix(perm, n_set, m_set)
+            support = per_support[n_set] = (m_set, order, e, cols, {})
+        m_set, order, e, cols, images = support
+        image = images.get(wedge)
+        if image is None:
+            image = images[wedge] = [(wedge2, e * coeff) for wedge2, coeff
+                                     in _wedge_of_map(cols, wedge).items()]
+        a = tuple(b[p] for p in order)
+        for wedge2, v in image:
+            mat.add_entry(idx[(m_set, a, wedge2)], col, v)
     return mat
 
 
@@ -557,8 +576,9 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
     return by_trace
 
 
-def swap_invariant_kernel_dim(k: int, ell: int) -> int:
-    """Brute-force count of swap-invariant kernel vectors in degree 0.
+def swap_invariant_kernel_dim(cx: ChainComplexQ) -> int:
+    """Brute-force count of swap-invariant kernel vectors in degree 0 of a
+    built complex (from `build_complex(k, ell)`).
 
     Computes the dimension of the twisted-swap invariants of ker(d^0) by
     stacking d^0 with (identity - swap) and taking a kernel dimension, and
@@ -567,7 +587,7 @@ def swap_invariant_kernel_dim(k: int, ell: int) -> int:
     invariants is exact).  Both are checked against the closed form before
     being returned.
     """
-    cx = build_complex(k, ell)
+    k, ell = cx.k, cx.ell
     dim0 = cx.dim(0)
     d0 = cx.differential(0)
     tau0 = swap_action_matrix(cx, 0)

@@ -170,7 +170,8 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     product = ch_tensor_all(bundles, surface)
     for ell in range(1, k):
         if brute_multiplicities:
-            mult = complexes.swap_invariant_kernel_dim(k, ell)
+            mult = complexes.swap_invariant_kernel_dim(
+                complexes.build_complex(k, ell))
         else:
             mult = complexes.diagonal_multiplicity(k, ell)
         terms.append(Term(f"diag ell={ell}", Fraction(-mult),

@@ -32,14 +32,18 @@ def as_fraction(x: Rat) -> Fraction:
 
 
 def gen_binomial(x: Rat, m: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for integer m >= 0."""
+    """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for integer m >= 0.
+
+    With x = p/q the numerator is the integer product of the p - i*q, so one
+    Fraction is formed at the end instead of one per factor."""
     if m < 0:
         raise ValueError("lower index must be nonnegative")
-    num = Fraction(1)
     xf = as_fraction(x)
+    p, q = xf.numerator, xf.denominator
+    num = 1
     for i in range(m):
-        num *= xf - i
-    return num / factorial(m)
+        num *= p - i * q
+    return Fraction(num, q ** m * factorial(m))
 
 
 def sym_pow_chi(m: int, chi: Rat) -> Fraction:

@@ -1,7 +1,9 @@
 """Brute-force enumerations that the production sums in `tautchi.euler`
 replace, kept as test oracles, an independent regrouping of the
-triple-product formula, and the k!-element projector count that
-`tautchi.complexes.group_invariant_dim` replaces.
+triple-product formula, the k!-element projector count that
+`tautchi.complexes.group_invariant_dim` replaces, a dense Fraction rank for
+`SparseRationalMatrix.rank`, and the factor-by-factor Fraction product that
+`tautchi.surface.gen_binomial` replaces.
 
 Each enumeration sums term by term over subsets or set partitions, with one
 Riemann-Roch evaluation per summand, and groups the summands the way the
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 from tautchi.complexes import (SparseRationalMatrix, slot_action_matrix,
                                swap_action_matrix)
@@ -141,3 +144,32 @@ def projector_invariant_dim(cx, degree, group, slot_character="trivial"):
     by_trace = trace_sum // len(mats)
     assert by_trace == acc.rank()
     return by_trace
+
+
+def dense_rank(mat):
+    """Rank of a SparseRationalMatrix by plain Gauss-Jordan elimination over
+    Fraction on its dense form."""
+    rows = [[Fraction(mat.entry(r, c)) for c in range(mat.ncols)]
+            for r in range(mat.nrows)]
+    rank = 0
+    for c in range(mat.ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][c]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def naive_gen_binomial(x, m):
+    """x(x-1)...(x-m+1)/m!, one Fraction product per factor."""
+    num = Fraction(1)
+    for i in range(m):
+        num *= Fraction(x) - i
+    return num / factorial(m)

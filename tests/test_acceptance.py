@@ -41,7 +41,8 @@ def test_criterion_02_kernel_invariant_counts():
     def check():
         for k in range(1, 8):
             for ell in range(1, k + 1):
-                brute = complexes.swap_invariant_kernel_dim(k, ell)
+                brute = complexes.swap_invariant_kernel_dim(
+                    complexes.build_complex(k, ell))
                 assert brute == complexes.diagonal_multiplicity(k, ell)
             assert complexes.diagonal_multiplicity(k, k) == 0
 

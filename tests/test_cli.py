@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tautchi import cli
+from tautchi import cli, complexes
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -227,6 +227,52 @@ def test_verify_k5_out_matches_golden(tmp_path, capsys):
     assert cli.main(["--verify", "k=5", "--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     assert out.read_bytes() == (REPO / "tests" / "data" / "verify_k5.out.json").read_bytes()
+
+
+def test_verification_builds_each_complex_once(monkeypatch):
+    built = []
+    build = complexes.build_complex
+    monkeypatch.setattr(complexes, "build_complex",
+                        lambda k, ell: built.append((k, ell)) or build(k, ell))
+    rows, ok = cli.run_verification(5)
+    assert ok and len(rows) == 47
+    assert sorted(built) == [(k, ell) for k in range(1, 6) for ell in range(1, k + 1)]
+
+
+def failing_rows(rows):
+    return [(pos, row.id, row.value) for pos, row in enumerate(rows)
+            if row.value != "PASS"]
+
+
+def test_kernel_count_failure_keeps_its_row(monkeypatch):
+    count = complexes.swap_invariant_kernel_dim
+
+    def fail_at_3_2(cx):
+        if (cx.k, cx.ell) == (3, 2):
+            raise ArithmeticError("injected mismatch")
+        return count(cx)
+
+    monkeypatch.setattr(complexes, "swap_invariant_kernel_dim", fail_at_3_2)
+    rows, ok = cli.run_verification(5)
+    assert not ok and len(rows) == 47
+    # position and detail as in the suite that built each complex per check
+    assert failing_rows(rows) == [
+        (19, "verify[kernel-count k=3,l=2]", "FAIL (injected mismatch)")]
+
+
+def test_slot_invariant_failure_keeps_its_row(monkeypatch):
+    invariants = complexes.group_invariant_dim
+
+    def one_at_4_2_1(cx, degree, group, slot_character="trivial"):
+        if group == "slot" and (cx.k, cx.ell, degree) == (4, 2, 1):
+            return 1
+        return invariants(cx, degree, group, slot_character)
+
+    monkeypatch.setattr(complexes, "group_invariant_dim", one_at_4_2_1)
+    rows, ok = cli.run_verification(5)
+    assert not ok and len(rows) == 47
+    assert failing_rows(rows) == [
+        (45, "verify[slot-invariants k=4]", "FAIL (dim=1 at ell=2, i=1)")]
 
 
 def test_help_exits_ok(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from tautchi.surface import (BundleSpec, ChernCharacter, ClassMultiplier,
                              DivisorClass, SurfaceModel, as_fraction, ch_add,
                              ch_coords, ch_dual, ch_hom, ch_sub, ch_sym_cotangent,
@@ -223,6 +224,15 @@ def test_sym_pow_chi_basics():
 def test_reflection_identity(chi, m):
     assert (-1) ** m * gen_binomial(-chi, m) == gen_binomial(chi + m - 1, m)
     assert sym_pow_chi(m, chi) == gen_binomial(chi + m - 1, m)
+
+
+@pytest.mark.parametrize("x", [0, 1, 7, -1, -5, Fraction(1, 2), Fraction(-7, 3),
+                               Fraction(13, 4), Fraction(-1, 6)])
+def test_gen_binomial_matches_fraction_product(x):
+    for m in range(13):
+        assert gen_binomial(x, m) == oracles.naive_gen_binomial(x, m), m
+    with pytest.raises(ValueError):
+        gen_binomial(x, -1)
 
 
 GRADED_SPACES = [
