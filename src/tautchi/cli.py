@@ -34,6 +34,11 @@ EXIT_JOB_ERROR = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_BAD_INPUT = 3
 
+# Budget of a `sym_power_two` job.  Its closed form makes O(k) ring products:
+# k = 1000 takes 0.11 s on P2 and 0.22 s on the plane blown up in three
+# points (CPython 3.11, 2-core Xeon).
+SYM_POWER_MAX_K = 1000
+
 # Canonical positive decimals: no sign, blank, underscore or leading zero.
 _DECIMAL = r"[1-9][0-9]*"
 POSITIVE_DECIMAL = re.compile(_DECIMAL)
@@ -306,9 +311,9 @@ def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
     elif job.kind == "sym_power_two":
         bundle = _resolve_one(jf, jid, p.get("bundle"))
         k = _need_int(jid, p, "k", 1)
-        if k > euler.BRUTE_MULTIPLICITY_MAX_K:
-            raise JobFileError(f"job {jid!r}: k = {k} exceeds the invariant "
-                               f"computation bound {euler.BRUTE_MULTIPLICITY_MAX_K}")
+        if k > SYM_POWER_MAX_K:
+            raise JobFileError(f"job {jid!r}: k = {k} exceeds the sym_power_two "
+                               f"budget k <= {SYM_POWER_MAX_K}")
         if not bundle.is_line_bundle_class(jf.surface):
             raise JobFileError(f"job {jid!r}: bundle must be a line-bundle class")
     elif job.kind == "h_top":

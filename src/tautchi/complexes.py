@@ -41,8 +41,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .symgroup import (Permutation, class_representative, class_size,
@@ -153,12 +152,9 @@ class SparseRationalMatrix:
         for row in self.rows.values():
             if not row:
                 continue
-            denom = 1
-            for v in row.values():
-                if isinstance(v, Fraction):
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
+            denom = lcm(*(v.denominator for v in row.values()))
             ints = {c: int(v * denom) for c, v in row.items()}
-            g = reduce(gcd, (abs(x) for x in ints.values()))
+            g = gcd(*ints.values())
             if g > 1:
                 ints = {c: x // g for c, x in ints.items()}
             rows.append(ints)
@@ -215,7 +211,7 @@ class SparseRationalMatrix:
                     elif c not in nr:
                         holders[c].discard(rid)
                 if nr:
-                    g = reduce(gcd, (abs(x) for x in nr.values()))
+                    g = gcd(*nr.values())
                     if g > 1:
                         nr = {c: x // g for c, x in nr.items()}
                     rows[rid] = nr

@@ -2,10 +2,12 @@
 of points, evaluated exactly over a surface model.
 
 Every operation reduces to Riemann-Roch evaluations of truncated Chern
-characters on the surface itself.  Sums over subsets and set partitions are
-not enumerated: they are graded products in the truncated ring and dynamic
-programs over blocks, polynomial in the number of bundles, with one term per
-grade.  Inputs may be virtual (arbitrary rational
+characters on the surface itself.  Each class product is built once, and
+each Euler characteristic is one value of a linear form chi(. y)
+(`surface.chi_functional`) computed once per call.  Sums over subsets and
+set partitions are not enumerated: they are graded products in the
+truncated ring and dynamic programs over blocks, polynomial in the number of
+bundles, with one term per grade.  Inputs may be virtual (arbitrary rational
 rank), so objects of the derived category are admissible wherever a formula
 extends additively.  Results carry a term-by-term breakdown whose recombined
 value is checked at construction time.
@@ -26,13 +28,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import complexes
 from .surface import (ChernCharacter, ClassMultiplier, SurfaceModel,
-                      ch_anticanonical, ch_coords, ch_dual, ch_hom,
-                      ch_sym_cotangent, ch_tangent, ch_tensor, ch_tensor_all,
-                      chi_functional, gen_binomial, hrr_chi, sym_pow_chi)
+                      ch_anticanonical, ch_coords, ch_dual, ch_sym_cotangent,
+                      ch_tangent, ch_tensor, ch_tensor_all, chi_functional,
+                      gen_binomial, hrr_chi, sym_pow_chi)
 
 BRUTE_MULTIPLICITY_MAX_K = 7
 
@@ -93,13 +95,15 @@ def chi_taut(surface: SurfaceModel, n: int, bundle: ChernCharacter,
             * sym_pow_chi(n - 1, hrr_chi(twist, surface)))
 
 
-def _diag_chi(surface: SurfaceModel, product: ChernCharacter,
-              twist: ChernCharacter, ell: int) -> Fraction:
-    """chi of the ell-th diagonal correction class: S^(ell-1) of the cotangent
-    bundle times the product of all inputs times the twist squared."""
-    cls = ch_tensor(ch_sym_cotangent(ell - 1, surface), product, surface)
-    cls = ch_tensor(cls, ch_tensor(twist, twist, surface), surface)
-    return hrr_chi(cls, surface)
+def _diag_chis(surface: SurfaceModel, product: ChernCharacter,
+               twist: ChernCharacter, top: int) -> list[Fraction]:
+    """chi of the diagonal correction classes for ell = 1..top: S^(ell-1) of
+    the cotangent bundle times the product of all inputs times the twist
+    squared, each one value of the form chi(. product L^2)."""
+    form = chi_functional(
+        ch_tensor(product, ch_tensor(twist, twist, surface), surface), surface)
+    return [_apply(form, ch_coords(ch_sym_cotangent(m, surface)))
+            for m in range(top)]
 
 
 # Sums over splittings P | P^c are evaluated in A (x) A, where A is the
@@ -130,6 +134,11 @@ def _split_sums(surface: SurfaceModel, first: ChernCharacter,
     for e in others:
         graded = _split_step(graded, ClassMultiplier(e, surface))
     return graded
+
+
+def _apply(form: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """A linear form on A applied to a class in coordinates."""
+    return sum(map(operator.mul, form, v), Fraction(0))
 
 
 def _pair_eval(phi: Sequence[Fraction], tensor: tuple,
@@ -167,15 +176,14 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     phi = chi_functional(twist, surface)
     terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, phi),))
              for r, t in enumerate(_split_sums(surface, bundles[0], bundles[1:]), 1)]
-    product = ch_tensor_all(bundles, surface)
+    diag = _diag_chis(surface, ch_tensor_all(bundles, surface), twist, k - 1)
     for ell in range(1, k):
         if brute_multiplicities:
             mult = complexes.swap_invariant_kernel_dim(
                 complexes.build_complex(k, ell))
         else:
             mult = complexes.diagonal_multiplicity(k, ell)
-        terms.append(Term(f"diag ell={ell}", Fraction(-mult),
-                          (_diag_chi(surface, product, twist, ell),)))
+        terms.append(Term(f"diag ell={ell}", Fraction(-mult), (diag[ell - 1],)))
     return _result(terms)
 
 
@@ -312,12 +320,13 @@ def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     powers = [ChernCharacter.unit(surface)]
     for _ in range(k):
         powers.append(ch_tensor(powers[-1], bundle, surface))
-    chi = [hrr_chi(ch_tensor(p, twist, surface), surface) for p in powers]
+    phi = chi_functional(twist, surface)
+    chi = [_apply(phi, ch_coords(p)) for p in powers]
     total = sum((chi[j] * chi[k - j] for j in range((k + 1) // 2)), Fraction(0))
     if k % 2 == 0:
         total += sym_pow_chi(2, chi[k // 2])
-    for ell in range(1, k):
-        total -= sym_power_coefficient(k, ell) * _diag_chi(surface, powers[k], twist, ell)
+    for ell, diag in enumerate(_diag_chis(surface, powers[k], twist, k - 1), 1):
+        total -= sym_power_coefficient(k, ell) * diag
     return total
 
 
@@ -381,11 +390,6 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     k, khat = len(source), len(target)
     if k < 1 or khat < 1:
         raise ValueError("need at least one bundle on each side")
-    all_e = ch_tensor_all(source, surface)
-    all_f = ch_tensor_all(target, surface)
-    canon_dual = ch_anticanonical(surface)
-    tangent = ch_tangent(surface)
-
     duals = [ch_dual(e) for e in source]
     by_size = [[t] for t in _split_sums(surface, duals[0], duals[1:])]
     for f in target:
@@ -395,32 +399,35 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (_pair_eval(phi, t, phi),))
              for a, graded in enumerate(by_size, 1) for b, t in enumerate(graded)]
 
-    for ellhat in range(1, khat + 1):
-        cls = ch_hom(all_e, ch_tensor(ch_sym_cotangent(ellhat - 1, surface),
-                                      all_f, surface), surface)
+    # The diagonal classes: (S^(ell-1) Omega E)^dual on the source side and
+    # S^(ellhat-1) Omega F on the target side; every correction is chi,
+    # chi(. omega^dual) or chi(. T) of the product of one of each.
+    all_e = ch_tensor_all(source, surface)
+    all_f = ch_tensor_all(target, surface)
+    cot = [ch_sym_cotangent(m, surface) for m in range(max(k, khat))]
+    src = [ClassMultiplier(ch_dual(ch_tensor(c, all_e, surface)), surface)
+           for c in cot[:k]]
+    tgt = [ch_coords(ch_tensor(c, all_f, surface)) for c in cot[:khat]]
+    phi_w = chi_functional(ch_anticanonical(surface), surface)
+    phi_t = chi_functional(ch_tangent(surface), surface)
+    phi_cw = tuple(map(operator.add, phi, phi_w))
+
+    for ellhat, b in enumerate(tgt, 1):
         terms.append(Term(f"into-diag ellhat={ellhat}",
                           Fraction(-hom_coeff_left(k, khat, ellhat)),
-                          (hrr_chi(cls, surface),)))
-    for ell in range(1, k + 1):
-        cls = ch_tensor(canon_dual,
-                        ch_hom(ch_tensor(ch_sym_cotangent(ell - 1, surface),
-                                         all_e, surface), all_f, surface), surface)
+                          (_apply(phi, src[0](b)),)))
+    for ell, a in enumerate(src, 1):
         terms.append(Term(f"from-diag ell={ell}",
                           Fraction(-hom_coeff_right(k, ell, khat)),
-                          (hrr_chi(cls, surface),)))
-    for ell in range(1, k + 1):
-        for ellhat in range(1, khat + 1):
+                          (_apply(phi_w, a(tgt[0])),)))
+    for ell, a in enumerate(src, 1):
+        for ellhat, b in enumerate(tgt, 1):
             c_plus, c_minus = hom_coeff_pair(k, khat, ell, ellhat)
-            cls = ch_hom(ch_tensor(ch_sym_cotangent(ell - 1, surface), all_e, surface),
-                         ch_tensor(ch_sym_cotangent(ellhat - 1, surface), all_f, surface),
-                         surface)
-            chi_c = hrr_chi(cls, surface)
-            chi_cw = hrr_chi(ch_tensor(canon_dual, cls, surface), surface)
-            chi_ct = hrr_chi(ch_tensor(tangent, cls, surface), surface)
+            cls = a(b)
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c+",
-                              Fraction(c_plus), (chi_c + chi_cw,)))
+                              Fraction(c_plus), (_apply(phi_cw, cls),)))
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c-",
-                              Fraction(-c_minus), (chi_ct,)))
+                              Fraction(-c_minus), (_apply(phi_t, cls),)))
     return _result(terms)
 
 
@@ -437,33 +444,31 @@ def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
     if twist is None:
         twist = default_twist(surface)
     require_line_bundle_class(twist, surface, "twist")
+    # The eight classes e_1, e_2, e_3, e_a e_b, e_1 e_2 e_3 and
+    # Omega e_1 e_2 e_3, each built once, against the forms chi(. L^j).
     e = (e1, e2, e3)
-    chi_l = hrr_chi(twist, surface)
-    s1 = sym_pow_chi(n - 1, chi_l)
-    s2 = sym_pow_chi(n - 2, chi_l)
-    s3 = sym_pow_chi(n - 3, chi_l)
+    times = [ClassMultiplier(x, surface) for x in e]
+    single = [ch_coords(x) for x in e]
+    pair = {(a, b): times[a - 1](single[b - 1]) for (a, b, _) in _TRIPLE_PAIRS}
+    full = times[2](pair[1, 2])
+    cot_full = ClassMultiplier(ch_sym_cotangent(1, surface), surface)(full)
+    twist_sq = ch_tensor(twist, twist, surface)
+    chi1, chi2, chi3 = (chi_functional(t, surface) for t in
+                        (twist, twist_sq, ch_tensor(twist_sq, twist, surface)))
+    s1, s2, s3 = (sym_pow_chi(n - j, chi1[0]) for j in (1, 2, 3))
+    lone = [_apply(chi1, v) for v in single]
 
-    def tchi(chars: Iterable[ChernCharacter], twists: int) -> Fraction:
-        cls = ch_tensor_all(chars, surface)
-        for _ in range(twists):
-            cls = ch_tensor(cls, twist, surface)
-        return hrr_chi(cls, surface)
-
-    terms = [Term("singletons", Fraction(1),
-                  (tchi([e1], 1), tchi([e2], 1), tchi([e3], 1), s3))]
+    terms = [Term("singletons", Fraction(1), (*lone, s3))]
     for (a, b, c) in _TRIPLE_PAIRS:
         terms.append(Term(f"pair {a}{b}|{c} L", Fraction(1),
-                          (tchi([e[a - 1], e[b - 1]], 1), tchi([e[c - 1]], 1), s2)))
+                          (_apply(chi1, pair[a, b]), lone[c - 1], s2)))
         terms.append(Term(f"pair {a}{b}|{c} L^2", Fraction(-1),
-                          (tchi([e[a - 1], e[b - 1]], 2), tchi([e[c - 1]], 1), s3)))
-    terms.append(Term("full L", Fraction(1), (tchi(e, 1), s1)))
-    terms.append(Term("full L^2", Fraction(-3), (tchi(e, 2), s2)))
-    terms.append(Term("full L^3", Fraction(2), (tchi(e, 3), s3)))
-    cot = ch_sym_cotangent(1, surface)
-    terms.append(Term("cotangent L^2", Fraction(-1),
-                      (tchi([cot, e1, e2, e3], 2), s2)))
-    terms.append(Term("cotangent L^3", Fraction(1),
-                      (tchi([cot, e1, e2, e3], 3), s3)))
+                          (_apply(chi2, pair[a, b]), lone[c - 1], s3)))
+    terms.append(Term("full L", Fraction(1), (_apply(chi1, full), s1)))
+    terms.append(Term("full L^2", Fraction(-3), (_apply(chi2, full), s2)))
+    terms.append(Term("full L^3", Fraction(2), (_apply(chi3, full), s3)))
+    terms.append(Term("cotangent L^2", Fraction(-1), (_apply(chi2, cot_full), s2)))
+    terms.append(Term("cotangent L^3", Fraction(1), (_apply(chi3, cot_full), s3)))
     return _result(terms)
 
 

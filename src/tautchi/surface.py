@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Sequence, Union
 
@@ -91,6 +92,10 @@ class SurfaceModel:
     the Picard group, canonical the canonical class in that basis, and c2 the
     topological Euler number.  Noether's formula forces 12 | (K.K + c2); the
     constructor rejects inconsistent data.
+
+    The invariants that every Riemann-Roch evaluation needs (the nonzero
+    Gram entries of each row, G.K, K.K, chi(O) and the canonical class) are
+    computed once per surface and cached; they take no part in comparison.
     """
 
     name: str
@@ -120,32 +125,44 @@ class SurfaceModel:
     def picard_rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def gram_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero entries (j, g_ij) of each row i of the Gram matrix."""
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g)
+                     for row in self.gram)
+
     def pair(self, u: Sequence[Rat], v: Sequence[Rat]) -> Fraction:
-        """Intersection pairing of two divisor coordinate vectors."""
+        """Intersection pairing of two divisor coordinate vectors, over the
+        nonzero Gram entries only."""
         if len(u) != self.picard_rank or len(v) != self.picard_rank:
             raise ValueError("divisor class length does not match picard rank")
         total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            total += as_fraction(ui) * sum(row[j] * as_fraction(v[j])
-                                           for j in range(len(v)))
+        for ui, row in zip(u, self.gram_rows):
+            if ui:
+                total += ui * sum(g * v[j] for j, g in row)
         return total
 
-    @property
-    def k_squared(self) -> int:
-        val = self.pair(self.canonical, self.canonical)
-        assert val.denominator == 1
-        return int(val)
+    @cached_property
+    def gram_canonical(self) -> tuple[int, ...]:
+        """G.K: the pairing of each basis divisor with the canonical class."""
+        return tuple(sum(g * self.canonical[j] for j, g in row)
+                     for row in self.gram_rows)
 
-    @property
+    @cached_property
+    def k_squared(self) -> int:
+        return sum(k * gk for k, gk in zip(self.canonical, self.gram_canonical))
+
+    @cached_property
     def chi_structure_sheaf(self) -> int:
         """chi(O) = (K.K + c2)/12, an integer by Noether's formula."""
         return (self.k_squared + self.c2) // 12
 
+    @cached_property
+    def _canonical_class(self) -> "DivisorClass":
+        return DivisorClass.of(self.canonical)
+
     def canonical_divisor(self) -> "DivisorClass":
-        return DivisorClass(tuple(Fraction(c) for c in self.canonical))
+        return self._canonical_class
 
 
 @dataclass(frozen=True)
@@ -303,11 +320,13 @@ def ch_sym_cotangent(m: int, surface: SurfaceModel) -> ChernCharacter:
 
 
 def hrr_chi(a: ChernCharacter, surface: SurfaceModel) -> Fraction:
-    """Riemann-Roch on a surface: chi = ch2 + ch1.(-K)/2 + ch0 * chi(O)."""
-    k = surface.canonical_divisor()
-    return (a.ch2
-            - surface.pair(a.ch1.coeffs, k.coeffs) / 2
-            + a.ch0 * surface.chi_structure_sheaf)
+    """Riemann-Roch on a surface: chi = ch2 - ch1.K/2 + ch0 * chi(O), a
+    linear form in (ch0, ch1, ch2) read off the cached G.K and chi(O)."""
+    if len(a.ch1) != surface.picard_rank:
+        raise ValueError("divisor class length does not match picard rank")
+    ch1_k = sum((c * gk for c, gk in zip(a.ch1.coeffs, surface.gram_canonical) if gk),
+                Fraction(0))
+    return a.ch2 - ch1_k / 2 + a.ch0 * surface.chi_structure_sheaf
 
 
 # Coordinate form of the truncated ring A = Q + Pic_Q + Q, for sums that
@@ -318,8 +337,8 @@ def ch_coords(a: ChernCharacter) -> tuple[Fraction, ...]:
 
 
 def _gram_times(surface: SurfaceModel, v: Sequence[Rat]) -> tuple[Fraction, ...]:
-    return tuple(sum((g * x for g, x in zip(row, v)), Fraction(0))
-                 for row in surface.gram)
+    return tuple(sum((g * v[j] for j, g in row), Fraction(0))
+                 for row in surface.gram_rows)
 
 
 class ClassMultiplier:
@@ -344,14 +363,17 @@ class ClassMultiplier:
                 r * v[-1] + v0 * self.s + sum(g * x for g, x in zip(self.gc, mid)))
 
 
-def chi_functional(twist: ChernCharacter, surface: SurfaceModel) -> tuple[Fraction, ...]:
-    """Coordinates of the linear form v -> chi(v.L) for L = twist = (L0, l, .).
+def chi_functional(y: ChernCharacter, surface: SurfaceModel) -> tuple[Fraction, ...]:
+    """Coordinates of the linear form v -> chi(v.y) for any class y = (r, c, s).
 
-    By Riemann-Roch, chi(v.L) = v0 chi(L) + v_c.G(l - L0 K/2) + L0 v2.
+    The product is v.y = (r v0, r v_c + v0 c, r v2 + v0 s + v_c.Gc), and
+    Riemann-Roch is chi(x) = x2 - x_c.GK/2 + x0 chi(O), so
+    chi(v.y) = v0 chi(y) + v_c.(Gc - r GK/2) + r v2.
     """
-    half_k = [Fraction(x, 2) for x in surface.canonical]
-    shifted = [x - twist.ch0 * h for x, h in zip(twist.ch1.coeffs, half_k)]
-    return (hrr_chi(twist, surface), *_gram_times(surface, shifted), twist.ch0)
+    r = as_fraction(y.ch0)
+    gc = _gram_times(surface, y.ch1.coeffs)
+    return (hrr_chi(y, surface),
+            *(x - r * gk / 2 for x, gk in zip(gc, surface.gram_canonical)), r)
 
 
 # Bundled test surfaces with classically known invariants.

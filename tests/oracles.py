@@ -1,9 +1,13 @@
 """Brute-force enumerations that the production sums in `tautchi.euler`
 replace, kept as test oracles, an independent regrouping of the
-triple-product formula, the k!-element projector count that
-`tautchi.complexes.group_invariant_dim` replaces, a dense Fraction rank for
-`SparseRationalMatrix.rank`, and the factor-by-factor Fraction product that
-`tautchi.surface.gen_binomial` replaces.
+triple-product formula, the triple-product and Hom-pair breakdowns with one
+Riemann-Roch evaluation of a freshly built class per factor (which
+`tautchi.euler` replaces by class products built once and linear forms),
+the dense double sum that the sparse `SurfaceModel.pair` replaces, the
+k!-element projector count that `tautchi.complexes.group_invariant_dim`
+replaces, a dense Fraction rank for `SparseRationalMatrix.rank`, and the
+factor-by-factor Fraction product that `tautchi.surface.gen_binomial`
+replaces.
 
 Each enumeration sums term by term over subsets or set partitions, with one
 Riemann-Roch evaluation per summand, and groups the summands the way the
@@ -20,8 +24,11 @@ from math import factorial
 
 from tautchi.complexes import (SparseRationalMatrix, slot_action_matrix,
                                swap_action_matrix)
-from tautchi.surface import (ch_hom, ch_sym_cotangent, ch_tensor, ch_tensor_all,
-                             gen_binomial, hrr_chi, sym_pow_chi)
+from tautchi.euler import (ChiResult, Term, hom_coeff_left, hom_coeff_pair,
+                          hom_coeff_right)
+from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_hom,
+                             ch_sym_cotangent, ch_tangent, ch_tensor,
+                             ch_tensor_all, gen_binomial, hrr_chi, sym_pow_chi)
 from tautchi.symgroup import Permutation, product_orbit_reps
 
 
@@ -114,6 +121,93 @@ def chi_taut_triple_grouped(surface, n, e1, e2, e3):
             + pair_sum * (s2 - s3)
             + full * (s1 - 3 * s2 + 2 * s3)
             + cot_full * (s3 - s2))
+
+
+def _chi_result(terms):
+    return ChiResult(sum((t.value for t in terms), Fraction(0)), tuple(terms))
+
+
+def chi_taut_triple_by_classes(surface, n, e1, e2, e3, twist=None):
+    """`chi_taut_triple` with every factor a Riemann-Roch evaluation of a
+    class multiplied out afresh: the products e_a e_b, e_1 e_2 e_3 and the
+    twists L, L^2, L^3 are rebuilt for each factor."""
+    if twist is None:
+        twist = ChernCharacter.unit(surface)
+    e = (e1, e2, e3)
+    chi_l = hrr_chi(twist, surface)
+    s1 = sym_pow_chi(n - 1, chi_l)
+    s2 = sym_pow_chi(n - 2, chi_l)
+    s3 = sym_pow_chi(n - 3, chi_l)
+
+    def tchi(chars, twists):
+        cls = ch_tensor_all(chars, surface)
+        for _ in range(twists):
+            cls = ch_tensor(cls, twist, surface)
+        return hrr_chi(cls, surface)
+
+    terms = [Term("singletons", Fraction(1),
+                  (tchi([e1], 1), tchi([e2], 1), tchi([e3], 1), s3))]
+    for (a, b, c) in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
+        terms.append(Term(f"pair {a}{b}|{c} L", Fraction(1),
+                          (tchi([e[a - 1], e[b - 1]], 1), tchi([e[c - 1]], 1), s2)))
+        terms.append(Term(f"pair {a}{b}|{c} L^2", Fraction(-1),
+                          (tchi([e[a - 1], e[b - 1]], 2), tchi([e[c - 1]], 1), s3)))
+    terms.append(Term("full L", Fraction(1), (tchi(e, 1), s1)))
+    terms.append(Term("full L^2", Fraction(-3), (tchi(e, 2), s2)))
+    terms.append(Term("full L^3", Fraction(2), (tchi(e, 3), s3)))
+    cot = ch_sym_cotangent(1, surface)
+    terms.append(Term("cotangent L^2", Fraction(-1),
+                      (tchi([cot, e1, e2, e3], 2), s2)))
+    terms.append(Term("cotangent L^3", Fraction(1),
+                      (tchi([cot, e1, e2, e3], 3), s3)))
+    return _chi_result(terms)
+
+
+def chi_hom_pair_two_by_classes(surface, source, target):
+    """`chi_hom_pair_two` with the double sum enumerated subset by subset and
+    every diagonal correction a Riemann-Roch evaluation of a class
+    multiplied out afresh: S^(l-1) Omega E and S^(lhat-1) Omega F are
+    rebuilt inside the (l, lhat) loop."""
+    k, khat = len(source), len(target)
+    all_e = ch_tensor_all(source, surface)
+    all_f = ch_tensor_all(target, surface)
+    canon_dual = ch_anticanonical(surface)
+    tangent = ch_tangent(surface)
+    terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (v,))
+             for (a, b), v in hom_pair_main_by_sizes(surface, source, target).items()]
+    for ellhat in range(1, khat + 1):
+        cls = ch_hom(all_e, ch_tensor(ch_sym_cotangent(ellhat - 1, surface),
+                                      all_f, surface), surface)
+        terms.append(Term(f"into-diag ellhat={ellhat}",
+                          Fraction(-hom_coeff_left(k, khat, ellhat)),
+                          (hrr_chi(cls, surface),)))
+    for ell in range(1, k + 1):
+        cls = ch_tensor(canon_dual,
+                        ch_hom(ch_tensor(ch_sym_cotangent(ell - 1, surface),
+                                         all_e, surface), all_f, surface), surface)
+        terms.append(Term(f"from-diag ell={ell}",
+                          Fraction(-hom_coeff_right(k, ell, khat)),
+                          (hrr_chi(cls, surface),)))
+    for ell in range(1, k + 1):
+        for ellhat in range(1, khat + 1):
+            c_plus, c_minus = hom_coeff_pair(k, khat, ell, ellhat)
+            cls = ch_hom(ch_tensor(ch_sym_cotangent(ell - 1, surface), all_e, surface),
+                         ch_tensor(ch_sym_cotangent(ellhat - 1, surface), all_f, surface),
+                         surface)
+            chi_c = hrr_chi(cls, surface)
+            chi_cw = hrr_chi(ch_tensor(canon_dual, cls, surface), surface)
+            chi_ct = hrr_chi(ch_tensor(tangent, cls, surface), surface)
+            terms.append(Term(f"diag-diag ell={ell},{ellhat} c+",
+                              Fraction(c_plus), (chi_c + chi_cw,)))
+            terms.append(Term(f"diag-diag ell={ell},{ellhat} c-",
+                              Fraction(-c_minus), (chi_ct,)))
+    return _chi_result(terms)
+
+
+def dense_pair(gram, u, v):
+    """u.G.v as the full double sum over every Gram entry, zeros included."""
+    return sum((Fraction(u[i]) * gram[i][j] * Fraction(v[j])
+                for i in range(len(gram)) for j in range(len(gram))), Fraction(0))
 
 
 def projector_invariant_dim(cx, degree, group, slot_character="trivial"):

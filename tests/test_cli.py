@@ -1,6 +1,7 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -337,10 +338,19 @@ def test_ambiguous_h2_key_rejected(tmp_path, capsys, h2, key):
 
 def test_sym_power_k_bound(tmp_path, capsys):
     path = write_jobs(tmp_path, {**BASE, "jobs": [
-        {"id": "s", "kind": "sym_power_two", "bundle": "O1", "k": 8}]})
+        {"id": "s", "kind": "sym_power_two", "bundle": "O1", "k": 1001}]})
     assert cli.run(path) == cli.EXIT_BAD_INPUT
-    assert ("job 's': k = 8 exceeds the invariant computation bound 7"
+    assert ("job 's': k = 1001 exceeds the sym_power_two budget k <= 1000"
             in capsys.readouterr().err)
+
+
+def test_sym_power_beyond_the_brute_force_bound_runs(tmp_path):
+    out = tmp_path / "out.json"
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "s", "kind": "sym_power_two", "bundle": "O1", "k": 8}]})
+    assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
+    value = Fraction(json.loads(out.read_text())[0]["value"])
+    assert value.denominator == 1
 
 
 def test_h0_job(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from tautchi import cli, complexes
+from tautchi import cli, complexes, euler
 from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_hom_pair_two, chi_product_invariants,
                            chi_sym_power_two, chi_taut, chi_taut_product_two,
@@ -257,6 +257,18 @@ def test_hom_pair_fixture():
     main = sum(t.value for t in res.terms if t.label.startswith("|P|="))
     assert main == 2
     assert [t.label for t in res.terms][:2] == ["|P|=1,|Q|=0", "|P|=1,|Q|=1"]
+
+
+def test_hom_pair_builds_each_diagonal_class_once(monkeypatch):
+    calls = []
+    build = euler.ch_sym_cotangent
+    monkeypatch.setattr(euler, "ch_sym_cotangent",
+                        lambda m, surface: calls.append(m) or build(m, surface))
+    source = [o_line(P2, [d]) for d in (1, -1, 2, 0)]
+    target = [o_line(P2, [d]) for d in (0, 3, -2, 1)]
+    chi_hom_pair_two(P2, source, target)
+    # O(k + khat) cotangent powers, not one pair per (ell, ellhat)
+    assert 0 < len(calls) <= len(source) + len(target)
 
 
 def test_hom_coeff_pair_values():

@@ -1,5 +1,7 @@
 """The polynomial-time sums of `tautchi.euler` against the subset and
-set-partition enumerations in `oracles`, value by value and term by term."""
+set-partition enumerations in `oracles`, value by value and term by term,
+and the triple and Hom-pair breakdowns against their constructions with one
+freshly built class per factor."""
 
 import itertools
 
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from tautchi.euler import (chi_hom_pair_two, chi_product_invariants,
-                           chi_taut_product_two, top_cohomology_dim)
+                           chi_taut_product_two, chi_taut_triple,
+                           top_cohomology_dim)
 from tautchi.surface import ChernCharacter, DivisorClass, SurfaceModel, k3, p1xp1, p2
 
 # The plane blown up in three points: Pic = Z^4, H^2 = 1, E_i^2 = -1.
@@ -91,3 +94,28 @@ def test_h_top_matches_partition_enumeration(data):
     h2 = dict(zip(subsets, values))
     assert (top_cohomology_dim(k, n, h2, q)
             == oracles.top_cohomology_by_enumeration(k, n, h2, q))
+
+
+def breakdown(result):
+    return [(t.label, t.coefficient, t.factors) for t in result.terms]
+
+
+@oracle_settings
+@given(with_data(lambda s: virtual_bundles(s, 3, 3)), st.integers(3, 6))
+def test_triple_matches_classes_built_per_factor(data, n):
+    surface, bundles, twist = data
+    res = chi_taut_triple(surface, n, *bundles, twist)
+    expected = oracles.chi_taut_triple_by_classes(surface, n, *bundles, twist)
+    assert breakdown(res) == breakdown(expected)
+    assert res.value == expected.value
+
+
+@oracle_settings
+@given(surfaces.flatmap(lambda s: st.tuples(
+    st.just(s), virtual_bundles(s, 1, 4), virtual_bundles(s, 1, 4))))
+def test_hom_pair_matches_classes_built_per_factor(data):
+    surface, source, target = data
+    res = chi_hom_pair_two(surface, source, target)
+    expected = oracles.chi_hom_pair_two_by_classes(surface, source, target)
+    assert breakdown(res) == breakdown(expected)
+    assert res.value == expected.value

@@ -11,7 +11,8 @@ from tautchi.surface import (BundleSpec, ChernCharacter, ClassMultiplier,
                              DivisorClass, SurfaceModel, as_fraction, ch_add,
                              ch_coords, ch_dual, ch_hom, ch_sub, ch_sym_cotangent,
                              ch_tangent, ch_tensor, chi_functional, gen_binomial,
-                             graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2, sym_pow_chi)
+                             graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2,
+                             sym_pow_chi)
 
 P2 = p2()
 
@@ -51,6 +52,72 @@ def test_k3_polarization_validation():
     assert k3(4).gram == ((4,),)
     with pytest.raises(ValueError):
         k3(3)
+
+
+@st.composite
+def gram_surfaces(draw):
+    """Noether-valid surfaces with zero Gram entries: either a random
+    symmetric matrix with mostly zero entries, or a direct sum of scaled
+    hyperbolic planes U(a) (zero diagonal), padded by one diagonal entry."""
+    p = draw(st.integers(1, 5))
+    gram = [[0] * p for _ in range(p)]
+    if draw(st.booleans()):
+        for i in range(0, p - 1, 2):
+            gram[i][i + 1] = gram[i + 1][i] = draw(st.integers(1, 3))
+        if p % 2:
+            gram[p - 1][p - 1] = draw(st.integers(-3, 3))
+    else:
+        for i in range(p):
+            for j in range(i, p):
+                gram[i][j] = gram[j][i] = draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
+    canonical = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    ksq = oracles.dense_pair(gram, canonical, canonical)
+    c2 = draw(st.integers(-30, 30))
+    c2 -= (ksq + c2) % 12
+    return SurfaceModel("random", tuple(map(tuple, gram)), tuple(canonical), int(c2))
+
+
+def vectors(p):
+    return st.lists(rationals, min_size=p, max_size=p)
+
+
+@given(gram_surfaces())
+def test_cached_invariants_match_dense_oracle(surface):
+    gram, canonical = surface.gram, surface.canonical
+    p = surface.picard_rank
+    ksq = oracles.dense_pair(gram, canonical, canonical)
+    assert surface.k_squared == ksq and isinstance(surface.k_squared, int)
+    assert surface.chi_structure_sheaf * 12 == ksq + surface.c2
+    assert surface.gram_canonical == tuple(
+        oracles.dense_pair(gram, [int(i == j) for j in range(p)], canonical)
+        for i in range(p))
+    assert surface.canonical_divisor() == DivisorClass.of(canonical)
+    assert all(g != 0 for row in surface.gram_rows for _, g in row)
+    assert [dict(row) for row in surface.gram_rows] == [
+        {j: g for j, g in enumerate(row) if g} for row in gram]
+    # computed once, and invisible to comparison and hashing
+    assert surface.gram_rows is surface.gram_rows
+    fresh = SurfaceModel(surface.name, gram, canonical, surface.c2)
+    assert fresh == surface and hash(fresh) == hash(surface)
+
+
+@given(gram_surfaces().flatmap(lambda s: st.tuples(
+    st.just(s), vectors(s.picard_rank), vectors(s.picard_rank))))
+def test_sparse_pair_matches_dense_double_sum(data):
+    surface, u, v = data
+    assert surface.pair(u, v) == oracles.dense_pair(surface.gram, u, v)
+    assert isinstance(surface.pair(u, v), Fraction)
+
+
+@given(gram_surfaces().flatmap(lambda s: st.tuples(st.just(s), chern_on(s), chern_on(s))))
+def test_riemann_roch_forms_on_random_surfaces(data):
+    surface, x, y = data
+    k_dot = oracles.dense_pair(surface.gram, x.ch1.coeffs, surface.canonical)
+    assert hrr_chi(x, surface) == x.ch2 - k_dot / 2 + x.ch0 * surface.chi_structure_sheaf
+    # chi_functional holds for any class y, not only line bundles
+    phi = chi_functional(y, surface)
+    assert (sum(a * b for a, b in zip(phi, ch_coords(x)))
+            == hrr_chi(ch_tensor(x, y, surface), surface))
 
 
 # --- tensor / dual / hom ------------------------------------------------------
