@@ -39,6 +39,15 @@ EXIT_BAD_INPUT = 3
 # points (CPython 3.11, 2-core Xeon).
 SYM_POWER_MAX_K = 1000
 
+# Budget of an `h_top` job.  Its subset DP is O(3^k) with all 2^k - 1 keys:
+# k = 12 at n = 12 takes 0.73 s and k = 13 takes 2.2 s (same host).
+H_TOP_MAX_K = 12
+
+# Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
+# k_max): k = 7 takes 1.3 s, k = 8 5.8 s, k = 9 31 s and k = 10 3.3 min with
+# a 263 MB peak (same host).
+VERIFY_MAX_K = 10
+
 # Canonical positive decimals: no sign, blank, underscore or leading zero.
 _DECIMAL = r"[1-9][0-9]*"
 POSITIVE_DECIMAL = re.compile(_DECIMAL)
@@ -318,6 +327,9 @@ def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
             raise JobFileError(f"job {jid!r}: bundle must be a line-bundle class")
     elif job.kind == "h_top":
         k = _need_int(jid, p, "k", 1)
+        if k > H_TOP_MAX_K:
+            raise JobFileError(f"job {jid!r}: k = {k} exceeds the h_top budget "
+                               f"k <= {H_TOP_MAX_K}")
         if job.sweep is None:
             _need_int(jid, p, "n", 1)
         else:
@@ -360,7 +372,14 @@ def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
             _check_sweep_min(jid, job.sweep, 1)
     elif job.kind == "verify_complexes":
         if "k_max" in p:
-            _need_int(jid, p, "k_max", 1)
+            k_max = _need_int(jid, p, "k_max", 1)
+            if k_max > VERIFY_MAX_K:
+                raise JobFileError(f"job {jid!r}: {_verify_budget_message(k_max)}")
+
+
+def _verify_budget_message(k_max: int) -> str:
+    return (f"k_max = {k_max} exceeds the verification budget "
+            f"k <= {VERIFY_MAX_K}")
 
 
 def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
@@ -603,6 +622,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not POSITIVE_DECIMAL.fullmatch(spec):
             print(f"error: --verify expects k=<positive integer>, got "
                   f"{args.verify!r}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if int(spec) > VERIFY_MAX_K:
+            print(f"error: --verify: {_verify_budget_message(int(spec))}",
+                  file=sys.stderr)
             return EXIT_BAD_INPUT
         rows, ok = run_verification(int(spec))
         print(render_table(rows))

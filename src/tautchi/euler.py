@@ -31,10 +31,10 @@ from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
 from . import complexes
-from .surface import (ChernCharacter, ClassMultiplier, SurfaceModel,
-                      ch_anticanonical, ch_coords, ch_dual, ch_sym_cotangent,
-                      ch_tangent, ch_tensor, ch_tensor_all, chi_functional,
-                      gen_binomial, hrr_chi, sym_pow_chi)
+from .surface import (ChernCharacter, ClassMultiplier, SurfaceModel, ch_add,
+                      ch_anticanonical, ch_dual, ch_sym_cotangent, ch_tangent,
+                      ch_tensor, ch_tensor_all, chi_functional, gen_binomial,
+                      hrr_chi, scaled_coords, sym_pow_chi)
 
 BRUTE_MULTIPLICITY_MAX_K = 7
 
@@ -102,21 +102,33 @@ def _diag_chis(surface: SurfaceModel, product: ChernCharacter,
     squared, each one value of the form chi(. product L^2)."""
     form = chi_functional(
         ch_tensor(product, ch_tensor(twist, twist, surface), surface), surface)
-    return [_apply(form, ch_coords(ch_sym_cotangent(m, surface)))
+    return [_apply(form, scaled_coords(ch_sym_cotangent(m, surface)))
             for m in range(top)]
 
 
+def _apply(form: tuple[Sequence[int], int], cls: tuple[Sequence[int], int]
+           ) -> Fraction:
+    """A linear form on A applied to a class, both as integer coordinates
+    over a denominator."""
+    return Fraction(sum(map(operator.mul, form[0], cls[0])), form[1] * cls[1])
+
+
+def _product(y: ClassMultiplier, cls: tuple[Sequence[int], int]
+             ) -> tuple[tuple[int, ...], int]:
+    """y times a class given as integer coordinates over a denominator."""
+    return y(cls[0]), y.den * cls[1]
+
+
 # Sums over splittings P | P^c are evaluated in A (x) A, where A is the
-# truncated ring in coordinates (see `surface.ch_coords`).  An element of
-# A (x) A is a tuple of rows indexed by the left coordinate; a z-graded
-# element is a list of such tensors indexed by the power of z.
-
-def _unit_coords(surface: SurfaceModel) -> tuple[Fraction, ...]:
-    return ch_coords(ChernCharacter.unit(surface))
-
+# truncated ring in integer coordinates (see `surface.scaled_coords`).  An
+# element of A (x) A is a tuple of rows indexed by the left coordinate; a
+# z-graded element is a list of such tensors indexed by the power of z.  All
+# entries of a z-graded element share one denominator, which each step
+# multiplies by that of its class.
 
 def _split_step(graded: list, y: ClassMultiplier) -> list:
-    """Multiply a z-graded element of A (x) A by (z y (x) 1 + 1 (x) y)."""
+    """Multiply the numerators of a z-graded element of A (x) A by
+    (z y (x) 1 + 1 (x) y); the denominator gains the factor y.den."""
     left = [tuple(zip(*map(y, zip(*t)))) for t in graded]
     right = [tuple(map(y, t)) for t in graded]
     middle = [tuple(tuple(map(operator.add, a, b)) for a, b in zip(lt, rt))
@@ -125,27 +137,27 @@ def _split_step(graded: list, y: ClassMultiplier) -> list:
 
 
 def _split_sums(surface: SurfaceModel, first: ChernCharacter,
-                others: Sequence[ChernCharacter]) -> list:
+                others: Sequence[ChernCharacter]) -> tuple[list, int]:
     """(x_1 (x) 1) * prod over the others of (z x_t (x) 1 + 1 (x) x_t): the
     coefficient of z^(r-1) is the sum of x_P (x) x_(P^c) over the subsets P
-    of size r that contain the first index."""
-    unit = _unit_coords(surface)
-    graded = [tuple(tuple(a * b for b in unit) for a in ch_coords(first))]
+    of size r that contain the first index.  Returns the integer numerators
+    and their common denominator."""
+    coords, den = scaled_coords(first)
+    zero = (0,) * (len(coords) - 1)
+    graded = [tuple((a, *zero) for a in coords)]
     for e in others:
-        graded = _split_step(graded, ClassMultiplier(e, surface))
-    return graded
+        y = ClassMultiplier(e, surface)
+        graded = _split_step(graded, y)
+        den *= y.den
+    return graded, den
 
 
-def _apply(form: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """A linear form on A applied to a class in coordinates."""
-    return sum(map(operator.mul, form, v), Fraction(0))
-
-
-def _pair_eval(phi: Sequence[Fraction], tensor: tuple,
-               psi: Sequence[Fraction]) -> Fraction:
-    """(phi (x) psi) applied to an element of A (x) A."""
-    return sum((a * sum(map(operator.mul, row, psi))
-                for a, row in zip(phi, tensor)), Fraction(0))
+def _pair_eval(phi: tuple[Sequence[int], int], tensor: tuple, den: int) -> Fraction:
+    """(phi (x) phi) applied to an element of A (x) A with integer numerators
+    over the denominator den."""
+    form, d = phi
+    return Fraction(sum(a * sum(map(operator.mul, row, form))
+                        for a, row in zip(form, tensor)), d * d * den)
 
 
 def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter],
@@ -174,8 +186,9 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
                          f"{BRUTE_MULTIPLICITY_MAX_K}")
 
     phi = chi_functional(twist, surface)
-    terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, phi),))
-             for r, t in enumerate(_split_sums(surface, bundles[0], bundles[1:]), 1)]
+    graded, den = _split_sums(surface, bundles[0], bundles[1:])
+    terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, den),))
+             for r, t in enumerate(graded, 1)]
     diag = _diag_chis(surface, ch_tensor_all(bundles, surface), twist, k - 1)
     for ell in range(1, k):
         if brute_multiplicities:
@@ -187,8 +200,8 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     return _result(terms)
 
 
-def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], Fraction | int],
-                max_blocks: int) -> list:
+def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], int],
+                max_blocks: int) -> list[int]:
     """Set-partition sums graded by the number of blocks.
 
     The elements come in types with multiplicities `mults`; a block is
@@ -243,6 +256,11 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
     partitions are summed by `_block_sums`.  One term per block count b,
     labelled blocks=b, with factors (sum over partitions into b blocks of the
     product of weights, S^(n-b) chi(L)).
+
+    The sums run on integers: with phi = chi(. L) over the denominator d_phi
+    and bundle type i over D_i, the weight of beta is an integer over
+    d_phi prod D_i^beta_i, so the product over the b blocks of a partition
+    is an integer over d_phi^b prod D_i^m_i for every partition alike.
     """
     k = len(bundles)
     if k < 1 or n < 1:
@@ -252,10 +270,14 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
     require_line_bundle_class(twist, surface, "twist")
     types = Counter(bundles)
     mults = list(types.values())
-    # The class prod y_i^beta_i of every sub-multiset beta, one product each.
-    classes = {(): _unit_coords(surface)}
+    # The numerator of the class prod y_i^beta_i of every sub-multiset beta,
+    # one product each, over prod D_i^beta_i.
+    unit, _ = scaled_coords(ChernCharacter.unit(surface))
+    classes = {(): unit}
+    den_all = 1
     for e, m in types.items():
         y = ClassMultiplier(e, surface)
+        den_all *= y.den ** m
         grown = {}
         for beta, v in classes.items():
             for j in range(m + 1):
@@ -263,12 +285,13 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
                 if j < m:
                     v = y(v)
         classes = grown
-    phi = chi_functional(twist, surface)
+    form, d_phi = chi_functional(twist, surface)
     block_sums = _block_sums(
-        mults, lambda beta: sum(map(operator.mul, phi, classes[beta]), Fraction(0)), n)
-    chi_twist = phi[0]
+        mults, lambda beta: sum(map(operator.mul, form, classes[beta])), n)
+    chi_twist = Fraction(form[0], d_phi)
     return _result([Term(f"blocks={b}", Fraction(1),
-                         (Fraction(block_sums[b]), sym_pow_chi(n - b, chi_twist)))
+                         (Fraction(block_sums[b], d_phi ** b * den_all),
+                          sym_pow_chi(n - b, chi_twist)))
                     for b in range(1, len(block_sums))])
 
 
@@ -321,7 +344,7 @@ def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     for _ in range(k):
         powers.append(ch_tensor(powers[-1], bundle, surface))
     phi = chi_functional(twist, surface)
-    chi = [_apply(phi, ch_coords(p)) for p in powers]
+    chi = [_apply(phi, scaled_coords(p)) for p in powers]
     total = sum((chi[j] * chi[k - j] for j in range((k + 1) // 2)), Fraction(0))
     if k % 2 == 0:
         total += sym_pow_chi(2, chi[k // 2])
@@ -391,39 +414,44 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     if k < 1 or khat < 1:
         raise ValueError("need at least one bundle on each side")
     duals = [ch_dual(e) for e in source]
-    by_size = [[t] for t in _split_sums(surface, duals[0], duals[1:])]
+    source_sums, den = _split_sums(surface, duals[0], duals[1:])
+    by_size = [[t] for t in source_sums]
     for f in target:
         y = ClassMultiplier(f, surface)
         by_size = [_split_step(graded, y) for graded in by_size]
-    phi = chi_functional(ChernCharacter.unit(surface), surface)
-    terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (_pair_eval(phi, t, phi),))
+        den *= y.den
+    unit = ChernCharacter.unit(surface)
+    phi = chi_functional(unit, surface)
+    terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (_pair_eval(phi, t, den),))
              for a, graded in enumerate(by_size, 1) for b, t in enumerate(graded)]
 
     # The diagonal classes: (S^(ell-1) Omega E)^dual on the source side and
     # S^(ellhat-1) Omega F on the target side; every correction is chi,
-    # chi(. omega^dual) or chi(. T) of the product of one of each.
+    # chi(. omega^dual) or chi(. T) of the product of one of each, and the
+    # c+ factor is chi(. (1 + omega^dual)) by linearity of chi(. y) in y.
     all_e = ch_tensor_all(source, surface)
     all_f = ch_tensor_all(target, surface)
     cot = [ch_sym_cotangent(m, surface) for m in range(max(k, khat))]
     src = [ClassMultiplier(ch_dual(ch_tensor(c, all_e, surface)), surface)
            for c in cot[:k]]
-    tgt = [ch_coords(ch_tensor(c, all_f, surface)) for c in cot[:khat]]
-    phi_w = chi_functional(ch_anticanonical(surface), surface)
+    tgt = [scaled_coords(ch_tensor(c, all_f, surface)) for c in cot[:khat]]
+    anticanonical = ch_anticanonical(surface)
+    phi_w = chi_functional(anticanonical, surface)
     phi_t = chi_functional(ch_tangent(surface), surface)
-    phi_cw = tuple(map(operator.add, phi, phi_w))
+    phi_cw = chi_functional(ch_add(unit, anticanonical), surface)
 
     for ellhat, b in enumerate(tgt, 1):
         terms.append(Term(f"into-diag ellhat={ellhat}",
                           Fraction(-hom_coeff_left(k, khat, ellhat)),
-                          (_apply(phi, src[0](b)),)))
+                          (_apply(phi, _product(src[0], b)),)))
     for ell, a in enumerate(src, 1):
         terms.append(Term(f"from-diag ell={ell}",
                           Fraction(-hom_coeff_right(k, ell, khat)),
-                          (_apply(phi_w, a(tgt[0])),)))
+                          (_apply(phi_w, _product(a, tgt[0])),)))
     for ell, a in enumerate(src, 1):
         for ellhat, b in enumerate(tgt, 1):
             c_plus, c_minus = hom_coeff_pair(k, khat, ell, ellhat)
-            cls = a(b)
+            cls = _product(a, b)
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c+",
                               Fraction(c_plus), (_apply(phi_cw, cls),)))
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c-",
@@ -446,16 +474,19 @@ def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
     require_line_bundle_class(twist, surface, "twist")
     # The eight classes e_1, e_2, e_3, e_a e_b, e_1 e_2 e_3 and
     # Omega e_1 e_2 e_3, each built once, against the forms chi(. L^j).
+    # Each class is a pair (integer numerators, denominator).
     e = (e1, e2, e3)
     times = [ClassMultiplier(x, surface) for x in e]
-    single = [ch_coords(x) for x in e]
-    pair = {(a, b): times[a - 1](single[b - 1]) for (a, b, _) in _TRIPLE_PAIRS}
-    full = times[2](pair[1, 2])
-    cot_full = ClassMultiplier(ch_sym_cotangent(1, surface), surface)(full)
+    single = [scaled_coords(x) for x in e]
+    pair = {(a, b): _product(times[a - 1], single[b - 1])
+            for (a, b, _) in _TRIPLE_PAIRS}
+    full = _product(times[2], pair[1, 2])
+    cot_full = _product(ClassMultiplier(ch_sym_cotangent(1, surface), surface), full)
     twist_sq = ch_tensor(twist, twist, surface)
     chi1, chi2, chi3 = (chi_functional(t, surface) for t in
                         (twist, twist_sq, ch_tensor(twist_sq, twist, surface)))
-    s1, s2, s3 = (sym_pow_chi(n - j, chi1[0]) for j in (1, 2, 3))
+    chi_twist = Fraction(chi1[0][0], chi1[1])
+    s1, s2, s3 = (sym_pow_chi(n - j, chi_twist) for j in (1, 2, 3))
     lone = [_apply(chi1, v) for v in single]
 
     terms = [Term("singletons", Fraction(1), (*lone, s3))]

@@ -5,22 +5,23 @@ chosen divisor basis), its canonical class in that basis, and its topological
 Euler number.  Sheaves and complexes of sheaves enter only through their
 truncated Chern characters (ch0, ch1, ch2); every Euler characteristic in the
 package is ultimately a Riemann-Roch evaluation of such a character.  All
-arithmetic is over exact rationals (`fractions.Fraction`); there is no
-floating point anywhere.
+arithmetic is exact; there is no floating point anywhere.  Every public
+function takes and returns `fractions.Fraction` values.  Class products in
+coordinates (`ClassMultiplier`) and the Riemann-Roch forms (`chi_functional`)
+run on integer numerators over a tracked common denominator, and the callers
+in `euler` form one `Fraction` per evaluated value.
 
 The module also provides the Euler characteristic of graded symmetric powers
-(`sym_pow_chi`) together with a brute-force oracle (`graded_sym_chi_oracle`)
-that builds the symmetric power of a graded vector space by explicit basis
-enumeration with the usual Koszul sign rule.
+(`sym_pow_chi`).
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -56,32 +57,6 @@ def sym_pow_chi(m: int, chi: Rat) -> Fraction:
     if m < 0:
         raise ValueError("symmetric power degree must be nonnegative")
     return gen_binomial(as_fraction(chi) + m - 1, m)
-
-
-def graded_sym_chi_oracle(dims: Iterable[tuple[int, int]], m: int) -> int:
-    """Brute-force Euler characteristic of the m-th symmetric power of a graded
-    vector space given as (degree, dimension) pairs.
-
-    Enumerates an explicit monomial basis: multisets of basis vectors in which
-    odd-degree vectors occur at most once (symmetric algebra on the even part,
-    exterior on the odd part).  Completely independent of `sym_pow_chi`.
-    """
-    basis: list[int] = []  # degree of each basis vector
-    for degree, dim in dims:
-        if dim < 0:
-            raise ValueError("dimensions must be nonnegative")
-        basis.extend([degree] * dim)
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(len(basis)), m):
-        ok = True
-        for idx, group in itertools.groupby(combo):
-            if basis[idx] % 2 != 0 and len(list(group)) > 1:
-                ok = False
-                break
-        if ok:
-            deg = sum(basis[i] for i in combo)
-            total += -1 if deg % 2 else 1
-    return total
 
 
 @dataclass(frozen=True)
@@ -331,49 +306,72 @@ def hrr_chi(a: ChernCharacter, surface: SurfaceModel) -> Fraction:
 
 # Coordinate form of the truncated ring A = Q + Pic_Q + Q, for sums that
 # multiply many classes: a class is the tuple (ch0, ch1_1, ..., ch1_p, ch2).
+# Sums run on integer numerators over one tracked common denominator; a
+# `Fraction` is formed once per evaluated term factor.
 
 def ch_coords(a: ChernCharacter) -> tuple[Fraction, ...]:
     return (a.ch0, *a.ch1.coeffs, a.ch2)
 
 
-def _gram_times(surface: SurfaceModel, v: Sequence[Rat]) -> tuple[Fraction, ...]:
-    return tuple(sum((g * v[j] for j, g in row), Fraction(0))
-                 for row in surface.gram_rows)
+def scaled_coords(a: ChernCharacter) -> tuple[tuple[int, ...], int]:
+    """Integer coordinates N of a class and the least common denominator d
+    of its coordinates, so that ch_coords(a) = N / d."""
+    coords = ch_coords(a)
+    d = lcm(*(x.denominator for x in coords))
+    return tuple(x.numerator * (d // x.denominator) for x in coords), d
+
+
+def _gram_times(surface: SurfaceModel, v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(g * v[j] for j, g in row) for row in surface.gram_rows)
 
 
 class ClassMultiplier:
-    """Multiplication by a fixed class y = (r, c, s) on coordinate vectors.
+    """Multiplication by a fixed class y on integer coordinate vectors.
 
-    y.v = r v + v0 (0, c, s) + (0, ..., 0, (Gc).v_c) with the Gram image Gc
-    computed once, so one product costs O(p) for Picard rank p.
+    y is held as integers (r, c, s) over its denominator den, with the Gram
+    image Gc computed once.  For a vector v = V/e with integer V,
+    y.v = (r V0, r V_c + V0 c, r V2 + V0 s + (Gc).V_c) / (den e): the call
+    returns the integer numerator, and the caller multiplies its running
+    denominator by den.  One product costs O(p) integer operations for
+    Picard rank p.
     """
 
-    __slots__ = ("r", "c", "s", "gc")
+    __slots__ = ("r", "c", "s", "gc", "den")
 
     def __init__(self, y: ChernCharacter, surface: SurfaceModel):
         if len(y.ch1) != surface.picard_rank:
             raise ValueError("divisor class length does not match picard rank")
-        self.r, self.c, self.s = y.ch0, y.ch1.coeffs, y.ch2
+        coords, self.den = scaled_coords(y)
+        self.r, self.c, self.s = coords[0], coords[1:-1], coords[-1]
         self.gc = _gram_times(surface, self.c)
 
-    def __call__(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
         r, v0, mid = self.r, v[0], v[1:-1]
         return (r * v0,
                 *(r * x + v0 * c for x, c in zip(mid, self.c)),
-                r * v[-1] + v0 * self.s + sum(g * x for g, x in zip(self.gc, mid)))
+                r * v[-1] + v0 * self.s + sum(map(operator.mul, self.gc, mid)))
 
 
-def chi_functional(y: ChernCharacter, surface: SurfaceModel) -> tuple[Fraction, ...]:
-    """Coordinates of the linear form v -> chi(v.y) for any class y = (r, c, s).
+def chi_functional(y: ChernCharacter, surface: SurfaceModel
+                   ) -> tuple[tuple[int, ...], int]:
+    """The linear form v -> chi(v.y) for any class y = (r, c, s), as integer
+    coordinates over one denominator in lowest terms.
 
     The product is v.y = (r v0, r v_c + v0 c, r v2 + v0 s + v_c.Gc), and
     Riemann-Roch is chi(x) = x2 - x_c.GK/2 + x0 chi(O), so
-    chi(v.y) = v0 chi(y) + v_c.(Gc - r GK/2) + r v2.
+    chi(v.y) = v0 chi(y) + v_c.(Gc - r GK/2) + r v2.  With y = (R, C, S)/d
+    the form times 2d is (2S - C.GK + 2R chi(O), 2GC - R GK, 2R).
     """
-    r = as_fraction(y.ch0)
-    gc = _gram_times(surface, y.ch1.coeffs)
-    return (hrr_chi(y, surface),
-            *(x - r * gk / 2 for x, gk in zip(gc, surface.gram_canonical)), r)
+    if len(y.ch1) != surface.picard_rank:
+        raise ValueError("divisor class length does not match picard rank")
+    coords, d = scaled_coords(y)
+    r, c, s = coords[0], coords[1:-1], coords[-1]
+    gk = surface.gram_canonical
+    c_gk = sum(map(operator.mul, c, gk))
+    form = (2 * s - c_gk + 2 * r * surface.chi_structure_sheaf,
+            *(2 * x - r * k for x, k in zip(_gram_times(surface, c), gk)), 2 * r)
+    g = gcd(*form, 2 * d)
+    return tuple(x // g for x in form), 2 * d // g
 
 
 # Bundled test surfaces with classically known invariants.

@@ -5,9 +5,11 @@ Riemann-Roch evaluation of a freshly built class per factor (which
 `tautchi.euler` replaces by class products built once and linear forms),
 the dense double sum that the sparse `SurfaceModel.pair` replaces, the
 k!-element projector count that `tautchi.complexes.group_invariant_dim`
-replaces, a dense Fraction rank for `SparseRationalMatrix.rank`, and the
+replaces, a dense Fraction rank for `SparseRationalMatrix.rank`, the
 factor-by-factor Fraction product that `tautchi.surface.gen_binomial`
-replaces.
+replaces, the entry-by-entry Fraction product that the integer
+`tautchi.surface.ClassMultiplier` replaces, and the Euler characteristic of
+a graded symmetric power by basis enumeration.
 
 Each enumeration sums term by term over subsets or set partitions, with one
 Riemann-Roch evaluation per summand, and groups the summands the way the
@@ -259,6 +261,44 @@ def dense_rank(mat):
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_class_product(y, surface, v):
+    """y.v on Fraction coordinate vectors, one Fraction operation per entry:
+    y.v = r v + v0 (0, c, s) + (0, ..., 0, (Gc).v_c)."""
+    r, c, s = y.ch0, y.ch1.coeffs, y.ch2
+    gc = tuple(sum((g * c[j] for j, g in enumerate(row)), Fraction(0))
+               for row in surface.gram)
+    v0, mid = v[0], v[1:-1]
+    return (r * v0,
+            *(r * x + v0 * ci for x, ci in zip(mid, c)),
+            r * v[-1] + v0 * s + sum((g * x for g, x in zip(gc, mid)), Fraction(0)))
+
+
+def graded_sym_chi_oracle(dims, m):
+    """Brute-force Euler characteristic of the m-th symmetric power of a graded
+    vector space given as (degree, dimension) pairs.
+
+    Enumerates an explicit monomial basis: multisets of basis vectors in which
+    odd-degree vectors occur at most once (symmetric algebra on the even part,
+    exterior on the odd part).  Completely independent of `sym_pow_chi`.
+    """
+    basis = []  # degree of each basis vector
+    for degree, dim in dims:
+        if dim < 0:
+            raise ValueError("dimensions must be nonnegative")
+        basis.extend([degree] * dim)
+    total = 0
+    for combo in itertools.combinations_with_replacement(range(len(basis)), m):
+        ok = True
+        for idx, group in itertools.groupby(combo):
+            if basis[idx] % 2 != 0 and len(list(group)) > 1:
+                ok = False
+                break
+        if ok:
+            deg = sum(basis[i] for i in combo)
+            total += -1 if deg % 2 else 1
+    return total
 
 
 def naive_gen_binomial(x, m):

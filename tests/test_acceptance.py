@@ -8,8 +8,7 @@ from math import comb
 import oracles
 from tautchi import complexes, euler
 from tautchi.surface import (ChernCharacter, DivisorClass, gen_binomial,
-                             graded_sym_chi_oracle, k3, p1xp1, p2,
-                             sym_pow_chi, SurfaceModel)
+                             k3, p1xp1, p2, sym_pow_chi, SurfaceModel)
 from tautchi.symgroup import (Permutation, act_on_multiindex,
                               diagonal_orbit_reps, orbit_decompose, position_sign,
                               product_orbit_reps, sign_on_subset, stirling2)
@@ -153,7 +152,7 @@ def test_criterion_08_graded_symmetric_powers():
             chi = sum(d * (-1 if p % 2 else 1) for p, d in dims)
             assert abs(chi) <= 6
             for m in range(0, 9):
-                assert (graded_sym_chi_oracle(dims, m)
+                assert (oracles.graded_sym_chi_oracle(dims, m)
                         == sym_pow_chi(m, chi)), (dims, m)
 
     report(8, "graded symmetric power oracle equals closed form", check)

@@ -1,5 +1,6 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -342,6 +343,59 @@ def test_sym_power_k_bound(tmp_path, capsys):
     assert cli.run(path) == cli.EXIT_BAD_INPUT
     assert ("job 's': k = 1001 exceeds the sym_power_two budget k <= 1000"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("k", [13, 30])
+def test_h_top_k_budget(tmp_path, capsys, k):
+    # one key is a few bytes, but the subset DP would enumerate 2^(k-1)
+    # compositions before using it
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "t", "kind": "h_top", "k": k, "n": 1,
+         "h2": {",".join(map(str, range(1, k + 1))): 1}}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert (f"job 't': k = {k} exceeds the h_top budget k <= 12"
+            in capsys.readouterr().err)
+
+
+def test_h_top_at_the_budget_runs(tmp_path, capsys):
+    # every block value 1 and q = 0: the count of set partitions of [12]
+    # into exactly n = 2 blocks, S(12, 2) = 2^11 - 1
+    k = cli.H_TOP_MAX_K
+    keys = [",".join(map(str, s)) for r in range(1, k + 1)
+            for s in itertools.combinations(range(1, k + 1), r)]
+    out = tmp_path / "out.json"
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "t", "kind": "h_top", "k": k, "n": 2, "q": 0,
+         "h2": dict.fromkeys(keys, 1)}]})
+    assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert json.loads(out.read_text())[0]["value"] == str(2 ** 11 - 1)
+
+
+def test_verify_flag_budget(monkeypatch, capsys):
+    calls = stub_verification(monkeypatch)
+    assert cli.main(["--verify", "k=11"]) == cli.EXIT_BAD_INPUT
+    assert calls == []
+    assert ("k_max = 11 exceeds the verification budget k <= 10"
+            in capsys.readouterr().err)
+    assert cli.main(["--verify", f"k={cli.VERIFY_MAX_K}"]) == cli.EXIT_OK
+    assert calls == [cli.VERIFY_MAX_K]
+
+
+def test_verify_job_budget(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda k_max, id_prefix: (calls.append(k_max) or [], True))
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "vc", "kind": "verify_complexes", "k_max": 11}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert calls == []
+    assert ("job 'vc': k_max = 11 exceeds the verification budget k <= 10"
+            in capsys.readouterr().err)
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "vc", "kind": "verify_complexes", "k_max": cli.VERIFY_MAX_K}]})
+    assert cli.run(path) == cli.EXIT_OK
+    assert calls == [cli.VERIFY_MAX_K]
 
 
 def test_sym_power_beyond_the_brute_force_bound_runs(tmp_path):

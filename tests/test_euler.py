@@ -16,8 +16,7 @@ from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_sym_power_two, chi_taut, chi_taut_product_two,
                            chi_taut_triple, global_sections_dim,
                            hom_coeff_pair, top_cohomology_dim)
-from tautchi.surface import (ChernCharacter, DivisorClass,
-                             graded_sym_chi_oracle, hrr_chi, k3, p1xp1, p2)
+from tautchi.surface import ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2
 from tautchi.symgroup import stirling2
 
 P2 = p2()
@@ -344,7 +343,7 @@ def test_top_cohomology_single_bundle_matches_graded_oracle():
     for q in (0, 1, 2, 3):
         for n in (1, 2, 3, 4):
             got = top_cohomology_dim(1, n, {frozenset({1}): 5}, q)
-            assert got == 5 * graded_sym_chi_oracle([(2, q)], n - 1)
+            assert got == 5 * oracles.graded_sym_chi_oracle([(2, q)], n - 1)
 
 
 def test_top_cohomology_errors_and_zero():

@@ -1,9 +1,11 @@
 """The polynomial-time sums of `tautchi.euler` against the subset and
 set-partition enumerations in `oracles`, value by value and term by term,
-and the triple and Hom-pair breakdowns against their constructions with one
-freshly built class per factor."""
+the triple and Hom-pair breakdowns against their constructions with one
+freshly built class per factor, and the integer class products of
+`tautchi.surface` against their Fraction oracle."""
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ import oracles
 from tautchi.euler import (chi_hom_pair_two, chi_product_invariants,
                            chi_taut_product_two, chi_taut_triple,
                            top_cohomology_dim)
-from tautchi.surface import ChernCharacter, DivisorClass, SurfaceModel, k3, p1xp1, p2
+from tautchi.surface import (ChernCharacter, ClassMultiplier, DivisorClass,
+                             SurfaceModel, ch_coords, ch_tensor, chi_functional,
+                             hrr_chi, k3, p1xp1, p2)
 
 # The plane blown up in three points: Pic = Z^4, H^2 = 1, E_i^2 = -1.
 BLOWUP = SurfaceModel("P2-blown-up-3",
@@ -119,3 +123,74 @@ def test_hom_pair_matches_classes_built_per_factor(data):
     expected = oracles.chi_hom_pair_two_by_classes(surface, source, target)
     assert breakdown(res) == breakdown(expected)
     assert res.value == expected.value
+
+
+# Coprime denominators, zero and negative ranks and zero coordinates, so that
+# a lost or doubled denominator factor cannot cancel.
+coprime_rationals = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 7, 11, 13]))
+
+
+def coprime_classes(surface):
+    rank = surface.picard_rank
+    c1 = st.one_of(st.just([0] * rank),
+                   st.lists(coprime_rationals, min_size=rank, max_size=rank))
+    return st.builds(lambda c0, c, c2: ChernCharacter.make(c0, DivisorClass.of(c), c2),
+                     st.one_of(st.sampled_from([0, -1, -2]), coprime_rationals),
+                     c1, coprime_rationals)
+
+
+def integer_vectors(surface):
+    size = surface.picard_rank + 2
+    return st.tuples(st.one_of(st.just((0,) * size),
+                               st.lists(st.integers(-50, 50), min_size=size,
+                                        max_size=size).map(tuple)),
+                     st.sampled_from([1, 2, 7, 11, 13, 77]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(surfaces.flatmap(lambda s: st.tuples(
+    st.just(s), coprime_classes(s), integer_vectors(s), coprime_classes(s))))
+def test_integer_class_product_matches_fraction_oracle(data):
+    surface, y, (numerators, e), x = data
+    times_y = ClassMultiplier(y, surface)
+    got = times_y(numerators)
+    assert all(type(v) is int for v in got)
+    expected = oracles.fraction_class_product(
+        y, surface, tuple(Fraction(v, e) for v in numerators))
+    assert tuple(Fraction(v, times_y.den * e) for v in got) == expected
+    # chi(. y) as an integer form in lowest terms over its denominator
+    form, den = chi_functional(y, surface)
+    assert den > 0 and all(type(v) is int for v in form)
+    assert Fraction(sum(a * b for a, b in zip(form, ch_coords(x))), den) == \
+        hrr_chi(ch_tensor(x, y, surface), surface)
+
+
+def all_fractions(result):
+    return (type(result.value) is Fraction
+            and all(type(t.coefficient) is Fraction
+                    and all(type(f) is Fraction for f in t.factors)
+                    for t in result.terms))
+
+
+@oracle_settings
+@given(surfaces.flatmap(lambda s: st.tuples(
+    st.just(s), st.lists(coprime_classes(s), min_size=1, max_size=4),
+    st.lists(coprime_classes(s), min_size=1, max_size=3), twists(s))),
+    st.integers(1, 4))
+def test_sums_with_coprime_denominators_match_enumeration(data, n):
+    surface, source, target, twist = data
+    two = chi_taut_product_two(surface, source, twist)
+    assert labelled(two, "|P|=") == {
+        f"|P|={r}": v for r, v in
+        oracles.two_point_main_by_size(surface, source, twist).items()}
+    inv = chi_product_invariants(surface, n, source + source[:1], twist)
+    assert labelled(inv, "blocks=") == {
+        f"blocks={b}": v for b, v in oracles.product_invariants_by_blocks(
+            surface, n, source + source[:1], twist).items()}
+    hom = chi_hom_pair_two(surface, source, target)
+    assert breakdown(hom) == breakdown(
+        oracles.chi_hom_pair_two_by_classes(surface, source, target))
+    triple = chi_taut_triple(surface, 3, *(source * 3)[:3], twist)
+    assert breakdown(triple) == breakdown(
+        oracles.chi_taut_triple_by_classes(surface, 3, *(source * 3)[:3], twist))
+    assert all(map(all_fractions, (two, inv, hom, triple)))
