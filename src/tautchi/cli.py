@@ -43,8 +43,14 @@ SYM_POWER_MAX_K = 1000
 # k = 12 at n = 12 takes 0.73 s and k = 13 takes 2.2 s (same host).
 H_TOP_MAX_K = 12
 
+# Budget of a `k0_invariants` job, in distinct bundle classes.  Its set
+# partition DP over the types of equal bundles grows x3.2-3.4 per distinct
+# class: O(1)...O(k) on P2 at n = k takes 0.45 s at k = 12 and 1.4 s at
+# k = 13 (same host).
+K0_DISTINCT_MAX_TYPES = 12
+
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
-# k_max): k = 7 takes 1.3 s, k = 8 5.8 s, k = 9 31 s and k = 10 3.3 min with
+# k_max): k = 7 takes 1.2 s, k = 8 5.2 s, k = 9 28 s and k = 10 3.3 min with
 # a 263 MB peak (same host).
 VERIFY_MAX_K = 10
 
@@ -365,7 +371,11 @@ def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
         else:
             _check_sweep_min(jid, job.sweep, len(h0))
     elif job.kind == "k0_invariants":
-        _resolve(jf, jid, p.get("bundles"), "bundles")
+        types = len(set(_resolve(jf, jid, p.get("bundles"), "bundles")))
+        if types > K0_DISTINCT_MAX_TYPES:
+            raise JobFileError(f"job {jid!r}: {types} distinct bundle classes "
+                               f"exceed the k0_invariants budget of "
+                               f"{K0_DISTINCT_MAX_TYPES}")
         if job.sweep is None:
             _need_int(jid, p, "n", 1)
         else:
@@ -467,12 +477,12 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
                      ) -> tuple[list[ResultRow], bool]:
     """Structural verification suite over the complexes machinery.
 
-    Covers: exactness in degrees >= 0 for all parameter pairs up to k_max;
-    brute-force swap-invariant kernel counts against the closed form;
-    enumerated dimensions against the closed form (k <= max(k_max, 10));
-    the alternating-sum binomial identity (k <= max(k_max, 20)); the
-    falling-factorial reflection identity; and vanishing of slot-invariants
-    in positive degrees (k <= min(k_max, 6)).
+    Covers: d^(i+1) d^i = 0 and exactness in degrees >= 0 for all parameter
+    pairs up to k_max; brute-force swap-invariant kernel counts against the
+    closed form; dimensions counted factor by factor against the closed form
+    (k <= max(k_max, 10)); the alternating-sum binomial identity
+    (k <= max(k_max, 20)); the falling-factorial reflection identity; and
+    vanishing of slot-invariants in positive degrees (k <= min(k_max, 6)).
     """
     all_ok = True
 
@@ -496,8 +506,11 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
             cx = complexes.build_complex(k, ell)
             report = complexes.verify_exactness(cx)
             bad = {i: d for i, d in report.cohomology.items() if i >= 0 and d}
+            detail = [f"d^(i+1) d^i != 0 at i={i}" for i in report.nonzero_squares]
+            if bad:
+                detail.append(f"H={bad}")
             add(exact_rows, f"exact k={k},l={ell}", {"k": k, "ell": ell},
-                report.passed, f"H={bad}" if bad else "")
+                report.passed, "; ".join(detail))
             try:
                 complexes.swap_invariant_kernel_dim(cx)
                 add(kernel_rows, f"kernel-count k={k},l={ell}",

@@ -41,7 +41,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .symgroup import (Permutation, class_representative, class_size,
@@ -65,6 +65,20 @@ class SparseRationalMatrix:
         for r, c, v in triples:
             m.add_entry(r, c, v)
         return m
+
+    @staticmethod
+    def from_row_list(rows: Sequence[dict[int, Fraction | int]], ncols: int
+                      ) -> "SparseRationalMatrix":
+        """The matrix whose row r is rows[r], with zero entries and empty rows
+        dropped.  The builders below fill plain row dictionaries and call this
+        once at the end, instead of `add_entry` once per entry."""
+        out: dict[int, dict[int, Fraction | int]] = {}
+        for r, row in enumerate(rows):
+            if not all(row.values()):
+                row = {c: v for c, v in row.items() if v}
+            if row:
+                out[r] = row
+        return SparseRationalMatrix(len(rows), ncols, out)
 
     @staticmethod
     def identity(n: int) -> "SparseRationalMatrix":
@@ -152,8 +166,11 @@ class SparseRationalMatrix:
         for row in self.rows.values():
             if not row:
                 continue
-            denom = lcm(*(v.denominator for v in row.values()))
-            ints = {c: int(v * denom) for c, v in row.items()}
+            if all(type(v) is int for v in row.values()):
+                ints = row  # rank() never mutates a row dictionary
+            else:
+                denom = lcm(*(v.denominator for v in row.values()))
+                ints = {c: int(v * denom) for c, v in row.items()}
             g = gcd(*ints.values())
             if g > 1:
                 ints = {c: x // g for c, x in ints.items()}
@@ -259,15 +276,19 @@ def expected_dim(k: int, ell: int, i: int) -> int:
 
 
 def enumerated_dim(k: int, ell: int, i: int) -> int:
-    """Degree-i dimension by direct enumeration of the basis labels, without
-    building the matrices; the independent counterpart of expected_dim."""
+    """Degree-i dimension by enumeration, without building the matrices; the
+    independent counterpart of expected_dim.
+
+    The labels (M; a; T) are the product of three independent choices: the
+    support M, the values a on its complement and the wedge index T.  Each
+    factor is enumerated and counted, and the counts are multiplied.
+    """
     if i < 0 or i > k - ell:
         return 0
-    labels = itertools.product(
-        itertools.combinations(range(1, k + 1), ell + i),
-        itertools.product((1, 2), repeat=k - ell - i),
-        itertools.combinations(range(1, ell + i), ell - 1))
-    return sum(1 for _ in labels)
+    factors = (itertools.combinations(range(1, k + 1), ell + i),
+               itertools.product((1, 2), repeat=k - ell - i),
+               itertools.combinations(range(1, ell + i), ell - 1))
+    return prod(sum(1 for _ in factor) for factor in factors)
 
 
 def surviving_count(k: int, ell: int) -> int:
@@ -310,20 +331,24 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
         basis[i] = labels
     index = {d: {lab: p for p, lab in enumerate(labs)} for d, labs in basis.items()}
 
+    # Each (row, column) pair below is written once: the columns' images
+    # under distinct supports M, and under distinct wedge terms, are distinct.
     diffs: dict[int, SparseRationalMatrix] = {}
     # degree -1: signed sum over all extensions across M
-    m0 = SparseRationalMatrix(len(basis[0]), len(basis[-1]))
+    rows: list[dict[int, int]] = [{} for _ in basis[0]]
+    target = index[0]
     top_wedge = tuple(range(1, ell))
     for col, a in enumerate(basis[-1]):
         for m_set in itertools.combinations(universe, ell):
             comp = [t for t in universe if t not in m_set]
             rest = tuple(a[t - 1] for t in comp)
             sgn = -1 if sum(1 for t in m_set if a[t - 1] == 2) % 2 else 1
-            m0.add_entry(index[0][(m_set, rest, top_wedge)], col, sgn)
-    diffs[-1] = m0
+            rows[target[(m_set, rest, top_wedge)]][col] = sgn
+    diffs[-1] = SparseRationalMatrix.from_row_list(rows, len(basis[-1]))
 
     for i in range(0, k - ell):
-        mat = SparseRationalMatrix(len(basis[i + 1]), len(basis[i]))
+        rows = [{} for _ in basis[i + 1]]
+        target = index[i + 1]
         for col, (n_set, a, wedge) in enumerate(basis[i]):
             comp_n = [t for t in universe if t not in n_set]
             for pos, m in enumerate(comp_n):
@@ -331,8 +356,8 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                 b = tuple(v for t, v in zip(comp_n, a) if t != m)
                 sgn = position_sign(m, m_set) * (1 if a[pos] == 1 else -1)
                 for wedge2, coeff in _inclusion_wedge(m_set, m, wedge):
-                    mat.add_entry(index[i + 1][(m_set, b, wedge2)], col, sgn * coeff)
-        diffs[i] = mat
+                    rows[target[(m_set, b, wedge2)]][col] = sgn * coeff
+        diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
     return ChainComplexQ(k, ell, basis, index, diffs)
 
 
@@ -372,20 +397,27 @@ def _inclusion_wedge(m_set: tuple[int, ...], m: int, wedge: tuple[int, ...]
 
 @dataclass
 class ExactnessReport:
-    """Cohomology dimensions of a built complex, from exact rank data."""
+    """Cohomology dimensions of a built complex, from exact rank data, and the
+    degrees i where d^(i+1) d^i is not zero."""
 
     k: int
     ell: int
     cohomology: dict[int, int]
     ranks: dict[int, int]
+    nonzero_squares: list[int]
 
     @property
     def passed(self) -> bool:
-        return all(self.cohomology[i] == 0 for i in self.cohomology if i >= 0)
+        return not self.nonzero_squares and all(
+            self.cohomology[i] == 0 for i in self.cohomology if i >= 0)
 
 
 def verify_exactness(cx: ChainComplexQ) -> ExactnessReport:
-    """Compute dim H^i = dim ker d^i - rank d^{i-1} in every degree."""
+    """Compute dim H^i = dim ker d^i - rank d^{i-1} in every degree.
+
+    That is the cohomology only if d^(i+1) d^i = 0, so every such product
+    is formed as well; the degrees where it is not zero fail the report.
+    """
     top = cx.k - cx.ell
     ranks = {d: cx.differential(d).rank() for d in range(-1, top)}
     cohom = {}
@@ -393,7 +425,9 @@ def verify_exactness(cx: ChainComplexQ) -> ExactnessReport:
         out_rank = ranks.get(d, 0)
         in_rank = ranks.get(d - 1, 0)
         cohom[d] = cx.dim(d) - out_rank - in_rank
-    return ExactnessReport(cx.k, cx.ell, cohom, ranks)
+    nonzero = [d for d in range(-1, top - 1)
+               if not (cx.differential(d + 1) @ cx.differential(d)).is_zero()]
+    return ExactnessReport(cx.k, cx.ell, cohom, ranks, nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +492,19 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
         raise ValueError("permutation degree must equal k")
     labels = cx.basis[degree]
     idx = cx.index[degree]
-    mat = SparseRationalMatrix(len(labels), len(labels))
+    rows: list[dict[int, int]] = [{} for _ in labels]
     inv = perm.inverse()
     universe = range(1, cx.k + 1)
     if degree == -1:
         # (g.s)(a) = s(a o g): the component at a o g^{-1} reads off column a
         order = [inv(t) - 1 for t in universe]
         for col, a in enumerate(labels):
-            mat.add_entry(idx[tuple(a[p] for p in order)], col, 1)
-        return mat
+            rows[idx[tuple(a[p] for p in order)]][col] = 1
+        return SparseRationalMatrix.from_row_list(rows, len(labels))
     # Everything but the value map depends only on the support N: its image
     # M, the reordering of the values onto the complement of M, the sign and
     # the wedge images.  Compute them once per support, not once per column.
+    # A column's entries have distinct wedge images, so each is written once.
     per_support: dict[tuple[int, ...], tuple] = {}
     for col, (n_set, b, wedge) in enumerate(labels):
         support = per_support.get(n_set)
@@ -487,8 +522,8 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
                                      in _wedge_of_map(cols, wedge).items()]
         a = tuple(b[p] for p in order)
         for wedge2, v in image:
-            mat.add_entry(idx[(m_set, a, wedge2)], col, v)
-    return mat
+            rows[idx[(m_set, a, wedge2)]][col] = v
+    return SparseRationalMatrix.from_row_list(rows, len(labels))
 
 
 def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
@@ -497,16 +532,16 @@ def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
     degree i >= 0, the signs that make it a chain map."""
     labels = cx.basis[degree]
     idx = cx.index[degree]
-    mat = SparseRationalMatrix(len(labels), len(labels))
+    rows: list[dict[int, int]] = [{} for _ in labels]
     if degree == -1:
         scalar = -1 if (cx.ell - 1) % 2 else 1
         for col, a in enumerate(labels):
-            mat.add_entry(idx[tuple(3 - v for v in a)], col, scalar)
-        return mat
-    scalar = -1 if (degree - 1) % 2 else 1
-    for col, (m_set, a, wedge) in enumerate(labels):
-        mat.add_entry(idx[(m_set, tuple(3 - v for v in a), wedge)], col, scalar)
-    return mat
+            rows[idx[tuple(3 - v for v in a)]][col] = scalar
+    else:
+        scalar = -1 if (degree - 1) % 2 else 1
+        for col, (m_set, a, wedge) in enumerate(labels):
+            rows[idx[(m_set, tuple(3 - v for v in a), wedge)]][col] = scalar
+    return SparseRationalMatrix.from_row_list(rows, len(labels))
 
 
 def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
@@ -553,19 +588,18 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
             order *= 2
             gens.append(swap_mat)
 
-    stacked = SparseRationalMatrix(len(gens) * dim, dim)
-    for block, mat in enumerate(gens):
-        offset = block * dim
+    # The blocks g - I, one under the other.
+    stacked = []
+    for mat in gens:
         for r in range(dim):
-            stacked.add_entry(offset + r, r, -1)
-        for r, row in mat.rows.items():
-            for c, v in row.items():
-                stacked.add_entry(offset + r, c, v)
+            row = dict(mat.rows.get(r, {}))
+            row[r] = row.get(r, 0) - 1
+            stacked.append(row)
 
     if trace_sum % order != 0:
         raise ArithmeticError("non-integral trace average in invariant count")
     by_trace = trace_sum // order
-    by_rank = dim - stacked.rank()
+    by_rank = dim - SparseRationalMatrix.from_row_list(stacked, dim).rank()
     if by_trace != by_rank:
         raise ArithmeticError(
             f"invariant dimension mismatch: trace {by_trace} vs fixed space {by_rank}")
@@ -587,14 +621,12 @@ def swap_invariant_kernel_dim(cx: ChainComplexQ) -> int:
     dim0 = cx.dim(0)
     d0 = cx.differential(0)
     tau0 = swap_action_matrix(cx, 0)
-    stacked = SparseRationalMatrix(d0.nrows + dim0, dim0)
-    for r, c, v in d0.triples():
-        stacked.add_entry(r, c, v)
-    for c in range(dim0):
-        stacked.add_entry(d0.nrows + c, c, 1)
-    for r, c, v in tau0.triples():
-        stacked.add_entry(d0.nrows + r, c, -v)
-    direct = dim0 - stacked.rank()
+    stacked = [d0.rows.get(r, {}) for r in range(d0.nrows)]
+    for r in range(dim0):
+        row = {c: -v for c, v in tau0.rows.get(r, {}).items()}
+        row[r] = row.get(r, 0) + 1
+        stacked.append(row)
+    direct = dim0 - SparseRationalMatrix.from_row_list(stacked, dim0).rank()
 
     alternating = 0
     for i in range(0, k - ell + 1):

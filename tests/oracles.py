@@ -6,6 +6,8 @@ Riemann-Roch evaluation of a freshly built class per factor (which
 the dense double sum that the sparse `SurfaceModel.pair` replaces, the
 k!-element projector count that `tautchi.complexes.group_invariant_dim`
 replaces, a dense Fraction rank for `SparseRationalMatrix.rank`, the
+label-by-label count that the factor-by-factor
+`tautchi.complexes.enumerated_dim` replaces, the
 factor-by-factor Fraction product that `tautchi.surface.gen_binomial`
 replaces, the entry-by-entry Fraction product that the integer
 `tautchi.surface.ClassMultiplier` replaces, and the Euler characteristic of
@@ -240,6 +242,18 @@ def projector_invariant_dim(cx, degree, group, slot_character="trivial"):
     by_trace = trace_sum // len(mats)
     assert by_trace == acc.rank()
     return by_trace
+
+
+def enumerated_dim_by_labels(k, ell, i):
+    """Degree-i dimension of the (k, ell) complex by counting its basis labels
+    (M; a; T) one tuple at a time."""
+    if i < 0 or i > k - ell:
+        return 0
+    labels = itertools.product(
+        itertools.combinations(range(1, k + 1), ell + i),
+        itertools.product((1, 2), repeat=k - ell - i),
+        itertools.combinations(range(1, ell + i), ell - 1))
+    return sum(1 for _ in labels)
 
 
 def dense_rank(mat):

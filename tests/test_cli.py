@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tautchi import cli, complexes
+from tautchi import cli, complexes, euler
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -277,6 +277,25 @@ def test_slot_invariant_failure_keeps_its_row(monkeypatch):
         (45, "verify[slot-invariants k=4]", "FAIL (dim=1 at ell=2, i=1)")]
 
 
+def test_corrupted_differential_fails_its_exactness_row(monkeypatch, capsys):
+    build = complexes.build_complex
+
+    def corrupt_3_1(k, ell):
+        cx = build(k, ell)
+        if (k, ell) == (3, 1):
+            row = next(iter(cx.differentials[-1].rows.values()))
+            row[next(iter(row))] *= 2
+        return cx
+
+    monkeypatch.setattr(complexes, "build_complex", corrupt_3_1)
+    rows, ok = cli.run_verification(5)
+    assert not ok and len(rows) == 47
+    assert failing_rows(rows) == [
+        (3, "verify[exact k=3,l=1]", "FAIL (d^(i+1) d^i != 0 at i=-1; H={0: -1})")]
+    assert cli.main(["--verify", "k=3"]) == cli.EXIT_VERIFY_FAILED
+    assert "FAIL (d^(i+1) d^i != 0 at i=-1; H={0: -1})" in capsys.readouterr().out
+
+
 def test_help_exits_ok(capsys):
     assert cli.main(["--help"]) == cli.EXIT_OK
     assert "--force-brute-N" in capsys.readouterr().out
@@ -370,6 +389,39 @@ def test_h_top_at_the_budget_runs(tmp_path, capsys):
     assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     assert json.loads(out.read_text())[0]["value"] == str(2 ** 11 - 1)
+
+
+def k0_job_file(tmp_path, names, n):
+    """A k0_invariants job over the line bundles O(j) named Lj, plus Dup,
+    a second name for the class of O(0)."""
+    classes = {f"L{j}": j for j in range(20)}
+    classes["Dup"] = 0
+    return write_jobs(tmp_path, {
+        "surface": {"preset": "P2"},
+        "bundles": [{"name": name, "rank": 1, "c1": [j], "c2": 0}
+                    for name, j in classes.items()],
+        "jobs": [{"id": "k", "kind": "k0_invariants", "bundles": names, "n": n}]})
+
+
+@pytest.mark.parametrize("types", [13, 20])
+def test_k0_invariants_distinct_class_budget(tmp_path, capsys, types):
+    path = k0_job_file(tmp_path, [f"L{j}" for j in range(types)], 2)
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert (f"job 'k': {types} distinct bundle classes exceed the "
+            f"k0_invariants budget of 12" in capsys.readouterr().err)
+
+
+def test_k0_invariants_at_the_budget_runs(tmp_path, capsys):
+    # 15 names, but Dup and the repeated names add no class: 12 classes
+    names = [f"L{j}" for j in range(cli.K0_DISTINCT_MAX_TYPES)] + ["Dup", "L1", "L1"]
+    out = tmp_path / "out.json"
+    path = k0_job_file(tmp_path, names, 2)
+    assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    jf = cli.parse_job_file(json.loads(Path(path).read_text()))
+    expect = euler.chi_product_invariants(
+        jf.surface, 2, [jf.bundles[name] for name in names]).value
+    assert json.loads(out.read_text())[0]["value"] == cli.rational_to_str(expect)
 
 
 def test_verify_flag_budget(monkeypatch, capsys):

@@ -32,6 +32,15 @@ def select_columns(mat, cols):
     return SparseRationalMatrix(mat.nrows, len(cols), out)
 
 
+def assert_clean(mat):
+    """Every stored row is nonempty and inside the shape, and every stored
+    entry is nonzero and inside the shape."""
+    for r, row in mat.rows.items():
+        assert 0 <= r < mat.nrows and row, r
+        for c, v in row.items():
+            assert 0 <= c < mat.ncols and v != 0, (r, c)
+
+
 def assert_chain_map(cx, mats):
     """mats[d] commutes with the differentials: mats[d+1] d^d = d^d mats[d]."""
     for d in range(-1, cx.k - cx.ell):
@@ -64,6 +73,13 @@ def test_rank_clears_denominators():
         (0, 0, Fraction(1, 3)), (0, 1, Fraction(1, 6)),
         (1, 0, Fraction(2, 3)), (1, 1, Fraction(1, 3))])
     assert m.rank() == 1
+
+
+def test_from_row_list_drops_zeros_and_empty_rows():
+    m = SparseRationalMatrix.from_row_list(
+        [{0: 1, 2: 0}, {}, {1: 0}, {1: Fraction(1, 2)}], 3)
+    assert (m.nrows, m.ncols) == (4, 3)
+    assert m.rows == {0: {0: 1}, 3: {1: Fraction(1, 2)}}
 
 
 def _random_entry(rng, fractions):
@@ -138,6 +154,33 @@ def test_enumerated_dims(k):
 
 
 @pytest.mark.parametrize("k", range(1, 8))
+def test_enumerated_dim_matches_label_count(k):
+    for ell in range(1, k + 1):
+        for i in range(-1, k - ell + 2):
+            assert enumerated_dim(k, ell, i) == oracles.enumerated_dim_by_labels(k, ell, i)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_built_basis_sizes_match_enumerated_dim(k):
+    for ell in range(1, k + 1):
+        cx = build_complex(k, ell)
+        for i in range(0, k - ell + 1):
+            assert len(cx.basis[i]) == enumerated_dim(k, ell, i)
+
+
+@pytest.mark.parametrize("k,ell", SMALL)
+def test_built_matrices_store_no_zeros(k, ell):
+    cx = build_complex(k, ell)
+    perms = symgroup.generators(k) + [Permutation(tuple(range(k, 0, -1)))]
+    for d in cx.degrees:
+        if d in cx.differentials:
+            assert_clean(cx.differentials[d])
+        assert_clean(swap_action_matrix(cx, d))
+        for perm in perms:
+            assert_clean(slot_action_matrix(cx, perm, d))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
 def test_differential_squares_to_zero(k):
     for ell in range(1, k + 1):
         cx = build_complex(k, ell)
@@ -154,6 +197,17 @@ def test_exact_in_nonnegative_degrees(k, ell):
     assert report.passed
     # the kernel in lowest degree counts subsets of size < ell
     assert report.cohomology[-1] == sum(comb(k, j) for j in range(0, ell))
+
+
+def test_exactness_report_flags_nonzero_square():
+    cx = build_complex(3, 1)
+    assert verify_exactness(cx).nonzero_squares == []
+    row = next(iter(cx.differentials[-1].rows.values()))
+    col = next(iter(row))
+    row[col] *= 2
+    report = verify_exactness(cx)
+    assert report.nonzero_squares == [-1]
+    assert not report.passed
 
 
 def test_exactness_report_k2_l1():
