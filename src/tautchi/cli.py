@@ -34,9 +34,10 @@ EXIT_JOB_ERROR = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_BAD_INPUT = 3
 
-# Budget of a `sym_power_two` job.  Its closed form makes O(k) ring products:
-# k = 1000 takes 0.11 s on P2 and 0.22 s on the plane blown up in three
-# points (CPython 3.11, 2-core Xeon).
+# Budget of a `sym_power_two` job.  Its closed form makes O(k) integer ring
+# products: k = 1000 takes 35-48 ms on P2 and 41-52 ms on the plane blown up
+# in three points (best of 5, two line bundles on each; CPython 3.11,
+# 2-core Xeon).
 SYM_POWER_MAX_K = 1000
 
 # Budget of an `h_top` job.  Its subset DP is O(3^k) with all 2^k - 1 keys:
@@ -90,7 +91,6 @@ def parse_int(value: Any, where: str) -> int:
 
 
 def rational_to_str(value: Fraction) -> str:
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

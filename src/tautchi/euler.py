@@ -2,15 +2,17 @@
 of points, evaluated exactly over a surface model.
 
 Every operation reduces to Riemann-Roch evaluations of truncated Chern
-characters on the surface itself.  Each class product is built once, and
-each Euler characteristic is one value of a linear form chi(. y)
-(`surface.chi_functional`) computed once per call.  Sums over subsets and
-set partitions are not enumerated: they are graded products in the
-truncated ring and dynamic programs over blocks, polynomial in the number of
-bundles, with one term per grade.  Inputs may be virtual (arbitrary rational
-rank), so objects of the derived category are admissible wherever a formula
-extends additively.  Results carry a term-by-term breakdown whose recombined
-value is checked at construction time.
+characters on the surface itself, all on the integer kernel of `surface`:
+each class product is built once as integer coordinates
+(`surface.ClassMultiplier`), and each Euler characteristic is one value of a
+linear form chi(. y) (`surface.chi_functional`) computed once per call.
+Sums over subsets and set partitions are not enumerated: they are graded
+products in the truncated ring and dynamic programs over blocks, polynomial
+in the number of bundles, with one term per grade.  Inputs may be virtual
+(arbitrary rational rank), so objects of the derived category are admissible
+wherever a formula extends additively.  Results carry a term-by-term
+breakdown whose recombined value is checked at construction time; each
+term's product is formed once (`Term.value`).
 
 The two-point formulas subtract diagonal correction terms whose integer
 coefficients are invariant counts of the complexes in `complexes`.  Every
@@ -27,14 +29,15 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
 from . import complexes
-from .surface import (ChernCharacter, ClassMultiplier, SurfaceModel, ch_add,
-                      ch_anticanonical, ch_dual, ch_sym_cotangent, ch_tangent,
-                      ch_tensor, ch_tensor_all, chi_functional, gen_binomial,
-                      hrr_chi, scaled_coords, sym_pow_chi)
+from .surface import (ChernCharacter, ClassCoords, ClassMultiplier,
+                      SurfaceModel, ch_sym_cotangent, ch_tangent, chi_functional,
+                      class_coords, dual_coords, gen_binomial, sym_pow_chi,
+                      unit_coords)
 
 BRUTE_MULTIPLICITY_MAX_K = 7
 
@@ -47,12 +50,9 @@ class Term:
     coefficient: Fraction
     factors: tuple[Fraction, ...]
 
-    @property
+    @cached_property
     def value(self) -> Fraction:
-        prod = Fraction(1)
-        for f in self.factors:
-            prod *= f
-        return self.coefficient * prod
+        return self.coefficient * prod(self.factors)
 
 
 @dataclass(frozen=True)
@@ -91,36 +91,44 @@ def chi_taut(surface: SurfaceModel, n: int, bundle: ChernCharacter,
     if n < 1:
         raise ValueError("need n >= 1")
     require_line_bundle_class(twist, surface, "twist")
-    return (hrr_chi(ch_tensor(bundle, twist, surface), surface)
-            * sym_pow_chi(n - 1, hrr_chi(twist, surface)))
+    form = chi_functional(twist, surface)
+    return (_apply(form, class_coords(bundle, surface))
+            * sym_pow_chi(n - 1, _at_unit(form)))
 
 
-def _diag_chis(surface: SurfaceModel, product: ChernCharacter,
+def _diag_chis(surface: SurfaceModel, product: ClassCoords,
                twist: ChernCharacter, top: int) -> list[Fraction]:
     """chi of the diagonal correction classes for ell = 1..top: S^(ell-1) of
     the cotangent bundle times the product of all inputs times the twist
     squared, each one value of the form chi(. product L^2)."""
-    form = chi_functional(
-        ch_tensor(product, ch_tensor(twist, twist, surface), surface), surface)
-    return [_apply(form, scaled_coords(ch_sym_cotangent(m, surface)))
+    times_twist = ClassMultiplier(twist, surface)
+    form = chi_functional(times_twist.times(times_twist.times(product)), surface)
+    return [_apply(form, class_coords(ch_sym_cotangent(m, surface), surface))
             for m in range(top)]
 
 
-def _apply(form: tuple[Sequence[int], int], cls: tuple[Sequence[int], int]
-           ) -> Fraction:
+def _apply(form: ClassCoords, cls: ClassCoords) -> Fraction:
     """A linear form on A applied to a class, both as integer coordinates
     over a denominator."""
     return Fraction(sum(map(operator.mul, form[0], cls[0])), form[1] * cls[1])
 
 
-def _product(y: ClassMultiplier, cls: tuple[Sequence[int], int]
-             ) -> tuple[tuple[int, ...], int]:
-    """y times a class given as integer coordinates over a denominator."""
-    return y(cls[0]), y.den * cls[1]
+def _at_unit(form: ClassCoords) -> Fraction:
+    """A linear form on A at the unit class."""
+    return Fraction(form[0][0], form[1])
+
+
+def _product_all(surface: SurfaceModel, chars: Sequence[ChernCharacter]
+                 ) -> ClassCoords:
+    """The product of several classes; the empty product is the unit."""
+    out = unit_coords(surface)
+    for c in chars:
+        out = ClassMultiplier(c, surface).times(out)
+    return out
 
 
 # Sums over splittings P | P^c are evaluated in A (x) A, where A is the
-# truncated ring in integer coordinates (see `surface.scaled_coords`).  An
+# truncated ring in integer coordinates (see `surface.class_coords`).  An
 # element of A (x) A is a tuple of rows indexed by the left coordinate; a
 # z-graded element is a list of such tensors indexed by the power of z.  All
 # entries of a z-graded element share one denominator, which each step
@@ -136,13 +144,13 @@ def _split_step(graded: list, y: ClassMultiplier) -> list:
     return [right[0], *middle, left[-1]]
 
 
-def _split_sums(surface: SurfaceModel, first: ChernCharacter,
-                others: Sequence[ChernCharacter]) -> tuple[list, int]:
+def _split_sums(surface: SurfaceModel, first: ChernCharacter | ClassCoords,
+                others: Sequence[ChernCharacter | ClassCoords]) -> tuple[list, int]:
     """(x_1 (x) 1) * prod over the others of (z x_t (x) 1 + 1 (x) x_t): the
     coefficient of z^(r-1) is the sum of x_P (x) x_(P^c) over the subsets P
     of size r that contain the first index.  Returns the integer numerators
     and their common denominator."""
-    coords, den = scaled_coords(first)
+    coords, den = class_coords(first, surface)
     zero = (0,) * (len(coords) - 1)
     graded = [tuple((a, *zero) for a in coords)]
     for e in others:
@@ -189,7 +197,7 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     graded, den = _split_sums(surface, bundles[0], bundles[1:])
     terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, den),))
              for r, t in enumerate(graded, 1)]
-    diag = _diag_chis(surface, ch_tensor_all(bundles, surface), twist, k - 1)
+    diag = _diag_chis(surface, _product_all(surface, bundles), twist, k - 1)
     for ell in range(1, k):
         if brute_multiplicities:
             mult = complexes.swap_invariant_kernel_dim(
@@ -272,7 +280,7 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
     mults = list(types.values())
     # The numerator of the class prod y_i^beta_i of every sub-multiset beta,
     # one product each, over prod D_i^beta_i.
-    unit, _ = scaled_coords(ChernCharacter.unit(surface))
+    unit, _ = unit_coords(surface)
     classes = {(): unit}
     den_all = 1
     for e, m in types.items():
@@ -340,11 +348,12 @@ def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     ell = k).
     """
     twist = _check_power_args(surface, bundle, k, twist)
-    powers = [ChernCharacter.unit(surface)]
+    times_bundle = ClassMultiplier(bundle, surface)
+    powers = [unit_coords(surface)]
     for _ in range(k):
-        powers.append(ch_tensor(powers[-1], bundle, surface))
+        powers.append(times_bundle.times(powers[-1]))
     phi = chi_functional(twist, surface)
-    chi = [_apply(phi, scaled_coords(p)) for p in powers]
+    chi = [_apply(phi, p) for p in powers]
     total = sum((chi[j] * chi[k - j] for j in range((k + 1) // 2)), Fraction(0))
     if k % 2 == 0:
         total += sym_pow_chi(2, chi[k // 2])
@@ -371,7 +380,8 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     if k == 1:
         return chi_taut(surface, 2, bundle, twist)
     if k == 2:
-        return gen_binomial(hrr_chi(ch_tensor(bundle, twist, surface), surface), 2)
+        return gen_binomial(_apply(chi_functional(twist, surface),
+                                   class_coords(bundle, surface)), 2)
     return Fraction(0)
 
 
@@ -413,15 +423,14 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     k, khat = len(source), len(target)
     if k < 1 or khat < 1:
         raise ValueError("need at least one bundle on each side")
-    duals = [ch_dual(e) for e in source]
+    duals = [dual_coords(class_coords(e, surface)) for e in source]
     source_sums, den = _split_sums(surface, duals[0], duals[1:])
     by_size = [[t] for t in source_sums]
     for f in target:
         y = ClassMultiplier(f, surface)
         by_size = [_split_step(graded, y) for graded in by_size]
         den *= y.den
-    unit = ChernCharacter.unit(surface)
-    phi = chi_functional(unit, surface)
+    phi = chi_functional(unit_coords(surface), surface)
     terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (_pair_eval(phi, t, den),))
              for a, graded in enumerate(by_size, 1) for b, t in enumerate(graded)]
 
@@ -429,29 +438,31 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     # S^(ellhat-1) Omega F on the target side; every correction is chi,
     # chi(. omega^dual) or chi(. T) of the product of one of each, and the
     # c+ factor is chi(. (1 + omega^dual)) by linearity of chi(. y) in y.
-    all_e = ch_tensor_all(source, surface)
-    all_f = ch_tensor_all(target, surface)
-    cot = [ch_sym_cotangent(m, surface) for m in range(max(k, khat))]
-    src = [ClassMultiplier(ch_dual(ch_tensor(c, all_e, surface)), surface)
-           for c in cot[:k]]
-    tgt = [scaled_coords(ch_tensor(c, all_f, surface)) for c in cot[:khat]]
-    anticanonical = ch_anticanonical(surface)
-    phi_w = chi_functional(anticanonical, surface)
+    # Over the denominator 2, omega^dual = (1, -K, K.K/2) is (2, -2K, K.K)
+    # and 1 + omega^dual is (4, -2K, K.K).
+    times_e = ClassMultiplier(_product_all(surface, source), surface)
+    times_f = ClassMultiplier(_product_all(surface, target), surface)
+    cot = [class_coords(ch_sym_cotangent(m, surface), surface)
+           for m in range(max(k, khat))]
+    src = [ClassMultiplier(dual_coords(times_e.times(c)), surface) for c in cot[:k]]
+    tgt = [times_f.times(c) for c in cot[:khat]]
+    minus_2k = tuple(-2 * x for x in surface.canonical)
+    phi_w = chi_functional(((2, *minus_2k, surface.k_squared), 2), surface)
     phi_t = chi_functional(ch_tangent(surface), surface)
-    phi_cw = chi_functional(ch_add(unit, anticanonical), surface)
+    phi_cw = chi_functional(((4, *minus_2k, surface.k_squared), 2), surface)
 
     for ellhat, b in enumerate(tgt, 1):
         terms.append(Term(f"into-diag ellhat={ellhat}",
                           Fraction(-hom_coeff_left(k, khat, ellhat)),
-                          (_apply(phi, _product(src[0], b)),)))
+                          (_apply(phi, src[0].times(b)),)))
     for ell, a in enumerate(src, 1):
         terms.append(Term(f"from-diag ell={ell}",
                           Fraction(-hom_coeff_right(k, ell, khat)),
-                          (_apply(phi_w, _product(a, tgt[0])),)))
+                          (_apply(phi_w, a.times(tgt[0])),)))
     for ell, a in enumerate(src, 1):
         for ellhat, b in enumerate(tgt, 1):
             c_plus, c_minus = hom_coeff_pair(k, khat, ell, ellhat)
-            cls = _product(a, b)
+            cls = a.times(b)
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c+",
                               Fraction(c_plus), (_apply(phi_cw, cls),)))
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c-",
@@ -475,17 +486,17 @@ def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
     # The eight classes e_1, e_2, e_3, e_a e_b, e_1 e_2 e_3 and
     # Omega e_1 e_2 e_3, each built once, against the forms chi(. L^j).
     # Each class is a pair (integer numerators, denominator).
-    e = (e1, e2, e3)
-    times = [ClassMultiplier(x, surface) for x in e]
-    single = [scaled_coords(x) for x in e]
-    pair = {(a, b): _product(times[a - 1], single[b - 1])
+    single = [class_coords(x, surface) for x in (e1, e2, e3)]
+    times = [ClassMultiplier(x, surface) for x in single]
+    pair = {(a, b): times[a - 1].times(single[b - 1])
             for (a, b, _) in _TRIPLE_PAIRS}
-    full = _product(times[2], pair[1, 2])
-    cot_full = _product(ClassMultiplier(ch_sym_cotangent(1, surface), surface), full)
-    twist_sq = ch_tensor(twist, twist, surface)
+    full = times[2].times(pair[1, 2])
+    cot_full = ClassMultiplier(ch_sym_cotangent(1, surface), surface).times(full)
+    times_twist = ClassMultiplier(twist, surface)
+    twist_sq = times_twist.times(class_coords(twist, surface))
     chi1, chi2, chi3 = (chi_functional(t, surface) for t in
-                        (twist, twist_sq, ch_tensor(twist_sq, twist, surface)))
-    chi_twist = Fraction(chi1[0][0], chi1[1])
+                        (twist, twist_sq, times_twist.times(twist_sq)))
+    chi_twist = _at_unit(chi1)
     s1, s2, s3 = (sym_pow_chi(n - j, chi_twist) for j in (1, 2, 3))
     lone = [_apply(chi1, v) for v in single]
 

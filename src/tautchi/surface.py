@@ -5,11 +5,16 @@ chosen divisor basis), its canonical class in that basis, and its topological
 Euler number.  Sheaves and complexes of sheaves enter only through their
 truncated Chern characters (ch0, ch1, ch2); every Euler characteristic in the
 package is ultimately a Riemann-Roch evaluation of such a character.  All
-arithmetic is exact; there is no floating point anywhere.  Every public
-function takes and returns `fractions.Fraction` values.  Class products in
-coordinates (`ClassMultiplier`) and the Riemann-Roch forms (`chi_functional`)
-run on integer numerators over a tracked common denominator, and the callers
-in `euler` form one `Fraction` per evaluated value.
+arithmetic is exact; there is no floating point anywhere.
+
+There are two forms of the ring.  The `ChernCharacter` functions
+(`ch_tensor`, `ch_tensor_all`, `hrr_chi`, `SurfaceModel.pair`) take and
+return `fractions.Fraction` values; they are the public reference.  The
+integer kernel holds a class as integer numerators over one denominator
+(`class_coords`): `ClassMultiplier` multiplies by a fixed class and
+`chi_functional` is the Riemann-Roch form chi(. y), both accepting a class in
+either form.  The formulas in `euler` use only the integer kernel and form
+one `Fraction` per evaluated value.
 
 The module also provides the Euler characteristic of graded symmetric powers
 (`sym_pow_chi`).
@@ -25,6 +30,9 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
+# A class of A = Q + Pic_Q + Q as integer numerators (ch0, ch1_1, ..., ch1_p,
+# ch2) over a positive integer denominator.
+ClassCoords = tuple[tuple[int, ...], int]
 
 
 def as_fraction(x: Rat) -> Fraction:
@@ -206,10 +214,14 @@ class ChernCharacter:
 
     def is_line_bundle_class(self, surface: SurfaceModel) -> bool:
         """Rank 1, integral c1 and ch2 = c1.c1/2: the character of a line
-        bundle whose first Chern class lies in the chosen lattice."""
-        return (self.ch0 == 1
-                and all(c.denominator == 1 for c in self.ch1.coeffs)
-                and self.ch2 == surface.pair(self.ch1.coeffs, self.ch1.coeffs) / 2)
+        bundle whose first Chern class lies in the chosen lattice.  The
+        last test is 2 ch2 = c.Gc on the integral c."""
+        if self.ch0 != 1 or any(x.denominator != 1 for x in self.ch1.coeffs):
+            return False
+        if len(self.ch1) != surface.picard_rank:
+            raise ValueError("divisor class length does not match picard rank")
+        c = tuple(x.numerator for x in self.ch1.coeffs)
+        return 2 * self.ch2 == sum(map(operator.mul, c, _gram_times(surface, c)))
 
 
 @dataclass(frozen=True)
@@ -304,10 +316,10 @@ def hrr_chi(a: ChernCharacter, surface: SurfaceModel) -> Fraction:
     return a.ch2 - ch1_k / 2 + a.ch0 * surface.chi_structure_sheaf
 
 
-# Coordinate form of the truncated ring A = Q + Pic_Q + Q, for sums that
-# multiply many classes: a class is the tuple (ch0, ch1_1, ..., ch1_p, ch2).
-# Sums run on integer numerators over one tracked common denominator; a
-# `Fraction` is formed once per evaluated term factor.
+# The integer kernel: a class of A = Q + Pic_Q + Q as integer coordinates
+# over one tracked common denominator (`ClassCoords`).  Products and
+# Riemann-Roch forms run on the integers; a `Fraction` is formed once per
+# evaluated value.
 
 def ch_coords(a: ChernCharacter) -> tuple[Fraction, ...]:
     return (a.ch0, *a.ch1.coeffs, a.ch2)
@@ -321,6 +333,30 @@ def scaled_coords(a: ChernCharacter) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (d // x.denominator) for x in coords), d
 
 
+def class_coords(y: ChernCharacter | ClassCoords, surface: SurfaceModel
+                 ) -> ClassCoords:
+    """A class as integer coordinates over a denominator, checked against
+    the Picard rank: a `ChernCharacter` is scaled by `scaled_coords`, a pair
+    (numerators, denominator) is taken as it is."""
+    if isinstance(y, ChernCharacter):
+        if len(y.ch1) != surface.picard_rank:
+            raise ValueError("divisor class length does not match picard rank")
+        return scaled_coords(y)
+    if len(y[0]) != surface.picard_rank + 2:
+        raise ValueError("divisor class length does not match picard rank")
+    return y
+
+
+def unit_coords(surface: SurfaceModel) -> ClassCoords:
+    return (1, *(0,) * (surface.picard_rank + 1)), 1
+
+
+def dual_coords(y: ClassCoords) -> ClassCoords:
+    """The dual class: the sign of c1 flips."""
+    v, d = y
+    return (v[0], *(-x for x in v[1:-1]), v[-1]), d
+
+
 def _gram_times(surface: SurfaceModel, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(g * v[j] for j, g in row) for row in surface.gram_rows)
 
@@ -332,16 +368,15 @@ class ClassMultiplier:
     image Gc computed once.  For a vector v = V/e with integer V,
     y.v = (r V0, r V_c + V0 c, r V2 + V0 s + (Gc).V_c) / (den e): the call
     returns the integer numerator, and the caller multiplies its running
-    denominator by den.  One product costs O(p) integer operations for
-    Picard rank p.
+    denominator by den (`times` does both).  One product costs O(p) integer
+    operations for Picard rank p.  y is a `ChernCharacter` or integer
+    coordinates (`class_coords`).
     """
 
     __slots__ = ("r", "c", "s", "gc", "den")
 
-    def __init__(self, y: ChernCharacter, surface: SurfaceModel):
-        if len(y.ch1) != surface.picard_rank:
-            raise ValueError("divisor class length does not match picard rank")
-        coords, self.den = scaled_coords(y)
+    def __init__(self, y: ChernCharacter | ClassCoords, surface: SurfaceModel):
+        coords, self.den = class_coords(y, surface)
         self.r, self.c, self.s = coords[0], coords[1:-1], coords[-1]
         self.gc = _gram_times(surface, self.c)
 
@@ -351,10 +386,15 @@ class ClassMultiplier:
                 *(r * x + v0 * c for x, c in zip(mid, self.c)),
                 r * v[-1] + v0 * self.s + sum(map(operator.mul, self.gc, mid)))
 
+    def times(self, x: ClassCoords) -> ClassCoords:
+        """y.x for a class x in integer coordinates over its denominator."""
+        return self(x[0]), self.den * x[1]
 
-def chi_functional(y: ChernCharacter, surface: SurfaceModel
+
+def chi_functional(y: ChernCharacter | ClassCoords, surface: SurfaceModel
                    ) -> tuple[tuple[int, ...], int]:
-    """The linear form v -> chi(v.y) for any class y = (r, c, s), as integer
+    """The linear form v -> chi(v.y) for any class y = (r, c, s), given as a
+    `ChernCharacter` or as integer coordinates (`class_coords`), as integer
     coordinates over one denominator in lowest terms.
 
     The product is v.y = (r v0, r v_c + v0 c, r v2 + v0 s + v_c.Gc), and
@@ -362,9 +402,7 @@ def chi_functional(y: ChernCharacter, surface: SurfaceModel
     chi(v.y) = v0 chi(y) + v_c.(Gc - r GK/2) + r v2.  With y = (R, C, S)/d
     the form times 2d is (2S - C.GK + 2R chi(O), 2GC - R GK, 2R).
     """
-    if len(y.ch1) != surface.picard_rank:
-        raise ValueError("divisor class length does not match picard rank")
-    coords, d = scaled_coords(y)
+    coords, d = class_coords(y, surface)
     r, c, s = coords[0], coords[1:-1], coords[-1]
     gk = surface.gram_canonical
     c_gk = sum(map(operator.mul, c, gk))

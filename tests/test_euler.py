@@ -144,6 +144,15 @@ def test_term_breakdown_recombines():
         ChiResult(Fraction(1), (Term("x", Fraction(2), (Fraction(1),)),))
 
 
+def test_term_product_formed_once():
+    # the value and the recombination check at construction share one
+    # product per term
+    res = chi_taut_product_two(P2, [o_line(P2, [1]), o_line(P2, [2])])
+    assert all("value" in vars(t) for t in res.terms)
+    assert all(t.value is t.value for t in res.terms)
+    assert Term("x", Fraction(-2), ()).value == -2
+
+
 # --- ambient invariants -------------------------------------------------------------
 
 def test_product_invariants_single_bundle_is_chi_taut():

@@ -1,22 +1,29 @@
 """The polynomial-time sums of `tautchi.euler` against the subset and
 set-partition enumerations in `oracles`, value by value and term by term,
 the triple and Hom-pair breakdowns against their constructions with one
-freshly built class per factor, and the integer class products of
-`tautchi.surface` against their Fraction oracle."""
+freshly built class per factor, the integer class products of
+`tautchi.surface` against their Fraction oracle, and every formula run with
+the Fraction ring functions made to raise."""
 
 import itertools
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tautchi.euler import (chi_hom_pair_two, chi_product_invariants,
+import tautchi
+from tautchi import surface as surface_module
+from tautchi.euler import (chi_ext_power_two, chi_hom_pair_two,
+                           chi_product_invariants, chi_sym_power_two, chi_taut,
                            chi_taut_product_two, chi_taut_triple,
-                           top_cohomology_dim)
+                           global_sections_dim, top_cohomology_dim)
 from tautchi.surface import (ChernCharacter, ClassMultiplier, DivisorClass,
-                             SurfaceModel, ch_coords, ch_tensor, chi_functional,
-                             hrr_chi, k3, p1xp1, p2)
+                             SurfaceModel, ch_coords, ch_dual, ch_tensor,
+                             chi_functional, class_coords, dual_coords, hrr_chi,
+                             k3, p1xp1, p2, scaled_coords, unit_coords)
 
 # The plane blown up in three points: Pic = Z^4, H^2 = 1, E_i^2 = -1.
 BLOWUP = SurfaceModel("P2-blown-up-3",
@@ -163,6 +170,88 @@ def test_integer_class_product_matches_fraction_oracle(data):
     assert den > 0 and all(type(v) is int for v in form)
     assert Fraction(sum(a * b for a, b in zip(form, ch_coords(x))), den) == \
         hrr_chi(ch_tensor(x, y, surface), surface)
+
+
+@settings(max_examples=200, deadline=None)
+@given(surfaces.flatmap(lambda s: st.tuples(
+    st.just(s), coprime_classes(s), coprime_classes(s), coprime_classes(s))),
+    st.integers(1, 6))
+def test_kernel_on_raw_coordinates_matches_fraction_ring(data, m):
+    surface, x, y, z = data
+
+    def raw(c):
+        """Coordinates of c over m times their least denominator."""
+        v, d = scaled_coords(c)
+        return tuple(m * a for a in v), m * d
+
+    def value(cls):
+        return tuple(Fraction(a, cls[1]) for a in cls[0])
+
+    xy = ClassMultiplier(raw(y), surface).times(raw(x))
+    assert value(xy) == ch_coords(ch_tensor(x, y, surface))
+    assert value(dual_coords(raw(x))) == ch_coords(ch_dual(x))
+    assert value(unit_coords(surface)) == ch_coords(ChernCharacter.unit(surface))
+    assert class_coords(x, surface) == scaled_coords(x)
+    # chi(. y) on raw coordinates is the same form in lowest terms
+    assert chi_functional(raw(y), surface) == chi_functional(y, surface)
+    form, den = chi_functional(xy, surface)
+    assert Fraction(sum(a * b for a, b in zip(form, ch_coords(z))), den) == \
+        hrr_chi(ch_tensor(z, ch_tensor(x, y, surface), surface), surface)
+
+
+def test_raw_coordinates_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match="picard rank"):
+        ClassMultiplier(((1, 0, 0, 0), 1), p2())
+    with pytest.raises(ValueError, match="picard rank"):
+        chi_functional(((1, 0), 1), p2())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a production formula used the Fraction ring")
+
+
+def _every_formula(surface, line, twist, virtual):
+    """Each formula of `euler` once, on fractional virtual classes where the
+    formula admits them and on a line-bundle class where it needs one."""
+    a, b = virtual
+    for n in (1, 3):
+        chi_taut(surface, n, a, twist)
+    chi_taut_product_two(surface, [a, b, line], twist)
+    chi_taut_product_two(surface, [b, a], twist, brute_multiplicities=True)
+    chi_product_invariants(surface, 3, [a, a, b, line], twist)
+    chi_hom_pair_two(surface, [a, line], [b, a, line])
+    chi_taut_triple(surface, 4, a, b, line, twist)
+    for k in range(1, 5):
+        chi_sym_power_two(surface, line, k, twist)
+        chi_ext_power_two(surface, line, k, twist)
+    top_cohomology_dim(2, 3, {frozenset({1}): 1, frozenset({2}): 2,
+                              frozenset({1, 2}): 3}, 1)
+    global_sections_dim([2, 3], 2)
+
+
+def test_formulas_use_only_the_integer_kernel(monkeypatch):
+    cases = []
+    for surface in SURFACES:
+        p = surface.picard_rank
+        line = ChernCharacter.line_bundle([(-1) ** i * (i + 1) for i in range(p)],
+                                          surface)
+        twist = ChernCharacter.line_bundle([1] + [0] * (p - 1), surface)
+        virtual = (ChernCharacter.make(Fraction(-3, 2), [Fraction(1, 3)] * p,
+                                       Fraction(5, 7)),
+                   ChernCharacter.make(0, [Fraction(-2, 5)] + [1] * (p - 1),
+                                       Fraction(-1, 2)))
+        cases.append((surface, line, twist, virtual))
+    for name in ("ch_tensor", "ch_tensor_all", "hrr_chi"):
+        fn = getattr(surface_module, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "tautchi" or mod_name.startswith("tautchi."):
+                for attr, bound in list(vars(mod).items()):
+                    if bound is fn:
+                        monkeypatch.setattr(mod, attr, _refuse)
+    monkeypatch.setattr(SurfaceModel, "pair", _refuse)
+    assert tautchi.hrr_chi is _refuse
+    for case in cases:
+        _every_formula(*case)
 
 
 def all_fractions(result):

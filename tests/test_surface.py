@@ -179,6 +179,19 @@ def test_line_bundle_class_needs_integral_c1():
     assert not ChernCharacter.make(1, [1], 0).is_line_bundle_class(P2)
 
 
+@given(gram_surfaces().flatmap(lambda s: st.tuples(
+    st.just(s), st.lists(st.integers(-4, 4), min_size=s.picard_rank,
+                         max_size=s.picard_rank),
+    st.sampled_from([1, 2, -1]), st.sampled_from([0, 0, Fraction(1, 2), 1]),
+    st.sampled_from([1, 1, 2]))))
+def test_line_bundle_test_in_integers_matches_fraction_pairing(data):
+    surface, c, rank, shift, den = data
+    c1 = [Fraction(x, den) for x in c]
+    ch = ChernCharacter.make(rank, c1, surface.pair(c1, c1) / 2 + shift)
+    integral = all(x.denominator == 1 for x in c1)
+    assert ch.is_line_bundle_class(surface) == (rank == 1 and integral and shift == 0)
+
+
 QUADRIC = p1xp1()
 
 
