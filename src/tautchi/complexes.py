@@ -25,11 +25,10 @@ from interchanging the two values, with the sign (-1)^(i-1) in degree i >= 0
 and (-1)^(ell-1) in degree -1.  Invariant dimensions are computed by two
 independent methods, the character average over cycle types and the fixed
 space of generators, that are asserted to agree; neither runs over the k!
-slot permutations.  Of this module, the formulas in `euler` use only the closed
-forms `surviving_count` and `diagonal_multiplicity` (and, under
-`--force-brute-N`, `swap_invariant_kernel_dim`); the complexes and invariant
-counts are the references that the tests and the verification suite compare
-the closed forms against.
+slot permutations.  No formula uses this module: it is the verification
+layer, loaded only by the tests, `--verify` and `verify_complexes` jobs.  The
+closed forms `surviving_count` and `diagonal_multiplicity` of `euler` are
+bound here under their names and checked against the invariant counts.
 
 All matrices are sparse with exact integer or rational entries; ranks are
 computed by fraction-free elimination.
@@ -44,6 +43,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
+from .euler import diagonal_multiplicity, surviving_count
 from .symgroup import (Permutation, class_representative, class_size,
                        cycle_types, generators, position_sign, sign_on_subset)
 
@@ -289,23 +289,6 @@ def enumerated_dim(k: int, ell: int, i: int) -> int:
                itertools.product((1, 2), repeat=k - ell - i),
                itertools.combinations(range(1, ell + i), ell - 1))
     return prod(sum(1 for _ in factor) for factor in factors)
-
-
-def surviving_count(k: int, ell: int) -> int:
-    """The Euler characteristic of the degrees >= 0, in closed form: the
-    number of subsets of [k] of size at least ell."""
-    return sum(comb(k, j) for j in range(ell, k + 1))
-
-
-def diagonal_multiplicity(k: int, ell: int) -> int:
-    """Closed-form count (surviving_count(k, ell) - binom(k-1, ell-1)) / 2 of
-    swap-invariant kernel vectors; the coefficient of the ell-th diagonal term
-    in the two-point Euler characteristic formula."""
-    if not (1 <= ell <= k):
-        raise ValueError("need 1 <= ell <= k")
-    num = surviving_count(k, ell) - comb(k - 1, ell - 1)
-    assert num % 2 == 0
-    return num // 2
 
 
 def _wedge_indices(ell: int, size: int) -> list[tuple[int, ...]]:

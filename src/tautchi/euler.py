@@ -16,10 +16,10 @@ term's product is formed once (`Term.value`).
 
 The two-point formulas subtract diagonal correction terms whose integer
 coefficients are invariant counts of the complexes in `complexes`.  Every
-coefficient here is a closed form; only `chi_taut_product_two` offers a flag
-that recomputes its coefficients by brute-force linear algebra, for
-cross-validation.  The symmetric- and exterior-power formulas build no
-complex and enumerate no group.
+coefficient here is a closed form (`surviving_count`, `diagonal_multiplicity`,
+`sym_power_coefficient`), and no formula builds a complex or enumerates a
+group: this module does not import `complexes`, which recomputes the
+coefficients by exact linear algebra for the tests and `--verify`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ from functools import cached_property
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from . import complexes
 from .surface import (ChernCharacter, ClassCoords, ClassMultiplier,
                       SurfaceModel, ch_sym_cotangent, ch_tangent, chi_functional,
                       class_coords, dual_coords, gen_binomial, sym_pow_chi,
                       unit_coords)
-
-BRUTE_MULTIPLICITY_MAX_K = 7
 
 
 @dataclass(frozen=True)
@@ -168,9 +165,25 @@ def _pair_eval(phi: tuple[Sequence[int], int], tensor: tuple, den: int) -> Fract
                         for a, row in zip(form, tensor)), d * d * den)
 
 
+def surviving_count(k: int, ell: int) -> int:
+    """The Euler characteristic of the degrees >= 0 of the complex for (k, ell)
+    in closed form: the number of subsets of [k] of size at least ell."""
+    return sum(comb(k, j) for j in range(ell, k + 1))
+
+
+def diagonal_multiplicity(k: int, ell: int) -> int:
+    """Closed-form count (surviving_count(k, ell) - binom(k-1, ell-1)) / 2 of
+    swap-invariant kernel vectors; the coefficient of the ell-th diagonal term
+    in the two-point Euler characteristic formula."""
+    if not (1 <= ell <= k):
+        raise ValueError("need 1 <= ell <= k")
+    num = surviving_count(k, ell) - comb(k - 1, ell - 1)
+    assert num % 2 == 0
+    return num // 2
+
+
 def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter],
-                         twist: ChernCharacter | None = None, *,
-                         brute_multiplicities: bool = False) -> ChiResult:
+                         twist: ChernCharacter | None = None) -> ChiResult:
     """Euler characteristic of a product of induced bundles on the two-point
     space, twisted by a determinant line bundle.
 
@@ -179,9 +192,8 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     (chi_L (x) chi_L) applied to (x_1 (x) 1) * prod_(t>=2) (z x_t (x) 1 + 1 (x) x_t)
     in A (x) A [z], one term per power of z, labelled |P|=r; the cost is
     O(k^2 (p+2)^2) for Picard rank p.  From it, one diagonal correction per
-    ell in 1..k-1 is subtracted with the closed-form invariant count as its
-    coefficient.  With brute_multiplicities the coefficients are recomputed by
-    exact linear algebra (k <= 7 only).
+    ell in 1..k-1 is subtracted with the closed-form invariant count
+    `diagonal_multiplicity` as its coefficient.
     """
     k = len(bundles)
     if k < 1:
@@ -189,22 +201,14 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     if twist is None:
         twist = default_twist(surface)
     require_line_bundle_class(twist, surface, "twist")
-    if brute_multiplicities and k > BRUTE_MULTIPLICITY_MAX_K:
-        raise ValueError("brute-force multiplicities are limited to k <= "
-                         f"{BRUTE_MULTIPLICITY_MAX_K}")
 
     phi = chi_functional(twist, surface)
     graded, den = _split_sums(surface, bundles[0], bundles[1:])
     terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, den),))
              for r, t in enumerate(graded, 1)]
     diag = _diag_chis(surface, _product_all(surface, bundles), twist, k - 1)
-    for ell in range(1, k):
-        if brute_multiplicities:
-            mult = complexes.swap_invariant_kernel_dim(
-                complexes.build_complex(k, ell))
-        else:
-            mult = complexes.diagonal_multiplicity(k, ell)
-        terms.append(Term(f"diag ell={ell}", Fraction(-mult), (diag[ell - 1],)))
+    terms += [Term(f"diag ell={ell}", Fraction(-diagonal_multiplicity(k, ell)),
+                   (d,)) for ell, d in enumerate(diag, 1)]
     return _result(terms)
 
 
@@ -387,18 +391,18 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
 
 def hom_coeff_left(k: int, khat: int, ellhat: int) -> int:
     """Coefficient of the source-side diagonal Hom correction."""
-    return 2 ** (k - 1) * complexes.surviving_count(khat, ellhat)
+    return 2 ** (k - 1) * surviving_count(khat, ellhat)
 
 
 def hom_coeff_right(k: int, ell: int, khat: int) -> int:
     """Coefficient of the target-side diagonal Hom correction."""
-    return 2 ** (khat - 1) * complexes.surviving_count(k, ell)
+    return 2 ** (khat - 1) * surviving_count(k, ell)
 
 
 def hom_coeff_pair(k: int, khat: int, ell: int, ellhat: int) -> tuple[int, int]:
     """The pair (c+, c-) of diagonal-vs-diagonal coefficients."""
-    s = complexes.surviving_count(k, ell)
-    shat = complexes.surviving_count(khat, ellhat)
+    s = surviving_count(k, ell)
+    shat = surviving_count(khat, ellhat)
     w = comb(k - 1, ell - 1) * comb(khat - 1, ellhat - 1)
     assert (s * shat + w) % 2 == 0
     return (s * shat + w) // 2, (s * shat - w) // 2

@@ -73,8 +73,9 @@ class SurfaceModel:
 
     gram is the intersection pairing on a chosen basis of (a sublattice of)
     the Picard group, canonical the canonical class in that basis, and c2 the
-    topological Euler number.  Noether's formula forces 12 | (K.K + c2); the
-    constructor rejects inconsistent data.
+    topological Euler number.  The constructor rejects data that fail
+    Noether's 12 | (K.K + c2) or Wu's x.x = x.K (mod 2), which is checked on
+    the basis since x.x - x.K is additive mod 2.
 
     The invariants that every Riemann-Roch evaluation needs (the nonzero
     Gram entries of each row, G.K, K.K, chi(O) and the canonical class) are
@@ -103,6 +104,12 @@ class SurfaceModel:
             raise ValueError(
                 f"invalid surface {self.name!r}: K.K + c2 = "
                 f"{self.k_squared + self.c2} is not divisible by 12")
+        for i, (row, gk) in enumerate(zip(self.gram, self.gram_canonical)):
+            if (row[i] - gk) % 2:
+                raise ValueError(
+                    f"invalid surface {self.name!r}: K is not characteristic, "
+                    f"x.x = {row[i]} and x.K = {gk} differ mod 2 for basis "
+                    f"divisor {i + 1} (Wu's formula)")
 
     @property
     def picard_rank(self) -> int:

@@ -6,12 +6,13 @@ from fractions import Fraction
 from math import comb
 
 import oracles
+from oracles import (act_on_multiindex, diagonal_orbit_reps, orbit_decompose,
+                     stirling2)
 from tautchi import complexes, euler
 from tautchi.surface import (ChernCharacter, DivisorClass, gen_binomial,
                              k3, p1xp1, p2, sym_pow_chi, SurfaceModel)
-from tautchi.symgroup import (Permutation, act_on_multiindex,
-                              diagonal_orbit_reps, orbit_decompose, position_sign,
-                              product_orbit_reps, sign_on_subset, stirling2)
+from tautchi.symgroup import (Permutation, position_sign, product_orbit_reps,
+                              sign_on_subset)
 
 P2 = p2()
 K3 = k3()

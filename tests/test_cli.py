@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,7 +144,8 @@ def test_sample_jobs_out_matches_golden(tmp_path, capsys):
 
 
 USAGE_ERRORS = {"unknown-flag": ["--bogus"], "missing-value": ["--jobs"],
-                "threads": ["--jobs", "x.json", "--threads", "2"]}
+                "threads": ["--jobs", "x.json", "--threads", "2"],
+                "force-brute": ["--jobs", "x.json", "--force-brute-N"]}
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
@@ -298,7 +301,7 @@ def test_corrupted_differential_fails_its_exactness_row(monkeypatch, capsys):
 
 def test_help_exits_ok(capsys):
     assert cli.main(["--help"]) == cli.EXIT_OK
-    assert "--force-brute-N" in capsys.readouterr().out
+    assert "--verify" in capsys.readouterr().out
 
 
 def test_duplicate_ids_rejected(tmp_path, capsys):
@@ -314,27 +317,6 @@ def test_bad_preset_parameter_is_validation_error(tmp_path, capsys):
            "jobs": []}
     assert cli.run(write_jobs(tmp_path, doc)) == cli.EXIT_BAD_INPUT
     assert "surface" in capsys.readouterr().err
-
-
-def test_force_brute_flag_end_to_end(tmp_path, capsys):
-    path = write_jobs(tmp_path, {**BASE, "jobs": [
-        {"id": "fb", "kind": "euler_two", "bundles": ["O1", "O1"]}]})
-    assert cli.main(["--jobs", path, "--force-brute-N"]) == 0
-    out = capsys.readouterr().out
-    line = [ln for ln in out.splitlines() if ln.startswith("fb")][0]
-    assert line.split()[2] == "9"
-    assert "brute=True" in line
-
-
-def test_force_brute_bound_checked_at_validation(tmp_path, capsys):
-    path = write_jobs(tmp_path, {**BASE, "jobs": [
-        {"id": "fb8", "kind": "euler_two", "bundles": ["O1"] * 8}]})
-    assert cli.main(["--jobs", path, "--force-brute-N"]) == cli.EXIT_BAD_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "job 'fb8': --force-brute-N is limited to k <= 7" in captured.err
-    # without the flag the closed forms take any k
-    assert cli.main(["--jobs", path]) == cli.EXIT_OK
 
 
 AMBIGUOUS_H2 = {
@@ -509,3 +491,82 @@ def test_fractional_line_bundle_class_rejected_for_sym_power(tmp_path, capsys):
            "jobs": [{"id": "s", "kind": "sym_power_two", "bundle": "H", "k": 2}]}
     assert cli.run(write_jobs(tmp_path, doc)) == cli.EXIT_BAD_INPUT
     assert "line-bundle class" in capsys.readouterr().err
+
+
+# Runs a job file in a fresh isolated interpreter and reports which tautchi
+# modules are loaded when the first job starts and when the run ends.
+MODULES_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tautchi import cli
+inner, seen = cli.run_one_job, {}
+def first_job(*args):
+    seen.setdefault("first_job", sorted(m for m in sys.modules if m.startswith("tautchi")))
+    return inner(*args)
+cli.run_one_job = first_job
+code = cli.main(["--jobs", sys.argv[2]])
+seen["end"] = sorted(m for m in sys.modules if m.startswith("tautchi"))
+print(json.dumps({"code": code, **seen}))
+"""
+
+
+def loaded_modules(tmp_path, jobs):
+    path = write_jobs(tmp_path, {**BASE, "jobs": jobs})
+    proc = subprocess.run([sys.executable, "-I", "-c", MODULES_PROBE,
+                           str(REPO / "src"), path],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_formula_jobs_do_not_load_the_verification_layer(tmp_path):
+    seen = loaded_modules(tmp_path, [
+        {"id": "s", "kind": "scala", "bundle": "O1", "n": 3},
+        {"id": "p", "kind": "euler_two", "bundles": ["O", "O1", "O1"]},
+        {"id": "q", "kind": "sym_power_two", "bundle": "O1", "k": 4}])
+    assert seen["code"] == cli.EXIT_OK
+    for stage in ("first_job", "end"):
+        assert "tautchi.complexes" not in seen[stage]
+        assert "tautchi.symgroup" not in seen[stage]
+
+
+def test_verification_job_loads_complexes_before_the_first_job(tmp_path):
+    seen = loaded_modules(tmp_path, [
+        {"id": "s", "kind": "scala", "bundle": "O1", "n": 3},
+        {"id": "v", "kind": "verify_complexes", "k_max": 2}])
+    assert seen["code"] == cli.EXIT_OK
+    assert {"tautchi.complexes", "tautchi.symgroup"} <= set(seen["first_job"])
+
+
+def test_value_beyond_the_int_digit_limit_is_written(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = write_jobs(tmp_path, {**BASE, "line_bundle": [200], "jobs": [
+        {"id": "big", "kind": "scala", "bundle": "O", "n": 10000}]})
+    out = tmp_path / "big.out.json"
+    assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
+    value = json.loads(out.read_text())[0]["value"]
+    assert len(value) > 4300 and value.isdigit()
+    assert f" {value} " in capsys.readouterr().out
+    # the limit is restored for whatever the process does next
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_integer_literal_beyond_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"surface": {"preset": "P2"}, "jobs": [], "n": '
+                    + "1" * 5000 + "}")
+    code = cli.run(str(path))
+    if hasattr(sys, "set_int_max_str_digits"):
+        assert code == cli.EXIT_BAD_INPUT
+        assert "parse error" in capsys.readouterr().err
+    else:
+        assert code == cli.EXIT_OK
+
+
+def test_surface_that_fails_wu_is_rejected(tmp_path, capsys):
+    doc = {"surface": {"gram": [[1]], "canonical": [0], "c2": 12},
+           "bundles": [{"name": "O", "rank": 1}], "line_bundle": [1],
+           "jobs": [{"id": "s", "kind": "scala", "bundle": "O", "n": 3}]}
+    assert cli.run(write_jobs(tmp_path, doc)) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "surface" in captured.err and "characteristic" in captured.err

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import stirling2
 from tautchi import cli, complexes, euler
 from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_hom_pair_two, chi_product_invariants,
@@ -17,7 +18,6 @@ from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_taut_triple, global_sections_dim,
                            hom_coeff_pair, top_cohomology_dim)
 from tautchi.surface import ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2
-from tautchi.symgroup import stirling2
 
 P2 = p2()
 K3 = k3()
@@ -98,20 +98,6 @@ def test_product_two_permutation_invariance(bundles):
     rng.shuffle(shuffled)
     assert chi_taut_product_two(P2, shuffled).value == base
     assert chi_taut_product_two(P2, list(reversed(bundles))).value == base
-
-
-def test_product_two_brute_multiplicities_agree():
-    rng = random.Random(12)
-    for k in (1, 2, 3, 4):
-        bundles = [random_chern(rng, P2) for _ in range(k)]
-        a = chi_taut_product_two(P2, bundles).value
-        b = chi_taut_product_two(P2, bundles, brute_multiplicities=True).value
-        assert a == b
-
-
-def test_product_two_guard():
-    with pytest.raises(ValueError, match="brute"):
-        chi_taut_product_two(P2, [unit(P2)] * 8, brute_multiplicities=True)
 
 
 @pytest.mark.parametrize("surface,ycoords,lcoords", [

@@ -37,5 +37,5 @@ def test_recorded_values_reproduced(workload, seed):
                           .read_text(encoding="utf-8"))[str(seed)]
     jf = cli.parse_job_file(WORKLOADS[workload](seed).doc)
     got = {row.id: row.value for job in jf.jobs
-           for row in cli.run_one_job(jf, job, False)}
+           for row in cli.run_one_job(jf, job)}
     assert got == expected

@@ -217,7 +217,6 @@ def _every_formula(surface, line, twist, virtual):
     for n in (1, 3):
         chi_taut(surface, n, a, twist)
     chi_taut_product_two(surface, [a, b, line], twist)
-    chi_taut_product_two(surface, [b, a], twist, brute_multiplicities=True)
     chi_product_invariants(surface, 3, [a, a, b, line], twist)
     chi_hom_pair_two(surface, [a, line], [b, a, line])
     chi_taut_triple(surface, 4, a, b, line, twist)

@@ -1,5 +1,7 @@
 """Chern character arithmetic, Riemann-Roch, and graded Euler characteristics."""
 
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,16 @@ def test_noether_rejection():
         SurfaceModel("bad", ((1,),), (-1,), 3)
 
 
+def test_canonical_class_must_be_characteristic():
+    # Wu's formula: x.x = x.K (mod 2).  H.H = 1 with K = 0 fails it, although
+    # K.K + c2 = 12 passes Noether's check.
+    with pytest.raises(ValueError, match="not characteristic.*basis divisor 1"):
+        SurfaceModel("bad", ((1,),), (0,), 12)
+    with pytest.raises(ValueError, match="basis divisor 2"):
+        SurfaceModel("bad", ((0, 1), (1, 2)), (1, 0), 12)
+    SurfaceModel("P2-blown-up-1", ((1, 0), (0, -1)), (-3, 1), 4)
+
+
 def test_gram_must_be_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
         SurfaceModel("bad", ((0, 1), (2, 0)), (-2, -2), 4)
@@ -55,9 +67,10 @@ def test_k3_polarization_validation():
 
 @st.composite
 def gram_surfaces(draw):
-    """Noether-valid surfaces with zero Gram entries: either a random
-    symmetric matrix with mostly zero entries, or a direct sum of scaled
-    hyperbolic planes U(a) (zero diagonal), padded by one diagonal entry."""
+    """Surfaces with zero Gram entries that pass Noether's and Wu's checks:
+    either a random symmetric matrix with mostly zero entries, or a direct
+    sum of scaled hyperbolic planes U(a) (zero diagonal), padded by one
+    diagonal entry."""
     p = draw(st.integers(1, 5))
     gram = [[0] * p for _ in range(p)]
     if draw(st.booleans()):
@@ -70,6 +83,15 @@ def gram_surfaces(draw):
             for j in range(i, p):
                 gram[i][j] = gram[j][i] = draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
     canonical = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    # Wu: K.x = x.x (mod 2) on the basis.  The diagonal of a symmetric
+    # matrix mod 2 lies in its column space, so some shift of K by 0 or 1 per
+    # coordinate satisfies it; take one with the fewest shifts.
+    def characteristic(k):
+        return all((gram[i][i] - sum(map(operator.mul, gram[i], k))) % 2 == 0
+                   for i in range(p))
+    shifts = sorted(itertools.product((0, 1), repeat=p), key=sum)
+    canonical = next(k for k in (list(map(operator.add, canonical, s))
+                                 for s in shifts) if characteristic(k))
     ksq = oracles.dense_pair(gram, canonical, canonical)
     c2 = draw(st.integers(-30, 30))
     c2 -= (ksq + c2) % 12

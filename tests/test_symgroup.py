@@ -7,13 +7,12 @@ from math import factorial
 
 import pytest
 
-from tautchi.symgroup import (DiagonalTuple, Permutation,
-                              act_on_diagonal_tuple, act_on_multiindex,
-                              class_representative, class_size, cycle_types,
-                              diagonal_orbit_reps, generators, orbit_decompose,
-                              position_sign, product_orbit_reps,
-                              set_partitions, sign_on_subset, stirling2,
-                              subset_key)
+from oracles import (DiagonalTuple, act_on_diagonal_tuple, act_on_multiindex,
+                     diagonal_orbit_reps, orbit_decompose, stirling2)
+from tautchi.symgroup import (Permutation, class_representative, class_size,
+                              cycle_types, generators, position_sign,
+                              product_orbit_reps, set_partitions,
+                              sign_on_subset, subset_key)
 
 
 def random_perm(rng, n):
