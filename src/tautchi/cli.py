@@ -41,7 +41,7 @@ EXIT_BAD_INPUT = 3
 SYM_POWER_MAX_K = 1000
 
 # Budget of an `h_top` job.  Its subset DP is O(3^k) with all 2^k - 1 keys:
-# k = 12 at n = 12 takes 0.73 s and k = 13 takes 2.2 s (same host).
+# k = 12 at n = 12 takes 0.30 s and k = 13 takes 1.0 s (same host).
 H_TOP_MAX_K = 12
 
 # Budget of a `k0_invariants` job, in distinct bundle classes.  Its set

@@ -29,7 +29,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
@@ -224,35 +224,35 @@ def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], int],
     so each set partition is counted once: choosing the rest of that block
     from the remaining multiset mu gives C(mu_i0 - 1, beta_i0 - 1) *
     prod_(i != i0) C(mu_i, beta_i) set partitions per composition.  Weights are
-    looked up only for blocks of partitions that the sum contains.
+    looked up once, only for blocks of partitions that the sum contains.  The
+    sums of each sub-multiset are formed once, up to max_blocks blocks.
     """
     memo: dict[tuple, list] = {}
+    weight = cache(weight)
 
-    def sums(mu: tuple[int, ...], budget: int) -> list:
-        budget = min(budget, sum(mu))
-        if (mu, budget) in memo:
-            return memo[mu, budget]
-        out = [0] * (budget + 1)
+    def sums(mu: tuple[int, ...]) -> list:
+        if mu in memo:
+            return memo[mu]
+        out = [0] * (min(max_blocks, sum(mu)) + 1)
         i0 = next(i for i, m in enumerate(mu) if m)
         pinned = list(mu)
         pinned[i0] -= 1
         for others in itertools.product(*(range(m + 1) for m in pinned)):
             rest = tuple(map(operator.sub, pinned, others))
             if any(rest):
-                if budget == 1:
+                if max_blocks == 1:
                     continue
-                below = sums(rest, budget - 1)
+                below = sums(rest)
             else:
                 below = [1]
-            block = list(others)
-            block[i0] += 1
-            w = prod(map(comb, pinned, others)) * weight(tuple(block))
-            for b, v in enumerate(below):
+            block = others[:i0] + (others[i0] + 1,) + others[i0 + 1:]
+            w = prod(map(comb, pinned, others)) * weight(block)
+            for b, v in enumerate(below[:max_blocks]):
                 out[b + 1] += w * v
-        memo[mu, budget] = out
+        memo[mu] = out
         return out
 
-    return sums(tuple(mults), max_blocks)
+    return sums(tuple(mults))
 
 
 def chi_product_invariants(surface: SurfaceModel, n: int,
