@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Any, Sequence
@@ -41,7 +41,7 @@ EXIT_BAD_INPUT = 3
 SYM_POWER_MAX_K = 1000
 
 # Budget of an `h_top` job.  Its subset DP is O(3^k) with all 2^k - 1 keys:
-# k = 12 at n = 12 takes 0.30 s and k = 13 takes 1.0 s (same host).
+# k = 12 at n = 12 takes 35-60 ms and k = 13 takes 0.11-0.19 s (same host).
 H_TOP_MAX_K = 12
 
 # Budget of a `k0_invariants` job, in distinct bundle classes.  Its set
@@ -164,6 +164,8 @@ class Job:
     kind: str
     payload: dict[str, Any]
     sweep: tuple[int, int] | None = None
+    # h_top only: the h2 values keyed by the subsets that validation parsed.
+    h2_by_subset: dict[frozenset, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,9 @@ class JobFile:
     bundles: dict[str, ChernCharacter]
     twist: ChernCharacter
     jobs: tuple[Job, ...]
+    # The names of the bundles whose classes are integral (the twist always
+    # is): a job on these alone must have an integral value.
+    integral: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -233,10 +238,10 @@ def parse_job_file(doc: Any) -> JobFile:
             sweep = (raw[0], raw[1])
         payload = {k: v for k, v in j.items() if k not in ("id", "kind", "sweep_n")}
         jobs.append(Job(jid, kind, payload, sweep))
-    jf = JobFile(surface, bundles, twist, tuple(jobs))
-    for job in jf.jobs:
-        validate_job(jf, job)
-    return jf
+    integral = frozenset(name for name, ch in bundles.items()
+                         if ch.is_integral_class(surface))
+    jf = JobFile(surface, bundles, twist, tuple(jobs), integral)
+    return replace(jf, jobs=tuple(validate_job(jf, job) for job in jf.jobs))
 
 
 def job_file_to_doc(jf: JobFile) -> dict[str, Any]:
@@ -296,7 +301,9 @@ def _check_sweep_min(jid: str, sweep: tuple[int, int], minimum: int) -> None:
         raise JobFileError(f"job {jid!r}: sweep over n must start at {minimum}")
 
 
-def validate_job(jf: JobFile, job: Job) -> None:
+def validate_job(jf: JobFile, job: Job) -> Job:
+    """Check a job against the job file; returns it with what validation
+    parsed attached (the subsets of an h_top job's h2 keys)."""
     p = job.payload
     jid = job.id
     if job.kind == "scala":
@@ -353,6 +360,8 @@ def validate_job(jf: JobFile, job: Job) -> None:
         q = p.get("q", 0)
         if not is_int(q) or q < 0:
             raise JobFileError(f"job {jid!r}: q must be a nonnegative integer")
+        return replace(job, h2_by_subset={subset: h2[key] for subset, key
+                                          in keys_by_subset.items()})
     elif job.kind == "h0":
         h0 = p.get("h0")
         if (not isinstance(h0, list) or not h0
@@ -383,6 +392,7 @@ def validate_job(jf: JobFile, job: Job) -> None:
                 raise JobFileError(f"job {jid!r}: {_verify_budget_message(k_max)}")
         # Loaded here, not in run_one_job, so the job's run time excludes it.
         from . import complexes  # noqa: F401
+    return job
 
 
 def _verify_budget_message(k_max: int) -> str:
@@ -419,20 +429,23 @@ def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
         lo, hi = job.sweep
         rows = []
         for n in range(lo, hi + 1):
-            sub = Job(f"{job.id}[n={n}]", job.kind,
-                      {**job.payload, "n": n}, None)
+            sub = replace(job, id=f"{job.id}[n={n}]",
+                          payload={**job.payload, "n": n}, sweep=None)
             rows.extend(run_one_job(jf, sub))
         return rows
 
     p = job.payload
     params: dict[str, Any] = {}
     terms: list[dict[str, Any]] = []
+    names: list[str] = []  # the input bundles
     if job.kind == "scala":
         n = p["n"]
         value = euler.chi_taut(jf.surface, n, jf.bundles[p["bundle"]], jf.twist)
         params = {"bundle": p["bundle"], "n": n}
+        names = [p["bundle"]]
     elif job.kind == "euler_two":
-        chars = [jf.bundles[name] for name in p["bundles"]]
+        names = p["bundles"]
+        chars = [jf.bundles[name] for name in names]
         res = euler.chi_taut_product_two(jf.surface, chars, jf.twist)
         value, terms = res.value, _terms_json(res)
         # "brute" stays in the params so that --out keeps its bytes
@@ -443,8 +456,10 @@ def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
                                      [jf.bundles[x] for x in p["target"]])
         value, terms = res.value, _terms_json(res)
         params = {"source": list(p["source"]), "target": list(p["target"])}
+        names = p["source"] + p["target"]
     elif job.kind == "euler_three":
-        e1, e2, e3 = (jf.bundles[x] for x in p["bundles"])
+        names = p["bundles"]
+        e1, e2, e3 = (jf.bundles[x] for x in names)
         res = euler.chi_taut_triple(jf.surface, p["n"], e1, e2, e3, jf.twist)
         value, terms = res.value, _terms_json(res)
         params = {"bundles": list(p["bundles"]), "n": p["n"]}
@@ -453,21 +468,25 @@ def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
                                         p["k"], jf.twist)
         # "swap_variant" stays in the params so that --out keeps its bytes
         params = {"bundle": p["bundle"], "k": p["k"], "swap_variant": "twisted"}
+        names = [p["bundle"]]
     elif job.kind == "h_top":
-        k = p["k"]
-        h2 = {_parse_subset_key(job.id, key, k): v for key, v in p["h2"].items()}
-        value = Fraction(euler.top_cohomology_dim(k, p["n"], h2, p.get("q", 0)))
-        params = {"k": k, "n": p["n"], "q": p.get("q", 0)}
+        value = Fraction(euler.top_cohomology_dim(p["k"], p["n"], job.h2_by_subset,
+                                                  p.get("q", 0)))
+        params = {"k": p["k"], "n": p["n"], "q": p.get("q", 0)}
     elif job.kind == "h0":
         value = Fraction(euler.global_sections_dim(p["h0"], p["n"]))
         params = {"h0": list(p["h0"]), "n": p["n"]}
     elif job.kind == "k0_invariants":
-        chars = [jf.bundles[name] for name in p["bundles"]]
+        names = p["bundles"]
+        chars = [jf.bundles[name] for name in names]
         res = euler.chi_product_invariants(jf.surface, p["n"], chars, jf.twist)
         value, terms = res.value, _terms_json(res)
         params = {"bundles": list(p["bundles"]), "n": p["n"]}
     else:  # pragma: no cover - kinds are validated at parse time
         raise JobFileError(f"job {job.id!r}: unhandled kind {job.kind!r}")
+    if value.denominator != 1 and jf.integral.issuperset(names):
+        raise ArithmeticError(f"value {rational_to_str(value)} is not an integer, "
+                              f"but every input bundle is integral")
     return [ResultRow(job.id, job.kind, params, rational_to_str(value), terms)]
 
 

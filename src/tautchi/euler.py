@@ -7,10 +7,12 @@ each class product is built once as integer coordinates
 (`surface.ClassMultiplier`), and each Euler characteristic is one value of a
 linear form chi(. y) (`surface.chi_functional`) computed once per call.
 Sums over subsets and set partitions are not enumerated: they are graded
-products in the truncated ring and dynamic programs over blocks, polynomial
-in the number of bundles, with one term per grade.  Inputs may be virtual
-(arbitrary rational rank), so objects of the derived category are admissible
-wherever a formula extends additively.  Results carry a term-by-term
+products in the truncated ring, polynomial in the number of bundles, and
+dynamic programs over blocks, with one term per grade.  The block DP of
+`chi_product_invariants` runs over sub-multisets of equal bundles; that of
+`top_cohomology_dim`, whose data are per subset, over bitmasks.  Inputs may
+be virtual (arbitrary rational rank), so objects of the derived category are
+admissible wherever a formula extends additively.  Results carry a term-by-term
 breakdown whose recombined value is checked at construction time; each
 term's product is formed once (`Term.value`).
 
@@ -31,12 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .surface import (ChernCharacter, ClassCoords, ClassMultiplier,
-                      SurfaceModel, ch_sym_cotangent, ch_tangent, chi_functional,
-                      class_coords, dual_coords, gen_binomial, sym_pow_chi,
-                      unit_coords)
+                      SurfaceModel, ch_tangent, chi_functional, class_coords,
+                      dual_coords, gen_binomial, sym_pow_chi, unit_coords)
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,17 @@ def _diag_chis(surface: SurfaceModel, product: ClassCoords,
     squared, each one value of the form chi(. product L^2)."""
     times_twist = ClassMultiplier(twist, surface)
     form = chi_functional(times_twist.times(times_twist.times(product)), surface)
-    return [_apply(form, class_coords(ch_sym_cotangent(m, surface), surface))
-            for m in range(top)]
+    return [_apply(form, _sym_cotangent_coords(m, surface)) for m in range(top)]
+
+
+def _sym_cotangent_coords(m: int, surface: SurfaceModel) -> ClassCoords:
+    """S^m of the cotangent bundle in integer coordinates over the
+    denominator 12: (12(m+1), 6m(m+1) K, m(m+1)(2m+1)(K.K - 2c2) +
+    2m(m+1)(m-1) c2), the closed form of `surface.ch_sym_cotangent`."""
+    m1 = m * (m + 1)
+    return ((12 * (m + 1), *(6 * m1 * x for x in surface.canonical),
+             m1 * (2 * m + 1) * (surface.k_squared - 2 * surface.c2)
+             + 2 * m1 * (m - 1) * surface.c2), 12)
 
 
 def _apply(form: ClassCoords, cls: ClassCoords) -> Fraction:
@@ -214,7 +224,8 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
 
 def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], int],
                 max_blocks: int) -> list[int]:
-    """Set-partition sums graded by the number of blocks.
+    """Set-partition sums graded by the number of blocks, for
+    `chi_product_invariants`.
 
     The elements come in types with multiplicities `mults`; a block is
     described by its composition beta (how many elements of each type it
@@ -225,7 +236,10 @@ def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], int],
     from the remaining multiset mu gives C(mu_i0 - 1, beta_i0 - 1) *
     prod_(i != i0) C(mu_i, beta_i) set partitions per composition.  Weights are
     looked up once, only for blocks of partitions that the sum contains.  The
-    sums of each sub-multiset are formed once, up to max_blocks blocks.
+    sums of each sub-multiset are formed once, up to max_blocks blocks, so
+    the cost follows the number prod (m_i + 1) of sub-multisets: equal
+    bundles cost far less than distinct ones.  `top_cohomology_dim`, whose
+    elements are all distinct, runs its own subset DP over bitmasks instead.
     """
     memo: dict[tuple, list] = {}
     weight = cache(weight)
@@ -446,8 +460,7 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     # and 1 + omega^dual is (4, -2K, K.K).
     times_e = ClassMultiplier(_product_all(surface, source), surface)
     times_f = ClassMultiplier(_product_all(surface, target), surface)
-    cot = [class_coords(ch_sym_cotangent(m, surface), surface)
-           for m in range(max(k, khat))]
+    cot = [_sym_cotangent_coords(m, surface) for m in range(max(k, khat))]
     src = [ClassMultiplier(dual_coords(times_e.times(c)), surface) for c in cot[:k]]
     tgt = [times_f.times(c) for c in cot[:khat]]
     minus_2k = tuple(-2 * x for x in surface.canonical)
@@ -495,7 +508,7 @@ def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
     pair = {(a, b): times[a - 1].times(single[b - 1])
             for (a, b, _) in _TRIPLE_PAIRS}
     full = times[2].times(pair[1, 2])
-    cot_full = ClassMultiplier(ch_sym_cotangent(1, surface), surface).times(full)
+    cot_full = ClassMultiplier(_sym_cotangent_coords(1, surface), surface).times(full)
     times_twist = ClassMultiplier(twist, surface)
     twist_sq = times_twist.times(class_coords(twist, surface))
     chi1, chi2, chi3 = (chi_functional(t, surface) for t in
@@ -529,26 +542,59 @@ def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
     a block, the top cohomology dimension of the corresponding (twisted)
     product on the surface; q is the top cohomology dimension of the twist
     itself.  These are genuine cohomology dimensions, which Riemann-Roch
-    cannot provide, so they are caller-supplied.  The per-subset data admit
-    no grouping into types, so `_block_sums` runs over the k elements as k
-    distinct types: a subset DP with the first element of each block pinned,
-    in integers only.
+    cannot provide, so they are caller-supplied.  Keys naming elements
+    outside 1..k, and the empty key, are never looked up.
+
+    The per-subset data admit no grouping into types, so the sum is a subset
+    DP over bitmasks, in integers only.  Element t is bit k - t, and the
+    weights are read in increasing order of mask, so a missing subset is
+    reported as the first one absent in that order.  The block of the lowest
+    element of a set (its highest bit) is pinned, and the rest of the block
+    runs over the submasks of the other elements.  So every partition is
+    counted once, each mask is one DP state, and the sums of the masks
+    without element 1 are formed bottom-up, then those of the full set: one
+    step per (mask, submask) pair, O(3^k) in all, each graded by the block
+    count up to n.  With n = 1 only the whole set is looked up.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if q < 0:
         raise ValueError("q must be nonnegative")
 
-    def weight(beta: tuple[int, ...]) -> int:
-        key = frozenset(t for t, inside in enumerate(beta, 1) if inside)
+    def lookup(elements: Iterable[int]) -> int:
+        key = frozenset(elements)
         if key not in h2_by_subset:
             raise ValueError(
                 "missing top-cohomology value for subset {"
                 + ",".join(map(str, sorted(key))) + "}")
         return h2_by_subset[key]
 
-    block_sums = _block_sums([1] * k, weight, n)
-    return sum(g * int(sym_pow_chi(n - b, q)) for b, g in enumerate(block_sums))
+    if n == 1:
+        return lookup(range(1, k + 1))
+    subsets: list[tuple[int, ...]] = [()]
+    for t in range(k, 0, -1):
+        subsets += [s + (t,) for s in subsets]
+    weight = [0, *map(lookup, subsets[1:])]
+    full = len(subsets) - 1
+
+    # sums[mask][b - 1]: the sum over the partitions of mask into b blocks.
+    # A mask below the full set is only ever the rest of a pinned block, so
+    # its sums are kept for b <= n - 1.  The empty rest leaves the mask as
+    # one block, out[0].
+    sums: list[list[int]] = [[]]
+    for mask in itertools.chain(range(1, (full + 1) // 2), (full,)):
+        top = 1 << (mask.bit_length() - 1)
+        rest = mask ^ top
+        out = [weight[mask]] + [0] * (min(n, len(subsets[mask])) - 1)
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            w = weight[sub | top]
+            if w:
+                for b, v in enumerate(sums[rest ^ sub], 1):
+                    out[b] += w * v
+        sums.append(out[:n - 1])
+    return sum(g * int(sym_pow_chi(n - b, q)) for b, g in enumerate(out, 1))
 
 
 def global_sections_dim(h0_values: Sequence[int], n: int) -> int:

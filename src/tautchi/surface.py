@@ -223,12 +223,29 @@ class ChernCharacter:
         """Rank 1, integral c1 and ch2 = c1.c1/2: the character of a line
         bundle whose first Chern class lies in the chosen lattice.  The
         last test is 2 ch2 = c.Gc on the integral c."""
-        if self.ch0 != 1 or any(x.denominator != 1 for x in self.ch1.coeffs):
+        if self.ch0 != 1:
             return False
+        c1_square = self._integral_c1_square(surface)
+        return c1_square is not None and 2 * self.ch2 == c1_square
+
+    def is_integral_class(self, surface: SurfaceModel) -> bool:
+        """Integral rank and c1, and c2 = (c1.c1 - 2 ch2)/2 an integer: the
+        class of a (virtual) sheaf whose first Chern class lies in the chosen
+        lattice, so every Euler characteristic built from it is an integer."""
+        c1_square = self._integral_c1_square(surface)
+        if self.ch0.denominator != 1 or c1_square is None:
+            return False
+        twice_c2 = c1_square - 2 * self.ch2
+        return twice_c2.denominator == 1 and twice_c2.numerator % 2 == 0
+
+    def _integral_c1_square(self, surface: SurfaceModel) -> int | None:
+        """c1.c1 = c.Gc on the integral c, or None if c1 is not integral."""
+        if any(x.denominator != 1 for x in self.ch1.coeffs):
+            return None
         if len(self.ch1) != surface.picard_rank:
             raise ValueError("divisor class length does not match picard rank")
         c = tuple(x.numerator for x in self.ch1.coeffs)
-        return 2 * self.ch2 == sum(map(operator.mul, c, _gram_times(surface, c)))
+        return sum(map(operator.mul, c, _gram_times(surface, c)))
 
 
 @dataclass(frozen=True)

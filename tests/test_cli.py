@@ -79,6 +79,125 @@ def test_runtime_error_gives_job_error_exit(tmp_path, capsys):
     assert "ERROR" in captured.out
 
 
+MISSING_H2_ROWS = """[
+  {
+    "id": "t3",
+    "kind": "h_top",
+    "params": {},
+    "terms": [],
+    "value": "ERROR (missing top-cohomology value for subset {3})"
+  },
+  {
+    "id": "t4",
+    "kind": "h_top",
+    "params": {},
+    "terms": [],
+    "value": "ERROR (missing top-cohomology value for subset {2,4})"
+  }
+]
+"""
+
+
+def test_h_top_missing_keys_error_rows(tmp_path, capsys):
+    # the subset named is the first one absent in the order {k}, {k-1},
+    # {k-1,k}, {k-2}, ... in which the weights are read
+    out = tmp_path / "out.json"
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "t3", "kind": "h_top", "k": 3, "n": 2, "h2": {"1,2,3": 1}},
+        {"id": "t4", "kind": "h_top", "k": 4, "n": 3, "q": 1,
+         "h2": {"4": 1, "3": 2, "3,4": 0, "2": 5, "2,3": 1, "1,2,3,4": 2}}]})
+    assert cli.run(path, out=str(out)) == cli.EXIT_JOB_ERROR
+    assert out.read_text() == MISSING_H2_ROWS
+    err = capsys.readouterr().err
+    assert ("error: job 't4' failed: ValueError: missing top-cohomology value "
+            "for subset {2,4}") in err
+
+
+def test_h_top_keys_parsed_once(tmp_path, monkeypatch):
+    keys = [",".join(map(str, s)) for r in range(1, 4)
+            for s in itertools.combinations(range(1, 4), r)]
+    jf = cli.parse_job_file({**BASE, "jobs": [
+        {"id": "t", "kind": "h_top", "k": 3, "n": 2, "q": 1,
+         "h2": dict.fromkeys(keys, 1)},
+        {"id": "sw", "kind": "h_top", "k": 3, "q": 1, "sweep_n": [1, 3],
+         "h2": dict.fromkeys(keys, 1)}]})
+    assert jf.jobs[0].h2_by_subset == {
+        frozenset(map(int, key.split(","))): 1 for key in keys}
+
+    def refuse(*args):
+        raise AssertionError("an h2 key was parsed again at run time")
+
+    monkeypatch.setattr(cli, "_parse_subset_key", refuse)
+    values = [row.value for job in jf.jobs for row in cli.run_one_job(jf, job)]
+    # every block value 1 and q = 1: the partitions of [3] into at most n
+    # blocks, 1 + 3 at n = 2 and 1 + 3 + 1 at n = 3
+    assert values == ["4", "1", "4", "5"]
+
+
+INTEGRALITY_BUNDLES = [
+    {"name": "O1", "rank": 1, "c1": [1], "c2": 0},
+    {"name": "R", "ch": [2, [1], "1/2"]},            # c2 = (1 - 1)/2 = 0
+    {"name": "Neg", "ch": [-1, [2], 5]},             # virtual, c2 = -3
+    {"name": "HalfRank", "ch": ["1/2", [0], 0]},
+    {"name": "HalfC1", "ch": [1, ["1/2"], 0]},
+    {"name": "HalfC2", "rank": 1, "c1": [0], "c2": "1/2"},
+    {"name": "OddCh2", "ch": [1, [0], "1/2"]},       # c2 = -1/2
+]
+
+
+def test_integral_bundles_flagged_once_at_parse(monkeypatch):
+    calls = []
+    flag = cli.ChernCharacter.is_integral_class
+    monkeypatch.setattr(cli.ChernCharacter, "is_integral_class",
+                        lambda ch, surface: calls.append(ch) or flag(ch, surface))
+    jf = cli.parse_job_file({"surface": {"preset": "P2"}, "line_bundle": [1],
+                             "bundles": INTEGRALITY_BUNDLES, "jobs": [
+        {"id": f"s{i}", "kind": "scala", "bundle": b["name"], "n": 2}
+        for i, b in enumerate(INTEGRALITY_BUNDLES)]})
+    assert jf.integral == {"O1", "R", "Neg"}
+    assert len(calls) == len(INTEGRALITY_BUNDLES)
+    for job in jf.jobs:
+        cli.run_one_job(jf, job)
+    assert len(calls) == len(INTEGRALITY_BUNDLES)
+
+
+def half(*args, **kwargs):
+    return Fraction(1, 2)
+
+
+def test_non_integral_value_of_integral_bundles_fails_the_row(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(euler, "chi_taut", half)
+    out = tmp_path / "out.json"
+    path = write_jobs(tmp_path, {"surface": {"preset": "P2"}, "line_bundle": [1],
+                                 "bundles": INTEGRALITY_BUNDLES, "jobs": [
+        {"id": "whole", "kind": "scala", "bundle": "R", "n": 2},
+        {"id": "virtual", "kind": "scala", "bundle": "Neg", "sweep_n": [1, 2]},
+        {"id": "fractional", "kind": "scala", "bundle": "HalfC2", "n": 2}]})
+    assert cli.run(path, out=str(out)) == cli.EXIT_JOB_ERROR
+    rows = {row["id"]: row["value"] for row in json.loads(out.read_text())}
+    cause = "value 1/2 is not an integer, but every input bundle is integral"
+    assert rows == {"whole": f"ERROR ({cause})", "virtual": f"ERROR ({cause})",
+                    "fractional": "1/2"}
+    err = capsys.readouterr().err
+    assert f"error: job 'whole' failed: ArithmeticError: {cause}" in err
+    assert "'fractional'" not in err
+
+
+@pytest.mark.parametrize("names", [["O1", "HalfRank"], ["HalfC1", "R"],
+                                   ["OddCh2", "OddCh2"]])
+def test_fractional_virtual_inputs_exempt_from_integrality(tmp_path, capsys,
+                                                           monkeypatch, names):
+    monkeypatch.setattr(euler, "chi_taut_product_two",
+                        lambda *args: euler.ChiResult(
+                            Fraction(1, 2), (euler.Term("t", Fraction(1, 2), ()),)))
+    path = write_jobs(tmp_path, {"surface": {"preset": "P2"},
+                                 "bundles": INTEGRALITY_BUNDLES, "jobs": [
+        {"id": "two", "kind": "euler_two", "bundles": names}]})
+    assert cli.run(path) == cli.EXIT_OK
+    assert "1/2" in capsys.readouterr().out
+
+
 def test_sweep_rows(tmp_path, capsys):
     doc = {"surface": {"preset": "K3"},
            "bundles": [{"name": "O", "rank": 1, "c1": [0], "c2": 0}],
@@ -348,8 +467,9 @@ def test_sym_power_k_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize("k", [13, 30])
 def test_h_top_k_budget(tmp_path, capsys, k):
-    # one key is a few bytes, but the subset DP would enumerate 2^(k-1)
-    # compositions before using it
+    # one key is a few bytes, and at n = 1 only the whole set is read, but
+    # the budget is on k alone: from n = 2 the subset DP needs all 2^k - 1
+    # keys and O(3^k) steps
     path = write_jobs(tmp_path, {**BASE, "jobs": [
         {"id": "t", "kind": "h_top", "k": k, "n": 1,
          "h2": {",".join(map(str, range(1, k + 1))): 1}}]})

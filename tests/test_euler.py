@@ -1,5 +1,6 @@
 """The Euler characteristic engine against its independent oracles."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -17,7 +18,8 @@ from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_sym_power_two, chi_taut, chi_taut_product_two,
                            chi_taut_triple, global_sections_dim,
                            hom_coeff_pair, top_cohomology_dim)
-from tautchi.surface import ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2
+from tautchi.surface import (ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2,
+                             sym_pow_chi)
 
 P2 = p2()
 K3 = k3()
@@ -255,8 +257,8 @@ def test_hom_pair_fixture():
 
 def test_hom_pair_builds_each_diagonal_class_once(monkeypatch):
     calls = []
-    build = euler.ch_sym_cotangent
-    monkeypatch.setattr(euler, "ch_sym_cotangent",
+    build = euler._sym_cotangent_coords
+    monkeypatch.setattr(euler, "_sym_cotangent_coords",
                         lambda m, surface: calls.append(m) or build(m, surface))
     source = [o_line(P2, [d]) for d in (1, -1, 2, 0)]
     target = [o_line(P2, [d]) for d in (0, 3, -2, 1)]
@@ -350,6 +352,63 @@ def test_top_cohomology_errors_and_zero():
 
 def test_top_cohomology_n1():
     assert top_cohomology_dim(3, 1, {frozenset({1, 2, 3}): 7}, 9) == 7
+
+
+def all_subsets(k):
+    return [frozenset(c) for r in range(1, k + 1)
+            for c in itertools.combinations(range(1, k + 1), r)]
+
+
+def top_cohomology_by_typed_dp(k, n, h2, q):
+    """The typed multiset DP of `k0_invariants` with k types of multiplicity 1."""
+    def weight(beta):
+        return h2[frozenset(t for t, inside in enumerate(beta, 1) if inside)]
+    sums = euler._block_sums([1] * k, weight, n)
+    return sum(g * int(sym_pow_chi(n - b, q)) for b, g in enumerate(sums))
+
+
+def test_top_cohomology_subset_dp_matches_typed_dp_and_enumeration():
+    rng = random.Random(17)
+    for k in range(1, 9):
+        for n in range(1, k + 2):
+            q = rng.randint(0, 3)
+            # zero and negative block values, so that no cancellation hides
+            h2 = {s: rng.choice([0, 0, 1, 2, 5, -1, -3]) for s in all_subsets(k)}
+            got = top_cohomology_dim(k, n, h2, q)
+            assert got == top_cohomology_by_typed_dp(k, n, h2, q)
+            if k <= 6 or n in (2, k):
+                assert got == oracles.top_cohomology_by_enumeration(k, n, h2, q)
+
+
+MISSING_SUBSET = [
+    # (k, n, present keys, the subset the error names)
+    (3, 2, [{1, 2, 3}], "{3}"),
+    (2, 2, [{1}], "{2}"),
+    (2, 2, [{1}, {2}], "{1,2}"),
+    (4, 3, [{4}, {3}, {3, 4}, {2}, {2, 3}, {1, 2, 3, 4}], "{2,4}"),
+    (4, 2, [s for s in all_subsets(4) if s != {1}], "{1}"),
+    (3, 1, [{1}, {2}, {3}], "{1,2,3}"),
+]
+
+
+@pytest.mark.parametrize("k,n,present,named", MISSING_SUBSET)
+def test_top_cohomology_missing_subset_named_in_mask_order(k, n, present, named):
+    # element t is bit k - t, and the first absent subset in increasing mask
+    # order is the one named: {4}, {3}, {3,4}, {2}, {2,4}, ... for k = 4
+    h2 = {frozenset(s): 1 for s in present}
+    with pytest.raises(ValueError) as exc:
+        top_cohomology_dim(k, n, h2, 0)
+    assert str(exc.value) == f"missing top-cohomology value for subset {named}"
+
+
+def test_top_cohomology_ignores_unused_keys():
+    h2 = {frozenset({1}): 1, frozenset({2}): 2, frozenset({1, 2}): 3}
+    # partitions {1}{2} and {12}: 1*2*S^0(1) + 3*S^1(1) = 5
+    assert top_cohomology_dim(2, 2, h2, 1) == 5
+    extra = {**h2, frozenset({5}): 7, frozenset({1, 5}): 4, frozenset({0}): 2,
+             frozenset(): 9}
+    assert top_cohomology_dim(2, 2, extra, 1) == 5
+    assert top_cohomology_dim(2, 1, extra, 1) == 3
 
 
 def test_global_sections_dim():

@@ -15,15 +15,17 @@ from hypothesis import strategies as st
 
 import oracles
 import tautchi
+from tautchi import euler
 from tautchi import surface as surface_module
 from tautchi.euler import (chi_ext_power_two, chi_hom_pair_two,
                            chi_product_invariants, chi_sym_power_two, chi_taut,
                            chi_taut_product_two, chi_taut_triple,
                            global_sections_dim, top_cohomology_dim)
 from tautchi.surface import (ChernCharacter, ClassMultiplier, DivisorClass,
-                             SurfaceModel, ch_coords, ch_dual, ch_tensor,
-                             chi_functional, class_coords, dual_coords, hrr_chi,
-                             k3, p1xp1, p2, scaled_coords, unit_coords)
+                             SurfaceModel, ch_coords, ch_dual, ch_sym_cotangent,
+                             ch_tensor, chi_functional, class_coords,
+                             dual_coords, hrr_chi, k3, p1xp1, p2, scaled_coords,
+                             unit_coords)
 
 # The plane blown up in three points: Pic = Z^4, H^2 = 1, E_i^2 = -1.
 BLOWUP = SurfaceModel("P2-blown-up-3",
@@ -199,6 +201,15 @@ def test_kernel_on_raw_coordinates_matches_fraction_ring(data, m):
         hrr_chi(ch_tensor(z, ch_tensor(x, y, surface), surface), surface)
 
 
+def test_integer_sym_cotangent_matches_fraction_reference():
+    for surface in SURFACES:
+        for m in range(80):
+            coords, den = euler._sym_cotangent_coords(m, surface)
+            assert den == 12 and all(type(v) is int for v in coords)
+            assert (tuple(Fraction(v, den) for v in coords)
+                    == ch_coords(ch_sym_cotangent(m, surface)))
+
+
 def test_raw_coordinates_of_the_wrong_length_rejected():
     with pytest.raises(ValueError, match="picard rank"):
         ClassMultiplier(((1, 0, 0, 0), 1), p2())
@@ -240,7 +251,7 @@ def test_formulas_use_only_the_integer_kernel(monkeypatch):
                    ChernCharacter.make(0, [Fraction(-2, 5)] + [1] * (p - 1),
                                        Fraction(-1, 2)))
         cases.append((surface, line, twist, virtual))
-    for name in ("ch_tensor", "ch_tensor_all", "hrr_chi"):
+    for name in ("ch_tensor", "ch_tensor_all", "hrr_chi", "ch_sym_cotangent"):
         fn = getattr(surface_module, name)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name == "tautchi" or mod_name.startswith("tautchi."):
