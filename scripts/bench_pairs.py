@@ -3,12 +3,13 @@
 Usage (from anywhere):
 
   python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<pr>.json \
-      [--pairs 10] [--seed 1] [--seconds 35] [--workload NAME ...] \
-      [--parent REV] [--change TEXT] [--host TEXT]
+      [--pairs 10] [--seed 1] [--workload NAME ...] \
+      [--parent REV] [--change TEXT]
 
 For each workload, each checkout's own `perfbench/run.py` runs --pairs times
-at --trace 0, the two sides alternating: the parent runs first in even
-pairs, the change in odd ones.  The output file has one entry per workload
+at --trace 0 for the benchmark's own run length, the two sides alternating:
+the parent runs first in even pairs, the change in odd ones.  The workloads
+are those that CHANGE_DIR's `perfbench/workloads.py` defines.  The output file has one entry per workload
 with each end-to-end metric's inclusive quartiles on both sides, the number
 of pairs whose change run reads lower (ties count for neither side), and
 whether every run reported "correct": true.  Nothing under either
@@ -18,6 +19,7 @@ checkout's `perfbench/` is changed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -25,9 +27,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-WORKLOADS = ("small-batch", "big-sums", "verify-invariants")
-
 
 def quartiles(values: list[float]) -> dict[str, float]:
     """Inclusive quartiles, rounded to 4 decimals."""
@@ -60,10 +59,24 @@ def summarize(workload: str, seed: int, pairs: list[tuple[dict, dict]]) -> dict:
             "metrics": metrics}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def workload_names(checkout: Path) -> list[str]:
+    """The workloads that a checkout's `perfbench/workloads.py` defines."""
+    name = "bench_pairs_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, checkout / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return list(module.WORKLOADS)
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in a checkout; returns its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           stdin=subprocess.DEVNULL)
     lines = proc.stdout.splitlines()
@@ -94,29 +107,31 @@ def main(argv: list[str] | None = None) -> int:
                         help="the BENCH_<pr>.json file to write")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+    parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload")
     parser.add_argument("--parent", default="", help="the parent's revision")
     parser.add_argument("--change", default="", help="what the change does")
-    parser.add_argument("--host", default=None,
-                        help="the host, if not read from this machine")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     for checkout in (args.parent_dir, args.change_dir):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py in {checkout}")
+    known = workload_names(args.change_dir)
+    unknown = sorted(set(args.workload or ()) - set(known))
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                     f"{args.change_dir} defines {', '.join(known)}")
 
     results = []
-    for workload in args.workload or WORKLOADS:
+    for workload in args.workload or known:
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}
             for side in order:
                 checkout = args.parent_dir if side == "parent" else args.change_dir
-                got[side] = run_once(checkout, workload, args.seed, args.seconds)
+                got[side] = run_once(checkout, workload, args.seed)
             pairs.append((got["parent"], got["change"]))
             print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
         results.append(summarize(workload, args.seed, pairs))
@@ -125,13 +140,13 @@ def main(argv: list[str] | None = None) -> int:
         "change": args.change,
         "parent": args.parent,
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--trace 0",
         "method": f"{args.pairs} alternating parent/change pairs per workload at "
                   f"seed {args.seed} (the parent runs first in even pairs), each "
                   f"side in its own copy; quartiles are the inclusive method; "
                   f"change_lower_pairs counts the pairs whose change run reads "
                   f"lower",
-        "host": args.host or host_description(),
+        "host": host_description(),
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

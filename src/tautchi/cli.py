@@ -176,7 +176,7 @@ class JobFile:
     jobs: tuple[Job, ...]
     # The names of the bundles whose classes are integral (the twist always
     # is): a job on these alone must have an integral value.
-    integral: frozenset[str] = frozenset()
+    integral: frozenset[str]
 
 
 @dataclass
@@ -470,6 +470,9 @@ def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
         params = {"bundle": p["bundle"], "k": p["k"], "swap_variant": "twisted"}
         names = [p["bundle"]]
     elif job.kind == "h_top":
+        if job.h2_by_subset is None:
+            raise JobFileError(f"job {job.id!r}: h_top job has no parsed h2 values "
+                               f"(run it through validate_job first)")
         value = Fraction(euler.top_cohomology_dim(p["k"], p["n"], job.h2_by_subset,
                                                   p.get("q", 0)))
         params = {"k": p["k"], "n": p["n"], "q": p.get("q", 0)}

@@ -3,6 +3,7 @@ benchmark process is started."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +59,9 @@ def test_summary_flags_an_incorrect_run_and_skips_metrics_one_side_lacks():
     assert entry["all_correct"] is False
     assert list(entry["metrics"]) == ["wall_s"]
     assert entry["metrics"]["wall_s"]["change_lower_pairs"] == 2
+
+
+def test_workload_names_come_from_the_checkouts_perfbench():
+    names = bench_pairs.workload_names(ROOT)
+    assert names[:3] == ["small-batch", "big-sums", "verify-invariants"]
+    assert "bench_pairs_workloads" not in sys.modules

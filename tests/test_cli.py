@@ -134,6 +134,17 @@ def test_h_top_keys_parsed_once(tmp_path, monkeypatch):
     assert values == ["4", "1", "4", "5"]
 
 
+def test_hand_built_job_objects_fail_loudly():
+    jf = cli.parse_job_file({**BASE, "jobs": [
+        {"id": "t", "kind": "h_top", "k": 1, "n": 1, "h2": {"1": 2}}]})
+    unparsed = cli.Job("t", "h_top", jf.jobs[0].payload)
+    with pytest.raises(cli.JobFileError, match="no parsed h2 values"):
+        cli.run_one_job(jf, unparsed)
+    # the integrality flags have no default that would turn the guard off
+    with pytest.raises(TypeError):
+        cli.JobFile(jf.surface, jf.bundles, jf.twist, jf.jobs)
+
+
 INTEGRALITY_BUNDLES = [
     {"name": "O1", "rank": 1, "c1": [1], "c2": 0},
     {"name": "R", "ch": [2, [1], "1/2"]},            # c2 = (1 - 1)/2 = 0
