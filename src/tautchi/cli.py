@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from json.encoder import encode_basestring_ascii
+from math import comb, prod
 from typing import Any, Sequence
 
 from . import euler
@@ -44,21 +45,25 @@ SYM_POWER_MAX_K = 1000
 # k = 12 at n = 12 takes 35-60 ms and k = 13 takes 0.11-0.19 s (same host).
 H_TOP_MAX_K = 12
 
-# Budget of a `k0_invariants` job, in distinct bundle classes.  Its set
-# partition DP over the types of equal bundles grows x3.2-3.4 per distinct
-# class: O(1)...O(k) on P2 at n = k takes 0.45 s at k = 12 and 1.4 s at
-# k = 13 (same host).
-K0_DISTINCT_MAX_TYPES = 12
+# Budget of a `k0_invariants` job, in states of its set-partition DP over
+# the types of equal bundles: prod (m_i + 1) over the multiplicities m_i of
+# the distinct bundle classes.  2^12 keeps 12 distinct classes: O(1)...O(12)
+# on P2 at n = 12 takes 0.51 s.  At the same count repeated classes cost more,
+# since each state sums over its own sub-multisets: 6 classes of 3 copies at
+# n = 18 take 1.1 s, 4 of 7 at n = 28 3.0 s and 3 of 15 at n = 45 8.0 s (same
+# host).
+K0_MAX_STATES = 4096
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
 # k_max): k = 7 takes 1.2 s, k = 8 5.2 s, k = 9 28 s and k = 10 3.3 min with
 # a 263 MB peak (same host).
 VERIFY_MAX_K = 10
 
-# Canonical positive decimals: no sign, blank, underscore or leading zero.
-_DECIMAL = r"[1-9][0-9]*"
-POSITIVE_DECIMAL = re.compile(_DECIMAL)
-SUBSET_KEY = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*")
+
+def is_positive_decimal(text: str) -> bool:
+    """A canonical positive decimal: ASCII digits only, without sign, blank,
+    underscore or leading zero."""
+    return text.isascii() and text.isdigit() and text[0] != "0"
 
 
 class JobFileError(ValueError):
@@ -376,11 +381,13 @@ def validate_job(jf: JobFile, job: Job) -> Job:
         else:
             _check_sweep_min(jid, job.sweep, len(h0))
     elif job.kind == "k0_invariants":
-        types = len(set(_resolve(jf, jid, p.get("bundles"), "bundles")))
-        if types > K0_DISTINCT_MAX_TYPES:
-            raise JobFileError(f"job {jid!r}: {types} distinct bundle classes "
-                               f"exceed the k0_invariants budget of "
-                               f"{K0_DISTINCT_MAX_TYPES}")
+        mults = Counter(_resolve(jf, jid, p.get("bundles"), "bundles")).values()
+        states = prod(m + 1 for m in mults)
+        if states > K0_MAX_STATES:
+            raise JobFileError(f"job {jid!r}: {states} DP states (the product of "
+                               f"multiplicity + 1 over {len(mults)} distinct "
+                               f"bundle classes) exceed the k0_invariants "
+                               f"budget of {K0_MAX_STATES}")
         if job.sweep is None:
             _need_int(jid, p, "n", 1)
         else:
@@ -401,11 +408,12 @@ def _verify_budget_message(k_max: int) -> str:
 
 
 def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
-    if not SUBSET_KEY.fullmatch(key):
+    texts = key.split(",")
+    if not all(map(is_positive_decimal, texts)):
         raise JobFileError(f"job {jid!r}: bad subset key {key!r} (expected "
                            f"comma-joined positive integers without signs, "
                            f"blanks or leading zeros)")
-    parts = [int(x) for x in key.split(",")]
+    parts = [int(x) for x in texts]
     if any(x < 1 or x > k for x in parts):
         raise JobFileError(f"job {jid!r}: subset key {key!r} out of range 1..{k}")
     if len(set(parts)) != len(parts):
@@ -592,9 +600,82 @@ def render_table(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines)
 
 
+def dumps_indented(value: Any) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    Any indent sends json.dumps to its pure-Python encoder, so this walks the
+    containers itself and encodes each string with json's own C-accelerated
+    ASCII escaper; other scalars go through json.dumps, which encodes them
+    alone with the C encoder.
+    """
+    out: list[str] = []
+    append = out.append
+    encode = encode_basestring_ascii
+
+    def walk(item: Any, pad: str) -> None:
+        kind = type(item)
+        if kind is str:
+            append(encode(item))
+        elif kind is int:
+            append(int.__repr__(item))
+        elif kind is dict:
+            walk_dict(item, pad)
+        elif kind is list:
+            walk_list(item, pad)
+        elif isinstance(item, str):
+            append(encode(item))
+        elif isinstance(item, dict):
+            walk_dict(item, pad)
+        elif isinstance(item, (list, tuple)):
+            walk_list(item, pad)
+        else:  # bool, None, float, int subclasses; TypeError for the rest
+            append(json.dumps(item))
+
+    def walk_dict(item: dict, pad: str) -> None:
+        if not item:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, element in sorted(item.items()):
+            if type(key) is not str:
+                key = _json_key(key)
+            append(sep + encode(key) + ": ")
+            walk(element, inner)
+            sep = ",\n" + inner
+        append("\n" + pad + "}")
+
+    def walk_list(item: list | tuple, pad: str) -> None:
+        if not item:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(element) is str for element in item):
+            append("[\n" + inner + sep.join(map(encode, item)) + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for element in item:
+            append(sep)
+            walk(element, inner)
+            sep = ",\n" + inner
+        append("\n" + pad + "]")
+
+    walk(value, "")
+    return "".join(out)
+
+
+def _json_key(key: Any) -> str:
+    """json's coercion of a non-string object key: 1 -> "1", None -> "null"."""
+    if not (key is None or isinstance(key, (int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return json.dumps(key)
+
+
 def write_rows(path: str, rows: Sequence[ResultRow]) -> None:
     """Write the rows as the JSON array of `--out`."""
-    payload = json.dumps([r.to_json() for r in rows], sort_keys=True, indent=2)
+    payload = dumps_indented([r.to_json() for r in rows])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload + "\n")
 
@@ -666,7 +747,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.verify is not None:
         spec = args.verify.removeprefix("k=")
-        if not POSITIVE_DECIMAL.fullmatch(spec):
+        if not is_positive_decimal(spec):
             print(f"error: --verify expects k=<positive integer>, got "
                   f"{args.verify!r}", file=sys.stderr)
             return EXIT_BAD_INPUT

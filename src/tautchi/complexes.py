@@ -25,10 +25,19 @@ from interchanging the two values, with the sign (-1)^(i-1) in degree i >= 0
 and (-1)^(ell-1) in degree -1.  Invariant dimensions are computed by two
 independent methods, the character average over cycle types and the fixed
 space of generators, that are asserted to agree; neither runs over the k!
-slot permutations.  No formula uses this module: it is the verification
-layer, loaded only by the tests, `--verify` and `verify_complexes` jobs.  The
-closed forms `surviving_count` and `diagonal_multiplicity` of `euler` are
-bound here under their names and checked against the invariant counts.
+slot permutations.  The character average reads each class
+representative's trace off its cycle lengths (`class_trace`); only the
+generators' matrices are formed.
+
+The builder lists each basis support by support, so a label's position is
+an integer offset from its support, its value bits and its wedge index, and
+the differentials are filled from tables formed once per support and freed
+element, without looking up labels.
+
+No formula uses this module: it is the verification layer, loaded only by
+the tests, `--verify` and `verify_complexes` jobs.  The closed forms
+`surviving_count` and `diagonal_multiplicity` of `euler` are bound here
+under their names and checked against the invariant counts.
 
 All matrices are sparse with exact integer or rational entries; ranks are
 computed by fraction-free elimination.
@@ -297,49 +306,95 @@ def _wedge_indices(ell: int, size: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, size), ell - 1))
 
 
+def _degree_layout(k: int, ell: int, i: int
+                   ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The supports and the wedge indices of degree i >= 0, in basis order."""
+    return (list(itertools.combinations(range(1, k + 1), ell + i)),
+            _wedge_indices(ell, ell + i))
+
+
 def build_complex(k: int, ell: int) -> ChainComplexQ:
-    """Construct the full complex with its differentials."""
+    """Construct the full complex with its differentials.
+
+    The degree-i basis runs over the supports M in lexicographic order, then
+    over the values a on the complement in product order, then over the wedge
+    indices T.  Reading a - 1 as binary digits, first slot highest, gives the
+    value index of a, so the position of (M; a; T) is
+
+        support_index(M) * 2^free * n_wedge + value_index(a) * n_wedge
+            + wedge_index(T),    free = k - ell - i,
+
+    and degree -1 lists the maps a by their value index alone.  The
+    differentials find their rows by this arithmetic, not by label lookups.
+    Everything but the values depends only on a support N and the freed
+    element m (M = N + {m}, the position sign of m in M and the wedge images,
+    which depend on the position of m alone), so that is formed once per
+    pair; the values then contribute one bit each: b is a with the bit of m
+    deleted, and that bit gives the sign of the freed value.
+    """
     if not (1 <= ell <= k):
         raise ValueError("need 1 <= ell <= k")
-    universe = list(range(1, k + 1))
+    universe = range(1, k + 1)
+    top = k - ell
+    supports, wedges = zip(*(_degree_layout(k, ell, i) for i in range(top + 1)))
     basis: dict[int, list[DegreeLabel]] = {
-        -1: [a for a in itertools.product((1, 2), repeat=k)]}
-    for i in range(0, k - ell + 1):
-        labels = []
-        for m_set in itertools.combinations(universe, ell + i):
-            comp = [t for t in universe if t not in m_set]
-            for a in itertools.product((1, 2), repeat=len(comp)):
-                for wedge in _wedge_indices(ell, ell + i):
-                    labels.append((m_set, a, wedge))
-        basis[i] = labels
+        -1: list(itertools.product((1, 2), repeat=k))}
+    for i in range(top + 1):
+        values = list(itertools.product((1, 2), repeat=top - i))
+        basis[i] = [(m_set, a, wedge) for m_set in supports[i]
+                    for a in values for wedge in wedges[i]]
     index = {d: {lab: p for p, lab in enumerate(labs)} for d, labs in basis.items()}
 
     # Each (row, column) pair below is written once: the columns' images
     # under distinct supports M, and under distinct wedge terms, are distinct.
     diffs: dict[int, SparseRationalMatrix] = {}
-    # degree -1: signed sum over all extensions across M
-    rows: list[dict[int, int]] = [{} for _ in basis[0]]
-    target = index[0]
-    top_wedge = tuple(range(1, ell))
-    for col, a in enumerate(basis[-1]):
-        for m_set in itertools.combinations(universe, ell):
-            comp = [t for t in universe if t not in m_set]
-            rest = tuple(a[t - 1] for t in comp)
-            sgn = -1 if sum(1 for t in m_set if a[t - 1] == 2) % 2 else 1
-            rows[target[(m_set, rest, top_wedge)]][col] = sgn
+    # degree -1: row (M; r) holds the signed sum over all extensions of r
+    # across M.  Slot t carries the bit 2^(k-t) of a column index; the
+    # extensions' bits and signs are the same for every r.
+    rows: list[dict[int, int]] = []
+    for m_set in supports[0]:
+        rest_bits = [0]
+        extensions = [(0, 1)]
+        for t in universe:
+            bit = 1 << (k - t)
+            if t in m_set:
+                extensions = [(x + y, s * u) for x, s in extensions
+                              for y, u in ((0, 1), (bit, -1))]
+            else:
+                rest_bits = [x + y for x in rest_bits for y in (0, bit)]
+        rows.extend({r + x: s for x, s in extensions} for r in rest_bits)
     diffs[-1] = SparseRationalMatrix.from_row_list(rows, len(basis[-1]))
 
-    for i in range(0, k - ell):
+    for i in range(top):
+        free = top - i
+        n_vals, n_wedge, n_wedge2 = 1 << free, len(wedges[i]), len(wedges[i + 1])
+        support_index = {m_set: p for p, m_set in enumerate(supports[i + 1])}
+        wedge_index = {wedge: p for p, wedge in enumerate(wedges[i + 1])}
+        # by the position h of m in M: for a freed value 1 and for 2, the
+        # entries (wedge index of the column, wedge index of the row, value)
+        by_position: dict[int, tuple[list, list]] = {}
         rows = [{} for _ in basis[i + 1]]
-        target = index[i + 1]
-        for col, (n_set, a, wedge) in enumerate(basis[i]):
-            comp_n = [t for t in universe if t not in n_set]
-            for pos, m in enumerate(comp_n):
+        for sn, n_set in enumerate(supports[i]):
+            comp = [t for t in universe if t not in n_set]
+            col0 = sn * n_vals * n_wedge
+            for pos, m in enumerate(comp):
                 m_set = tuple(sorted(n_set + (m,)))
-                b = tuple(v for t, v in zip(comp_n, a) if t != m)
-                sgn = position_sign(m, m_set) * (1 if a[pos] == 1 else -1)
-                for wedge2, coeff in _inclusion_wedge(m_set, m, wedge):
-                    rows[target[(m_set, b, wedge2)]][col] = sgn * coeff
+                h = m_set.index(m)
+                entries = by_position.get(h)
+                if entries is None:
+                    sgn = position_sign(m, m_set)
+                    one = [(w, wedge_index[wedge2], sgn * coeff)
+                           for w, wedge in enumerate(wedges[i])
+                           for wedge2, coeff in _inclusion_wedge(m_set, m, wedge)]
+                    entries = by_position[h] = (one, [(w, w2, -v) for w, w2, v in one])
+                row0 = support_index[m_set] * (n_vals >> 1) * n_wedge2
+                shift = free - 1 - pos  # the bit of m's value in a value index
+                low = (1 << shift) - 1
+                for v in range(n_vals):
+                    rbase = row0 + ((v >> (shift + 1) << shift) | (v & low)) * n_wedge2
+                    cbase = col0 + v * n_wedge
+                    for w, w2, val in entries[v >> shift & 1]:
+                        rows[rbase + w2][cbase + w] = val
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
     return ChainComplexQ(k, ell, basis, index, diffs)
 
@@ -468,45 +523,59 @@ def _wedge_of_map(cols: list[dict[int, int]], wedge: tuple[int, ...]
     return terms
 
 
+def _value_index_map(order: Sequence[int]) -> list[int]:
+    """For the values a_j = b[order[j]], the value index of a at each value
+    index of b (first value highest, as in the bases of `build_complex`)."""
+    free = len(order)
+    weights = [0] * free
+    for j, p in enumerate(order):
+        weights[p] = 1 << (free - 1 - j)
+    table = [0]
+    for weight in weights:
+        table = [x + y for x in table for y in (0, weight)]
+    return table
+
+
 def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
                        ) -> SparseRationalMatrix:
-    """Matrix of a permutation of the k slots acting in the given degree."""
+    """Matrix of a permutation of the k slots acting in the given degree.
+
+    Rows are found by the integer offsets of `build_complex`'s basis layout.
+    """
     if perm.degree != cx.k:
         raise ValueError("permutation degree must equal k")
-    labels = cx.basis[degree]
-    idx = cx.index[degree]
-    rows: list[dict[int, int]] = [{} for _ in labels]
+    dim = cx.dim(degree)
     inv = perm.inverse()
     universe = range(1, cx.k + 1)
     if degree == -1:
         # (g.s)(a) = s(a o g): the component at a o g^{-1} reads off column a
-        order = [inv(t) - 1 for t in universe]
-        for col, a in enumerate(labels):
-            rows[idx[tuple(a[p] for p in order)]][col] = 1
-        return SparseRationalMatrix.from_row_list(rows, len(labels))
+        moved = _value_index_map([inv(t) - 1 for t in universe])
+        return SparseRationalMatrix(dim, dim, {moved[v]: {v: 1} for v in range(dim)})
     # Everything but the value map depends only on the support N: its image
     # M, the reordering of the values onto the complement of M, the sign and
     # the wedge images.  Compute them once per support, not once per column.
     # A column's entries have distinct wedge images, so each is written once.
-    per_support: dict[tuple[int, ...], tuple] = {}
-    for col, (n_set, b, wedge) in enumerate(labels):
-        support = per_support.get(n_set)
-        if support is None:
-            m_set = tuple(sorted(perm(t) for t in n_set))
-            comp_n = [t for t in universe if t not in n_set]
-            order = [comp_n.index(inv(t)) for t in universe if t not in m_set]
-            e = sign_on_subset(perm, n_set)
-            cols = _difference_rep_matrix(perm, n_set, m_set)
-            support = per_support[n_set] = (m_set, order, e, cols, {})
-        m_set, order, e, cols, images = support
-        image = images.get(wedge)
-        if image is None:
-            image = images[wedge] = [(wedge2, e * coeff) for wedge2, coeff
-                                     in _wedge_of_map(cols, wedge).items()]
-        a = tuple(b[p] for p in order)
-        for wedge2, v in image:
-            rows[idx[(m_set, a, wedge2)]][col] = v
-    return SparseRationalMatrix.from_row_list(rows, len(labels))
+    supports, wedges = _degree_layout(cx.k, cx.ell, degree)
+    support_index = {m_set: p for p, m_set in enumerate(supports)}
+    wedge_index = {wedge: p for p, wedge in enumerate(wedges)}
+    n_vals, n_wedge = 1 << (cx.k - cx.ell - degree), len(wedges)
+    block = n_vals * n_wedge
+    rows: list[dict[int, int]] = [{} for _ in range(dim)]
+    for sn, n_set in enumerate(supports):
+        m_set = tuple(sorted(perm(t) for t in n_set))
+        comp_n = [t for t in universe if t not in n_set]
+        moved = _value_index_map([comp_n.index(inv(t)) for t in universe
+                                  if t not in m_set])
+        e = sign_on_subset(perm, n_set)
+        cols = _difference_rep_matrix(perm, n_set, m_set)
+        entries = [(w, wedge_index[wedge2], e * coeff) for w, wedge in enumerate(wedges)
+                   for wedge2, coeff in _wedge_of_map(cols, wedge).items()]
+        row0, col0 = support_index[m_set] * block, sn * block
+        for v in range(n_vals):
+            rbase, cbase = row0 + moved[v] * n_wedge, col0 + v * n_wedge
+            for w, w2, val in entries:
+                rows[rbase + w2][cbase + w] = val
+    return SparseRationalMatrix.from_row_list(rows, dim)
 
 
 def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
@@ -527,6 +596,76 @@ def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
     return SparseRationalMatrix.from_row_list(rows, len(labels))
 
 
+def _cycle_lengths(perm: Permutation) -> list[int]:
+    images = perm.images
+    seen: set[int] = set()
+    lengths = []
+    for start in range(1, perm.degree + 1):
+        t, length = start, 0
+        while t not in seen:
+            seen.add(t)
+            t, length = images[t - 1], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _wedge_trace(lengths: Iterable[int], j: int) -> int:
+    """tr of the j-th exterior power of a permutation with the given cycle
+    lengths on the difference representation.  The permutation
+    representation is that one plus the trivial one, so
+    sum_j tr(Lambda^j) t^j = prod_c (1 - (-t)^len(c)) / (1 + t)."""
+    poly = [1]
+    for length in lengths:
+        shifted = [0] * length + [-(-1) ** length * c for c in poly]
+        poly = [a + b for a, b in itertools.zip_longest(poly, shifted, fillvalue=0)]
+    quotient = [0]
+    for c in poly[:-1]:
+        quotient.append(c - quotient[-1])
+    return quotient[j + 1] if j + 1 < len(quotient) else 0
+
+
+def class_trace(cx: ChainComplexQ, perm: Permutation, degree: int,
+                slot_character: str = "trivial", swap: bool = False) -> int:
+    """chi(perm) tr(g), or chi(perm) tr(swap g) with swap, for the slot action
+    g of perm in a degree, from the cycle lengths of perm, without a matrix.
+
+    In degree -1, g sends a to a o perm^-1: it fixes the maps constant on
+    each cycle, and swap g fixes those that alternate along each cycle
+    (2^cycles of them if every cycle has even length, else none).  In degree
+    i >= 0, (N; b; T) has a diagonal entry only if perm(N) = N, so N is a
+    union of cycles; then the value count on the complement is the same
+    count for its cycles, and the wedge factor contributes the sign of perm
+    on N, (-1)^(|N| - cycles in N), times tr Lambda^(ell-1) on the
+    difference representation of N.  The swap's scalar and chi(perm)
+    multiply in.
+    """
+    lengths = _cycle_lengths(perm)
+    if degree == -1:
+        splits = [((), lengths)]
+        scalar = -1 if (cx.ell - 1) % 2 else 1
+    else:
+        size = cx.ell + degree
+        splits = []
+        for r in range(1, len(lengths) + 1):
+            for chosen in itertools.combinations(range(len(lengths)), r):
+                if sum(lengths[c] for c in chosen) == size:
+                    splits.append(([lengths[c] for c in chosen],
+                                   [x for c, x in enumerate(lengths) if c not in chosen]))
+        scalar = -1 if (degree - 1) % 2 else 1
+    total = 0
+    for inside, rest in splits:
+        if swap and any(x % 2 for x in rest):
+            continue
+        term = 2 ** len(rest)
+        if degree >= 0:
+            term *= (-1) ** (size - len(inside)) * _wedge_trace(inside, cx.ell - 1)
+        total += term
+    if swap:
+        total *= scalar
+    return total * perm.sign() if slot_character == "sign" else total
+
+
 def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
                         slot_character: str = "trivial") -> int:
     """Dimension of the invariant subspace in a degree, for group one of
@@ -534,8 +673,9 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
 
     The slot factor may be twisted by its sign character.  Computed twice:
     as the character average over cycle types (one class representative g
-    per cycle type, weighted by its class size; the swap commutes with the
-    slot action, so tr(swap g) is a class function as well), and as the
+    per cycle type, weighted by its class size, with tr(g) and tr(swap g)
+    from `class_trace`; the swap commutes with the slot action, so
+    tr(swap g) is a class function as well), and as the
     fixed space of generators (the kernel of the stacked blocks g - I for
     the transposition (1 2), the long cycle and the swap); the two results
     are asserted equal.  Neither enumerates the k! slot permutations.
@@ -556,17 +696,14 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
         order, gens = 2, [swap_mat]
         trace_sum = dim + swap_mat.trace()
     else:
-        # (1 2) and the long cycle are class representatives too: build once
-        gen_mats = {g: twisted(g) for g in generators(cx.k)}
         order, trace_sum = factorial(cx.k), 0
         for ct in cycle_types(cx.k):
             rep = class_representative(ct)
-            mat = gen_mats[rep] if rep in gen_mats else twisted(rep)
-            tr = mat.trace()
+            tr = class_trace(cx, rep, degree, slot_character)
             if swap_mat is not None:
-                tr += swap_mat.trace_of_product(mat)
+                tr += class_trace(cx, rep, degree, slot_character, swap=True)
             trace_sum += class_size(ct) * tr
-        gens = list(gen_mats.values())
+        gens = [twisted(g) for g in generators(cx.k)]
         if swap_mat is not None:
             order *= 2
             gens.append(swap_mat)

@@ -4,6 +4,8 @@ triple-product formula, the triple-product and Hom-pair breakdowns with one
 Riemann-Roch evaluation of a freshly built class per factor (which
 `tautchi.euler` replaces by class products built once and linear forms),
 the dense double sum that the sparse `SurfaceModel.pair` replaces, the
+label-by-label complex builder and slot action that the table-driven
+`tautchi.complexes.build_complex` and `slot_action_matrix` replace, the
 k!-element projector count that `tautchi.complexes.group_invariant_dim`
 replaces, a dense Fraction rank for `SparseRationalMatrix.rank`, the
 label-by-label count that the factor-by-factor
@@ -30,15 +32,18 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from tautchi.complexes import (SparseRationalMatrix, slot_action_matrix,
-                               swap_action_matrix)
+from tautchi.complexes import (ChainComplexQ, SparseRationalMatrix,
+                               _difference_rep_matrix, _inclusion_wedge,
+                               _wedge_indices, _wedge_of_map,
+                               slot_action_matrix, swap_action_matrix)
 from tautchi.euler import (ChiResult, Term, hom_coeff_left, hom_coeff_pair,
                           hom_coeff_right)
 from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_hom,
                              ch_sym_cotangent, ch_tangent, ch_tensor,
                              ch_tensor_all, gen_binomial, hrr_chi, sym_pow_chi)
-from tautchi.symgroup import (Permutation, generators, product_orbit_reps,
-                              set_partitions, subset_key)
+from tautchi.symgroup import (Permutation, generators, position_sign,
+                              product_orbit_reps, set_partitions,
+                              sign_on_subset, subset_key)
 
 
 def _twisted_chi(surface, chars, twist):
@@ -247,6 +252,75 @@ def projector_invariant_dim(cx, degree, group, slot_character="trivial"):
     by_trace = trace_sum // len(mats)
     assert by_trace == acc.rank()
     return by_trace
+
+
+def build_complex_by_labels(k, ell):
+    """The (k, ell) complex built column by column: for every basis label and
+    every freed element, the target label (M; b; T') is formed and looked up
+    in the index, with its sign and wedge images computed afresh.  The
+    reference for `tautchi.complexes.build_complex`, which fills the same
+    entries from per-support tables and integer offsets."""
+    universe = list(range(1, k + 1))
+    basis = {-1: list(itertools.product((1, 2), repeat=k))}
+    for i in range(0, k - ell + 1):
+        labels = []
+        for m_set in itertools.combinations(universe, ell + i):
+            comp = [t for t in universe if t not in m_set]
+            for a in itertools.product((1, 2), repeat=len(comp)):
+                for wedge in _wedge_indices(ell, ell + i):
+                    labels.append((m_set, a, wedge))
+        basis[i] = labels
+    index = {d: {lab: p for p, lab in enumerate(labs)} for d, labs in basis.items()}
+
+    diffs = {}
+    rows = [{} for _ in basis[0]]
+    target = index[0]
+    top_wedge = tuple(range(1, ell))
+    for col, a in enumerate(basis[-1]):
+        for m_set in itertools.combinations(universe, ell):
+            comp = [t for t in universe if t not in m_set]
+            rest = tuple(a[t - 1] for t in comp)
+            sgn = -1 if sum(1 for t in m_set if a[t - 1] == 2) % 2 else 1
+            rows[target[(m_set, rest, top_wedge)]][col] = sgn
+    diffs[-1] = SparseRationalMatrix.from_row_list(rows, len(basis[-1]))
+
+    for i in range(0, k - ell):
+        rows = [{} for _ in basis[i + 1]]
+        target = index[i + 1]
+        for col, (n_set, a, wedge) in enumerate(basis[i]):
+            comp_n = [t for t in universe if t not in n_set]
+            for pos, m in enumerate(comp_n):
+                m_set = tuple(sorted(n_set + (m,)))
+                b = tuple(v for t, v in zip(comp_n, a) if t != m)
+                sgn = position_sign(m, m_set) * (1 if a[pos] == 1 else -1)
+                for wedge2, coeff in _inclusion_wedge(m_set, m, wedge):
+                    rows[target[(m_set, b, wedge2)]][col] = sgn * coeff
+        diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
+    return ChainComplexQ(k, ell, basis, index, diffs)
+
+
+def slot_action_matrix_by_labels(cx, perm, degree):
+    """The slot action of perm in a degree, column by column: each image
+    label (M; a; T') is formed and looked up in `cx.index`.  The reference
+    for `tautchi.complexes.slot_action_matrix`, which finds rows by offsets."""
+    labels = cx.basis[degree]
+    idx = cx.index[degree]
+    rows = [{} for _ in labels]
+    inv = perm.inverse()
+    universe = range(1, cx.k + 1)
+    for col, label in enumerate(labels):
+        if degree == -1:
+            rows[idx[tuple(label[inv(t) - 1] for t in universe)]][col] = 1
+            continue
+        n_set, b, wedge = label
+        m_set = tuple(sorted(perm(t) for t in n_set))
+        comp_n = [t for t in universe if t not in n_set]
+        a = tuple(b[comp_n.index(inv(t))] for t in universe if t not in m_set)
+        e = sign_on_subset(perm, n_set)
+        cols = _difference_rep_matrix(perm, n_set, m_set)
+        for wedge2, coeff in _wedge_of_map(cols, wedge).items():
+            rows[idx[(m_set, a, wedge2)]][col] = e * coeff
+    return SparseRationalMatrix.from_row_list(rows, len(labels))
 
 
 def enumerated_dim_by_labels(k, ell, i):

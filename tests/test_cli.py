@@ -2,12 +2,15 @@
 
 import itertools
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautchi import cli, complexes, euler
 
@@ -273,6 +276,64 @@ def test_sample_jobs_out_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (REPO / "tests" / "data" / "sample_jobs.out.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["sample_jobs.out.json", "verify_k5.out.json",
+                                  "verify_k8.out.json"])
+def test_writer_matches_json_dumps_on_golden_outputs(name):
+    text = (REPO / "tests" / "data" / name).read_text(encoding="utf-8")
+    rows = json.loads(text)
+    assert cli.dumps_indented(rows) + "\n" == text
+    assert cli.dumps_indented(rows) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+JSON_TEXT = st.text(st.characters(codec=None, exclude_categories=()))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | JSON_TEXT | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2603",
+                                               "\U0001f600", "\ud800", '"\\/']))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=25)
+RESULT_ROWS = st.builds(
+    cli.ResultRow, id=JSON_TEXT, kind=JSON_TEXT,
+    params=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4), value=JSON_TEXT,
+    terms=st.lists(st.fixed_dictionaries(
+        {"label": JSON_TEXT, "coefficient": JSON_TEXT,
+         "factors": st.lists(JSON_TEXT, max_size=3)}), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RESULT_ROWS, max_size=4), JSON_VALUES)
+def test_writer_matches_json_dumps(rows, value):
+    doc = [r.to_json() for r in rows]
+    assert cli.dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert cli.dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=10 ** 4300, max_value=10 ** 5000), st.booleans())
+def test_writer_matches_json_dumps_beyond_the_int_digit_limit(big, negative):
+    value = {"value": -big if negative else big, "factors": [big, "x"]}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert cli.dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_writer_coerces_keys_as_json_does():
+    for doc in ({1: "a", 2: ["b"]}, {None: 1}, {True: 1, False: 0}, {1.5: 2}, {}, []):
+        assert cli.dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    for bad in ({(1, 2): 1}, {1: "a", "b": 2}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli.dumps_indented(bad)
+
+
 USAGE_ERRORS = {"unknown-flag": ["--bogus"], "missing-value": ["--jobs"],
                 "threads": ["--jobs", "x.json", "--threads", "2"],
                 "force-brute": ["--jobs", "x.json", "--force-brute-N"]}
@@ -468,6 +529,35 @@ def test_ambiguous_h2_key_rejected(tmp_path, capsys, h2, key):
     assert "'t'" in err and key in err
 
 
+# The grammar h2 keys had when a regex checked them; the parser must keep
+# exactly its accept/reject set and its error texts.
+OLD_SUBSET_KEY = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
+SUBSET_KEY_TABLE = ["1", "3", "12", "1,3", "3,1", "1,2,3", "01", "+1", "-1",
+                    " 1", "1 ", "1,", ",1", "1,,2", "1_0", "\u0663", "\u00b2",
+                    "\uff11", "1.0", "0", "", ",", "1\n", "4", "1,4", "10",
+                    "1,1", "2,3,2"]
+
+
+@pytest.mark.parametrize("key", SUBSET_KEY_TABLE)
+def test_subset_key_parser_matches_the_old_grammar(key):
+    k = 3
+    if not OLD_SUBSET_KEY.fullmatch(key):
+        expect = (f"job 't': bad subset key {key!r} (expected comma-joined "
+                  f"positive integers without signs, blanks or leading zeros)")
+    else:
+        parts = [int(x) for x in key.split(",")]
+        if any(x < 1 or x > k for x in parts):
+            expect = f"job 't': subset key {key!r} out of range 1..{k}"
+        elif len(set(parts)) != len(parts):
+            expect = f"job 't': subset key {key!r} repeats an element"
+        else:
+            assert cli._parse_subset_key("t", key, k) == frozenset(parts)
+            return
+    with pytest.raises(cli.JobFileError) as info:
+        cli._parse_subset_key("t", key, k)
+    assert str(info.value) == expect
+
+
 def test_sym_power_k_bound(tmp_path, capsys):
     path = write_jobs(tmp_path, {**BASE, "jobs": [
         {"id": "s", "kind": "sym_power_two", "bundle": "O1", "k": 1001}]})
@@ -520,21 +610,39 @@ def k0_job_file(tmp_path, names, n):
 def test_k0_invariants_distinct_class_budget(tmp_path, capsys, types):
     path = k0_job_file(tmp_path, [f"L{j}" for j in range(types)], 2)
     assert cli.run(path) == cli.EXIT_BAD_INPUT
-    assert (f"job 'k': {types} distinct bundle classes exceed the "
-            f"k0_invariants budget of 12" in capsys.readouterr().err)
+    assert (f"job 'k': {2 ** types} DP states (the product of multiplicity + 1 "
+            f"over {types} distinct bundle classes) exceed the k0_invariants "
+            f"budget of 4096" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("names,states", [
+    # 12 classes plus 8 more copies of O(1): 2^11 * 10 states
+    ([f"L{j}" for j in range(12)] + ["L1"] * 8, 20480),
+    # Dup is a second name for the class of L0: 12 classes, one of them twice
+    ([f"L{j}" for j in range(12)] + ["Dup"], 6144),
+    (["L0"] * 4096, 4097)])
+def test_k0_invariants_repeated_classes_count_against_the_budget(
+        tmp_path, capsys, names, states):
+    classes = len(set(name.replace("Dup", "L0") for name in names))
+    path = k0_job_file(tmp_path, names, 20)
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert (f"job 'k': {states} DP states (the product of multiplicity + 1 "
+            f"over {classes} distinct bundle classes)" in capsys.readouterr().err)
 
 
 def test_k0_invariants_at_the_budget_runs(tmp_path, capsys):
-    # 15 names, but Dup and the repeated names add no class: 12 classes
-    names = [f"L{j}" for j in range(cli.K0_DISTINCT_MAX_TYPES)] + ["Dup", "L1", "L1"]
-    out = tmp_path / "out.json"
-    path = k0_job_file(tmp_path, names, 2)
-    assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
-    capsys.readouterr()
-    jf = cli.parse_job_file(json.loads(Path(path).read_text()))
-    expect = euler.chi_product_invariants(
-        jf.surface, 2, [jf.bundles[name] for name in names]).value
-    assert json.loads(out.read_text())[0]["value"] == cli.rational_to_str(expect)
+    # 2^12 states: 12 distinct classes, or 10 classes and one class three
+    # times (Dup is a second name for the class of L0)
+    for names in ([f"L{j}" for j in range(12)],
+                  [f"L{j}" for j in range(1, 11)] + ["L0", "Dup", "L0"]):
+        out = tmp_path / "out.json"
+        path = k0_job_file(tmp_path, names, 2)
+        assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        jf = cli.parse_job_file(json.loads(Path(path).read_text()))
+        expect = euler.chi_product_invariants(
+            jf.surface, 2, [jf.bundles[name] for name in names]).value
+        assert json.loads(out.read_text())[0]["value"] == cli.rational_to_str(expect)
 
 
 def test_verify_flag_budget(monkeypatch, capsys):

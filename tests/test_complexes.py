@@ -9,7 +9,8 @@ import pytest
 import oracles
 from tautchi import complexes, symgroup
 from tautchi.complexes import (SparseRationalMatrix, build_complex,
-                               diagonal_multiplicity, enumerated_dim,
+                               class_trace, diagonal_multiplicity,
+                               enumerated_dim,
                                expected_dim, ext_power_multiplicity,
                                group_invariant_dim, slot_action_matrix,
                                surviving_count, swap_action_matrix,
@@ -168,6 +169,20 @@ def test_built_basis_sizes_match_enumerated_dim(k):
             assert len(cx.basis[i]) == enumerated_dim(k, ell, i)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_builder_matches_label_oracle(k):
+    # the integer offsets and per-support tables give the same bases, index
+    # and entries as looking up every target label column by column
+    for ell in range(1, k + 1):
+        cx, ref = build_complex(k, ell), oracles.build_complex_by_labels(k, ell)
+        assert cx.basis == ref.basis and cx.index == ref.index, ell
+        assert sorted(cx.differentials) == sorted(ref.differentials), ell
+        for d, mat in cx.differentials.items():
+            other = ref.differentials[d]
+            assert (mat.nrows, mat.ncols) == (other.nrows, other.ncols), (ell, d)
+            assert mat.triples() == other.triples(), (ell, d)
+
+
 @pytest.mark.parametrize("k,ell", SMALL)
 def test_built_matrices_store_no_zeros(k, ell):
     cx = build_complex(k, ell)
@@ -273,6 +288,24 @@ def test_slot_action_chain_property(k, ell):
         assert_chain_map(cx, {d: slot_action_matrix(cx, perm, d) for d in cx.degrees})
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_slot_action_matches_label_oracle(k):
+    rng = random.Random(k)
+    perms = [symgroup.class_representative(ct) for ct in symgroup.cycle_types(k)]
+    for _ in range(3):
+        images = list(range(1, k + 1))
+        rng.shuffle(images)
+        perms.append(Permutation(tuple(images)))
+    for ell in range(1, k + 1):
+        cx = build_complex(k, ell)
+        for d in cx.degrees:
+            for perm in perms:
+                mat = slot_action_matrix(cx, perm, d)
+                ref = oracles.slot_action_matrix_by_labels(cx, perm, d)
+                assert (mat.nrows, mat.ncols) == (ref.nrows, ref.ncols)
+                assert mat.triples() == ref.triples(), (ell, d, perm.images)
+
+
 def test_slot_action_is_group_homomorphism():
     rng = random.Random(991)
     for (k, ell) in [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]:
@@ -314,6 +347,39 @@ def test_slot_block_not_signed_permutation_for_higher_wedge():
 
 
 # --- invariant dimensions ----------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_class_traces_match_matrices(k):
+    # tr(g) and tr(swap g) from cycle lengths against the formed matrices,
+    # for every class representative and degree, in both characters
+    reps = [symgroup.class_representative(ct) for ct in symgroup.cycle_types(k)]
+    for ell in range(1, k + 1):
+        cx = build_complex(k, ell)
+        for d in cx.degrees:
+            swap = swap_action_matrix(cx, d)
+            for rep in reps:
+                plain = slot_action_matrix(cx, rep, d)
+                for character in ("trivial", "sign"):
+                    mat = plain.scale(rep.sign()) if character == "sign" else plain
+                    where = (ell, d, rep.images, character)
+                    assert class_trace(cx, rep, d, character) == mat.trace(), where
+                    assert (class_trace(cx, rep, d, character, swap=True)
+                            == swap.trace_of_product(mat)), where
+
+
+def test_class_trace_is_a_class_function():
+    rng = random.Random(17)
+    cx = build_complex(5, 2)
+    for _ in range(10):
+        images = list(range(1, 6))
+        rng.shuffle(images)
+        perm = Permutation(tuple(images))
+        for d in cx.degrees:
+            mat = slot_action_matrix(cx, perm, d)
+            assert class_trace(cx, perm, d) == mat.trace()
+            assert (class_trace(cx, perm, d, swap=True)
+                    == swap_action_matrix(cx, d).trace_of_product(mat))
+
 
 def test_swap_invariants_by_degree():
     for (k, ell) in [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)]:
