@@ -601,7 +601,8 @@ def render_table(rows: Sequence[ResultRow]) -> str:
 
 
 def dumps_indented(value: Any) -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte,
+    for values whose object keys are strings (as in every row).
 
     Any indent sends json.dumps to its pure-Python encoder, so this walks the
     containers itself and encodes each string with json's own C-accelerated
@@ -613,64 +614,37 @@ def dumps_indented(value: Any) -> str:
     encode = encode_basestring_ascii
 
     def walk(item: Any, pad: str) -> None:
-        kind = type(item)
-        if kind is str:
-            append(encode(item))
-        elif kind is int:
-            append(int.__repr__(item))
-        elif kind is dict:
-            walk_dict(item, pad)
-        elif kind is list:
-            walk_list(item, pad)
-        elif isinstance(item, str):
+        if isinstance(item, str):
             append(encode(item))
         elif isinstance(item, dict):
-            walk_dict(item, pad)
+            if not item:
+                append("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for key, element in sorted(item.items()):
+                append(sep + encode(key) + ": ")
+                walk(element, inner)
+                sep = ",\n" + inner
+            append("\n" + pad + "}")
         elif isinstance(item, (list, tuple)):
-            walk_list(item, pad)
-        else:  # bool, None, float, int subclasses; TypeError for the rest
+            if not item:
+                append("[]")
+                return
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for element in item:
+                append(sep)
+                walk(element, inner)
+                sep = ",\n" + inner
+            append("\n" + pad + "]")
+        elif type(item) is int:
+            append(int.__repr__(item))
+        else:  # bool, None, float
             append(json.dumps(item))
-
-    def walk_dict(item: dict, pad: str) -> None:
-        if not item:
-            append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key, element in sorted(item.items()):
-            if type(key) is not str:
-                key = _json_key(key)
-            append(sep + encode(key) + ": ")
-            walk(element, inner)
-            sep = ",\n" + inner
-        append("\n" + pad + "}")
-
-    def walk_list(item: list | tuple, pad: str) -> None:
-        if not item:
-            append("[]")
-            return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if all(type(element) is str for element in item):
-            append("[\n" + inner + sep.join(map(encode, item)) + "\n" + pad + "]")
-            return
-        sep = "[\n" + inner
-        for element in item:
-            append(sep)
-            walk(element, inner)
-            sep = ",\n" + inner
-        append("\n" + pad + "]")
 
     walk(value, "")
     return "".join(out)
-
-
-def _json_key(key: Any) -> str:
-    """json's coercion of a non-string object key: 1 -> "1", None -> "null"."""
-    if not (key is None or isinstance(key, (int, float))):
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return json.dumps(key)
 
 
 def write_rows(path: str, rows: Sequence[ResultRow]) -> None:

@@ -326,11 +326,11 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
 
     and degree -1 lists the maps a by their value index alone.  The
     differentials find their rows by this arithmetic, not by label lookups.
-    Everything but the values depends only on a support N and the freed
-    element m (M = N + {m}, the position sign of m in M and the wedge images,
-    which depend on the position of m alone), so that is formed once per
-    pair; the values then contribute one bit each: b is a with the bit of m
-    deleted, and that bit gives the sign of the freed value.
+    A column (N; a; T) and a freed element m give the support M = N + {m},
+    formed once per (N, m), and the position sign of m in M and the wedge
+    images of T, which depend only on the position of m in M and are formed
+    once per position.  The values enter by one bit: b is a with the bit of
+    m deleted, and that bit gives the sign of the freed value.
     """
     if not (1 <= ell <= k):
         raise ValueError("need 1 <= ell <= k")

@@ -324,16 +324,6 @@ def test_writer_matches_json_dumps_beyond_the_int_digit_limit(big, negative):
             sys.set_int_max_str_digits(limit)
 
 
-def test_writer_coerces_keys_as_json_does():
-    for doc in ({1: "a", 2: ["b"]}, {None: 1}, {True: 1, False: 0}, {1.5: 2}, {}, []):
-        assert cli.dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
-    for bad in ({(1, 2): 1}, {1: "a", "b": 2}, [object()]):
-        with pytest.raises(TypeError):
-            json.dumps(bad, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            cli.dumps_indented(bad)
-
-
 USAGE_ERRORS = {"unknown-flag": ["--bogus"], "missing-value": ["--jobs"],
                 "threads": ["--jobs", "x.json", "--threads", "2"],
                 "force-brute": ["--jobs", "x.json", "--force-brute-N"]}
