@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb, prod
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import euler
 from .surface import (BundleSpec, ChernCharacter, DivisorClass, SurfaceModel,
@@ -600,58 +600,56 @@ def render_table(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def dumps_indented(value: Any) -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte,
-    for values whose object keys are strings (as in every row).
+def write_json(value: Any, write: Callable[[str], Any]) -> None:
+    """Pass the text of json.dumps(value, sort_keys=True, indent=2) to write,
+    piece by piece, byte for byte the same, for values whose object keys are
+    strings (as in every row).
 
     Any indent sends json.dumps to its pure-Python encoder, so this walks the
     containers itself and encodes each string with json's own C-accelerated
     ASCII escaper; other scalars go through json.dumps, which encodes them
-    alone with the C encoder.
+    alone with the C encoder.  Neither the pieces nor the whole text is held.
     """
-    out: list[str] = []
-    append = out.append
     encode = encode_basestring_ascii
 
     def walk(item: Any, pad: str) -> None:
         if isinstance(item, str):
-            append(encode(item))
+            write(encode(item))
         elif isinstance(item, dict):
             if not item:
-                append("{}")
+                write("{}")
                 return
             inner = pad + "  "
             sep = "{\n" + inner
             for key, element in sorted(item.items()):
-                append(sep + encode(key) + ": ")
+                write(sep + encode(key) + ": ")
                 walk(element, inner)
                 sep = ",\n" + inner
-            append("\n" + pad + "}")
+            write("\n" + pad + "}")
         elif isinstance(item, (list, tuple)):
             if not item:
-                append("[]")
+                write("[]")
                 return
             inner = pad + "  "
             sep = "[\n" + inner
             for element in item:
-                append(sep)
+                write(sep)
                 walk(element, inner)
                 sep = ",\n" + inner
-            append("\n" + pad + "]")
+            write("\n" + pad + "]")
         elif type(item) is int:
-            append(int.__repr__(item))
+            write(int.__repr__(item))
         else:  # bool, None, float
-            append(json.dumps(item))
+            write(json.dumps(item))
 
     walk(value, "")
-    return "".join(out)
 
 
 def write_rows(path: str, rows: Sequence[ResultRow]) -> None:
     """Write the rows as the JSON array of `--out`."""
-    payload = dumps_indented([r.to_json() for r in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
+        write_json([r.to_json() for r in rows], fh.write)
+        fh.write("\n")
 
 
 def run(path: str, out: str | None = None) -> int:

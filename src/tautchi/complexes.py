@@ -550,7 +550,10 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
     if degree == -1:
         # (g.s)(a) = s(a o g): the component at a o g^{-1} reads off column a
         moved = _value_index_map([inv(t) - 1 for t in universe])
-        return SparseRationalMatrix(dim, dim, {moved[v]: {v: 1} for v in range(dim)})
+        rows = [{} for _ in range(dim)]
+        for v in range(dim):
+            rows[moved[v]][v] = 1
+        return SparseRationalMatrix.from_row_list(rows, dim)
     # Everything but the value map depends only on the support N: its image
     # M, the reordering of the values onto the complement of M, the sign and
     # the wedge images.  Compute them once per support, not once per column.
@@ -581,19 +584,20 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
 def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
     """Matrix of the value-swap involution in the given degree: the flip
     1 <-> 2 of the values, times (-1)^(ell-1) in degree -1 and (-1)^(i-1) in
-    degree i >= 0, the signs that make it a chain map."""
-    labels = cx.basis[degree]
-    idx = cx.index[degree]
-    rows: list[dict[int, int]] = [{} for _ in labels]
+    degree i >= 0, the signs that make it a chain map.
+
+    In `build_complex`'s basis layout the flip complements the value index v
+    of a label and keeps its support and wedge index."""
+    dim = cx.dim(degree)
     if degree == -1:
-        scalar = -1 if (cx.ell - 1) % 2 else 1
-        for col, a in enumerate(labels):
-            rows[idx[tuple(3 - v for v in a)]][col] = scalar
+        scalar, n_vals, n_wedge = -1 if (cx.ell - 1) % 2 else 1, dim, 1
     else:
         scalar = -1 if (degree - 1) % 2 else 1
-        for col, (m_set, a, wedge) in enumerate(labels):
-            rows[idx[(m_set, tuple(3 - v for v in a), wedge)]][col] = scalar
-    return SparseRationalMatrix.from_row_list(rows, len(labels))
+        n_vals = 1 << (cx.k - cx.ell - degree)
+        n_wedge = len(_wedge_indices(cx.ell, cx.ell + degree))
+    return SparseRationalMatrix(dim, dim, {
+        r: {r + (n_vals - 1 - 2 * (r // n_wedge % n_vals)) * n_wedge: scalar}
+        for r in range(dim)})
 
 
 def _cycle_lengths(perm: Permutation) -> list[int]:

@@ -1,5 +1,6 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
+import io
 import itertools
 import json
 import re
@@ -276,13 +277,19 @@ def test_sample_jobs_out_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (REPO / "tests" / "data" / "sample_jobs.out.json").read_bytes()
 
 
+def written_json(value):
+    buf = io.StringIO()
+    cli.write_json(value, buf.write)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("name", ["sample_jobs.out.json", "verify_k5.out.json",
                                   "verify_k8.out.json"])
 def test_writer_matches_json_dumps_on_golden_outputs(name):
     text = (REPO / "tests" / "data" / name).read_text(encoding="utf-8")
     rows = json.loads(text)
-    assert cli.dumps_indented(rows) + "\n" == text
-    assert cli.dumps_indented(rows) == json.dumps(rows, sort_keys=True, indent=2)
+    assert written_json(rows) + "\n" == text
+    assert written_json(rows) == json.dumps(rows, sort_keys=True, indent=2)
 
 
 JSON_TEXT = st.text(st.characters(codec=None, exclude_categories=()))
@@ -306,8 +313,8 @@ RESULT_ROWS = st.builds(
 @given(st.lists(RESULT_ROWS, max_size=4), JSON_VALUES)
 def test_writer_matches_json_dumps(rows, value):
     doc = [r.to_json() for r in rows]
-    assert cli.dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2)
-    assert cli.dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert written_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert written_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -318,7 +325,7 @@ def test_writer_matches_json_dumps_beyond_the_int_digit_limit(big, negative):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        assert cli.dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert written_json(value) == json.dumps(value, sort_keys=True, indent=2)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
