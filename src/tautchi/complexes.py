@@ -347,11 +347,14 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
 
     # Each (row, column) pair below is written once: the columns' images
     # under distinct supports M, and under distinct wedge terms, are distinct.
+    # Column indices are read from `cols`, so that a column's entries share
+    # one int object, as they would with a per-column loop.
     diffs: dict[int, SparseRationalMatrix] = {}
     # degree -1: row (M; r) holds the signed sum over all extensions of r
     # across M.  Slot t carries the bit 2^(k-t) of a column index; the
     # extensions' bits and signs are the same for every r.
     rows: list[dict[int, int]] = []
+    cols = list(range(1 << k))
     for m_set in supports[0]:
         rest_bits = [0]
         extensions = [(0, 1)]
@@ -362,7 +365,7 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                               for y, u in ((0, 1), (bit, -1))]
             else:
                 rest_bits = [x + y for x in rest_bits for y in (0, bit)]
-        rows.extend({r + x: s for x, s in extensions} for r in rest_bits)
+        rows.extend({cols[r + x]: s for x, s in extensions} for r in rest_bits)
     diffs[-1] = SparseRationalMatrix.from_row_list(rows, len(basis[-1]))
 
     for i in range(top):
@@ -374,6 +377,7 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
         # entries (wedge index of the column, wedge index of the row, value)
         by_position: dict[int, tuple[list, list]] = {}
         rows = [{} for _ in basis[i + 1]]
+        cols = list(range(len(basis[i])))
         for sn, n_set in enumerate(supports[i]):
             comp = [t for t in universe if t not in n_set]
             col0 = sn * n_vals * n_wedge
@@ -394,7 +398,7 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                     rbase = row0 + ((v >> (shift + 1) << shift) | (v & low)) * n_wedge2
                     cbase = col0 + v * n_wedge
                     for w, w2, val in entries[v >> shift & 1]:
-                        rows[rbase + w2][cbase + w] = val
+                        rows[rbase + w2][cols[cbase + w]] = val
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
     return ChainComplexQ(k, ell, basis, index, diffs)
 
