@@ -50,13 +50,14 @@ H_TOP_MAX_K = 12
 # the distinct bundle classes.  2^12 keeps 12 distinct classes: O(1)...O(12)
 # on P2 at n = 12 takes 0.51 s.  At the same count repeated classes cost more,
 # since each state sums over its own sub-multisets: 6 classes of 3 copies at
-# n = 18 take 1.1 s, 4 of 7 at n = 28 3.0 s and 3 of 15 at n = 45 8.0 s (same
-# host).
+# n = 18 take 1.1 s, 4 of 7 at n = 28 3.0 s, 3 of 15 at n = 45 8.0 s and 2 of
+# 63 at n = 126 47 s (same host), and one class of 1000 or more copies
+# exceeds the recursion limit of `euler._block_sums`.
 K0_MAX_STATES = 4096
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
-# k_max): k = 7 takes 1.2 s, k = 8 5.2 s, k = 9 28 s and k = 10 3.3 min with
-# a 263 MB peak (same host).
+# k_max): k = 7 takes 0.5-0.8 s, k = 8 2.4-3.5 s, k = 9 15-17 s and k = 10
+# 1.9 min with a 256 MB peak, most of it exact rank (same host).
 VERIFY_MAX_K = 10
 
 
