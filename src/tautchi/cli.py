@@ -13,6 +13,7 @@ job reported a failure, 3 on command-line, parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -51,8 +52,7 @@ H_TOP_MAX_K = 12
 # on P2 at n = 12 takes 0.51 s.  At the same count repeated classes cost more,
 # since each state sums over its own sub-multisets: 6 classes of 3 copies at
 # n = 18 take 1.1 s, 4 of 7 at n = 28 3.0 s, 3 of 15 at n = 45 8.0 s and 2 of
-# 63 at n = 126 47 s (same host), and one class of 1000 or more copies
-# exceeds the recursion limit of `euler._block_sums`.
+# 63 at n = 126 47 s (same host).
 K0_MAX_STATES = 4096
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
@@ -96,7 +96,7 @@ def parse_int(value: Any, where: str) -> int:
     return value
 
 
-def rational_to_str(value: Fraction) -> str:
+def rational_to_str(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -429,77 +429,93 @@ def _terms_json(result: euler.ChiResult) -> list[dict[str, Any]]:
             for t in result.terms]
 
 
+Result = Fraction | int | euler.ChiResult
+
+
 def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
+    """The rows of one job: one row, or one per n of a sweep.  A job with an
+    n is the sweep [n, n], so both run one evaluation over their range."""
     if job.kind == "verify_complexes":
         k_max = job.payload.get("k_max", 7)
         rows, _ok = run_verification(k_max, id_prefix=job.id)
         return rows
-    if job.sweep is not None:
-        lo, hi = job.sweep
-        rows = []
-        for n in range(lo, hi + 1):
-            sub = replace(job, id=f"{job.id}[n={n}]",
-                          payload={**job.payload, "n": n}, sweep=None)
-            rows.extend(run_one_job(jf, sub))
-        return rows
-
     p = job.payload
-    params: dict[str, Any] = {}
-    terms: list[dict[str, Any]] = []
-    names: list[str] = []  # the input bundles
-    if job.kind == "scala":
-        n = p["n"]
-        value = euler.chi_taut(jf.surface, n, jf.bundles[p["bundle"]], jf.twist)
-        params = {"bundle": p["bundle"], "n": n}
-        names = [p["bundle"]]
-    elif job.kind == "euler_two":
-        names = p["bundles"]
-        chars = [jf.bundles[name] for name in names]
-        res = euler.chi_taut_product_two(jf.surface, chars, jf.twist)
-        value, terms = res.value, _terms_json(res)
+    if job.kind not in SWEEPABLE:
+        params, names, result = _run_fixed(jf, job)
+        return [_row(jf, job, job.id, params, names, result)]
+    first, last = job.sweep if job.sweep is not None else (p["n"], p["n"])
+    ns = range(first, last + 1)
+    params, names, results = _run_sweep(jf, job, ns)
+    return [_row(jf, job, job.id if job.sweep is None else f"{job.id}[n={n}]",
+                 {**params, "n": n}, names, result)
+            for n, result in zip(ns, results)]
+
+
+def _run_fixed(jf: JobFile, job: Job) -> tuple[dict[str, Any], list[str], Result]:
+    """A job of a kind without n: its params, input bundle names and result."""
+    p = job.payload
+    if job.kind == "euler_two":
+        chars = [jf.bundles[name] for name in p["bundles"]]
         # "brute" stays in the params so that --out keeps its bytes
-        params = {"bundles": list(p["bundles"]), "brute": False}
-    elif job.kind == "euler_bichar_two":
-        res = euler.chi_hom_pair_two(jf.surface,
-                                     [jf.bundles[x] for x in p["source"]],
-                                     [jf.bundles[x] for x in p["target"]])
-        value, terms = res.value, _terms_json(res)
-        params = {"source": list(p["source"]), "target": list(p["target"])}
-        names = p["source"] + p["target"]
-    elif job.kind == "euler_three":
-        names = p["bundles"]
-        e1, e2, e3 = (jf.bundles[x] for x in names)
-        res = euler.chi_taut_triple(jf.surface, p["n"], e1, e2, e3, jf.twist)
-        value, terms = res.value, _terms_json(res)
-        params = {"bundles": list(p["bundles"]), "n": p["n"]}
-    elif job.kind == "sym_power_two":
-        value = euler.chi_sym_power_two(jf.surface, jf.bundles[p["bundle"]],
-                                        p["k"], jf.twist)
+        return ({"bundles": list(p["bundles"]), "brute": False}, p["bundles"],
+                euler.chi_taut_product_two(jf.surface, chars, jf.twist))
+    if job.kind == "euler_bichar_two":
+        return ({"source": list(p["source"]), "target": list(p["target"])},
+                p["source"] + p["target"],
+                euler.chi_hom_pair_two(jf.surface,
+                                       [jf.bundles[x] for x in p["source"]],
+                                       [jf.bundles[x] for x in p["target"]]))
+    if job.kind == "sym_power_two":
         # "swap_variant" stays in the params so that --out keeps its bytes
-        params = {"bundle": p["bundle"], "k": p["k"], "swap_variant": "twisted"}
-        names = [p["bundle"]]
-    elif job.kind == "h_top":
+        return ({"bundle": p["bundle"], "k": p["k"], "swap_variant": "twisted"},
+                [p["bundle"]],
+                euler.chi_sym_power_two(jf.surface, jf.bundles[p["bundle"]],
+                                        p["k"], jf.twist))
+    raise JobFileError(f"job {job.id!r}: unhandled kind {job.kind!r}")  # pragma: no cover
+
+
+def _run_sweep(jf: JobFile, job: Job, ns: range
+               ) -> tuple[dict[str, Any], list[str], list[Result]]:
+    """A job of a kind with n over the range ns: its params without n, input
+    bundle names and one result per n."""
+    p = job.payload
+    if job.kind == "scala":
+        bundle = jf.bundles[p["bundle"]]
+        return ({"bundle": p["bundle"]}, [p["bundle"]],
+                [euler.chi_taut(jf.surface, n, bundle, jf.twist) for n in ns])
+    if job.kind == "euler_three":
+        e1, e2, e3 = (jf.bundles[x] for x in p["bundles"])
+        return ({"bundles": list(p["bundles"])}, p["bundles"],
+                euler.chi_taut_triple_sweep(jf.surface, ns, e1, e2, e3, jf.twist))
+    if job.kind == "k0_invariants":
+        chars = [jf.bundles[name] for name in p["bundles"]]
+        return ({"bundles": list(p["bundles"])}, p["bundles"],
+                euler.chi_product_invariants_sweep(jf.surface, ns, chars, jf.twist))
+    if job.kind == "h_top":
         if job.h2_by_subset is None:
             raise JobFileError(f"job {job.id!r}: h_top job has no parsed h2 values "
                                f"(run it through validate_job first)")
-        value = Fraction(euler.top_cohomology_dim(p["k"], p["n"], job.h2_by_subset,
-                                                  p.get("q", 0)))
-        params = {"k": p["k"], "n": p["n"], "q": p.get("q", 0)}
-    elif job.kind == "h0":
-        value = Fraction(euler.global_sections_dim(p["h0"], p["n"]))
-        params = {"h0": list(p["h0"]), "n": p["n"]}
-    elif job.kind == "k0_invariants":
-        names = p["bundles"]
-        chars = [jf.bundles[name] for name in names]
-        res = euler.chi_product_invariants(jf.surface, p["n"], chars, jf.twist)
-        value, terms = res.value, _terms_json(res)
-        params = {"bundles": list(p["bundles"]), "n": p["n"]}
-    else:  # pragma: no cover - kinds are validated at parse time
-        raise JobFileError(f"job {job.id!r}: unhandled kind {job.kind!r}")
+        q = p.get("q", 0)
+        return ({"k": p["k"], "q": q}, [],
+                euler.top_cohomology_dim_sweep(p["k"], ns, job.h2_by_subset, q))
+    if job.kind == "h0":
+        return ({"h0": list(p["h0"])}, [],
+                [euler.global_sections_dim(p["h0"], n) for n in ns])
+    raise JobFileError(f"job {job.id!r}: unhandled kind {job.kind!r}")  # pragma: no cover
+
+
+def _row(jf: JobFile, job: Job, row_id: str, params: dict[str, Any],
+         names: list[str], result: Result) -> ResultRow:
+    """The row of one result; a value that is not an integer although every
+    input bundle is integral fails the job."""
+    if isinstance(result, euler.ChiResult):
+        value, terms = result.value, _terms_json(result)
+    else:
+        value, terms = result, []
     if value.denominator != 1 and jf.integral.issuperset(names):
         raise ArithmeticError(f"value {rational_to_str(value)} is not an integer, "
                               f"but every input bundle is integral")
-    return [ResultRow(job.id, job.kind, params, rational_to_str(value), terms)]
+    return ResultRow(row_id, job.kind, params, rational_to_str(value), terms)
 
 
 def run_verification(k_max: int = 7, id_prefix: str = "verify"
@@ -550,7 +566,12 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
                     {"k": k, "ell": ell}, False, str(exc))
             if k <= 6:
                 for i in range(1, k - ell + 1):
-                    d = complexes.group_invariant_dim(cx, i, "slot")
+                    try:
+                        d = complexes.group_invariant_dim(cx, i, "slot")
+                    except ArithmeticError as exc:
+                        slot_ok = False
+                        slot_detail = f"{exc} at ell={ell}, i={i}"
+                        continue
                     if d != 0:
                         slot_ok = False
                         slot_detail = f"dim={d} at ell={ell}, i={i}"
@@ -678,6 +699,12 @@ def run(path: str, out: str | None = None) -> int:
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
+    # The objects alive now (the imported modules and the job file) live
+    # until the end: freezing them spares the collector from tracing them
+    # again while the jobs run.  A caller's own frozen objects stay frozen.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         rows: list[ResultRow] = []
         errors: list[tuple[str, str]] = []
@@ -691,6 +718,8 @@ def run(path: str, out: str | None = None) -> int:
         if out is not None:
             write_rows(out, rows)
     finally:
+        if freeze:
+            gc.unfreeze()
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
     for jid, msg in sorted(errors):

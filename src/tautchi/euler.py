@@ -5,7 +5,7 @@ Every operation reduces to Riemann-Roch evaluations of truncated Chern
 characters on the surface itself, all on the integer kernel of `surface`:
 each class product is built once as integer coordinates
 (`surface.ClassMultiplier`), and each Euler characteristic is one value of a
-linear form chi(. y) (`surface.chi_functional`) computed once per call.
+linear form chi(. y) (`surface.chi_functional`) formed once.
 Sums over subsets and set partitions are not enumerated: they are graded
 products in the truncated ring, polynomial in the number of bundles, and
 dynamic programs over blocks, with one term per grade.  The block DP of
@@ -14,7 +14,16 @@ dynamic programs over blocks, with one term per grade.  The block DP of
 be virtual (arbitrary rational rank), so objects of the derived category are
 admissible wherever a formula extends additively.  Results carry a term-by-term
 breakdown whose recombined value is checked at construction time; each
-term's product is formed once (`Term.value`).
+term's product is formed once (`Term.value`), and values are assembled as
+integer products and sums over a common denominator.
+
+What a formula reads of its input classes (multipliers, powers, the forms
+chi(. L^j) of the twist, the line-bundle test) comes from
+`surface.input_class`, formed once per class and surface.  The formulas with
+an n have the form sum_J a_J S^(n-J) chi(L) with a_J free of n; the `_sweep`
+functions of the triple, `chi_product_invariants` and `top_cohomology_dim`
+form the a_J once for a whole range of n, and the single-n functions are
+their ranges [n, n].
 
 The two-point formulas subtract diagonal correction terms whose integer
 coefficients are invariant counts of the complexes in `complexes`.  Every
@@ -29,28 +38,43 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from math import comb, prod
+from functools import cache
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .surface import (ChernCharacter, ClassCoords, ClassMultiplier,
+from .surface import (ChernCharacter, ClassCoords, ClassMultiplier, InputClass,
                       SurfaceModel, ch_tangent, chi_functional, class_coords,
-                      dual_coords, gen_binomial, sym_pow_chi, unit_coords)
+                      dual_coords, gen_binomial, input_class, sym_pow_chi,
+                      unit_coords)
 
 
 @dataclass(frozen=True)
 class Term:
-    """One labelled summand: coefficient times a product of factors."""
+    """One labelled summand: coefficient times a product of factors.  Its
+    value is formed once, at construction, as one `Fraction` of the integer
+    products of the numerators and of the denominators."""
 
     label: str
     coefficient: Fraction
     factors: tuple[Fraction, ...]
+    value: Fraction = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def value(self) -> Fraction:
-        return self.coefficient * prod(self.factors)
+    def __post_init__(self):
+        num, den = self.coefficient.numerator, self.coefficient.denominator
+        for f in self.factors:
+            num *= f.numerator
+            den *= f.denominator
+        object.__setattr__(self, "value", Fraction(num, den))
+
+
+def fraction_sum(values: Iterable[Fraction]) -> Fraction:
+    """The sum of exact values, as one `Fraction` of an integer sum over
+    their least common denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 @dataclass(frozen=True)
@@ -62,20 +86,46 @@ class ChiResult:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        total = sum((t.value for t in self.terms), Fraction(0))
+        total = fraction_sum(t.value for t in self.terms)
         if total != self.value:
             raise ArithmeticError(
                 f"term breakdown sums to {total}, not {self.value}")
 
 
 def _result(terms: list[Term]) -> ChiResult:
-    return ChiResult(sum((t.value for t in terms), Fraction(0)), tuple(terms))
+    return ChiResult(fraction_sum(t.value for t in terms), tuple(terms))
 
 
-def require_line_bundle_class(ch: ChernCharacter, surface: SurfaceModel, what: str) -> None:
-    if not ch.is_line_bundle_class(surface):
+def _sweep_results(chi_twist: Fraction,
+                   parts: Sequence[tuple[str, Fraction, tuple[Fraction, ...], int]],
+                   ns: range) -> list[ChiResult]:
+    """The results at each n of ns of a formula sum_J a_J S^(n-J) chi(L).
+
+    Each part (label, coefficient, factors, J) is free of n; at n it is the
+    term (label, coefficient, (*factors, S^(n-J) chi(L))) if J <= n, and no
+    term otherwise.  Each S^m chi(L) is formed once."""
+    sym: dict[int, Fraction] = {}
+    results = []
+    for n in ns:
+        terms = []
+        for label, coefficient, factors, j in parts:
+            if j <= n:
+                m = n - j
+                if m not in sym:
+                    sym[m] = sym_pow_chi(m, chi_twist)
+                terms.append(Term(label, coefficient, (*factors, sym[m])))
+        results.append(_result(terms))
+    return results
+
+
+def require_line_bundle_class(ch: ChernCharacter, surface: SurfaceModel,
+                              what: str) -> InputClass:
+    """The `InputClass` of ch, which must be the class of a line bundle."""
+    data = input_class(ch, surface)
+    if not data.is_line_bundle:
         raise ValueError(f"{what} must be the class of a line bundle "
                          f"(rank 1, integral c1, ch2 = c1^2/2)")
+    return data
 
 
 def default_twist(surface: SurfaceModel) -> ChernCharacter:
@@ -88,8 +138,7 @@ def chi_taut(surface: SurfaceModel, n: int, bundle: ChernCharacter,
     on the n-point space: chi(F (x) L) * s^(n-1) chi(L)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    require_line_bundle_class(twist, surface, "twist")
-    form = chi_functional(twist, surface)
+    form = require_line_bundle_class(twist, surface, "twist").form(1)
     return (_apply(form, class_coords(bundle, surface))
             * sym_pow_chi(n - 1, _at_unit(form)))
 
@@ -99,7 +148,7 @@ def _diag_chis(surface: SurfaceModel, product: ClassCoords,
     """chi of the diagonal correction classes for ell = 1..top: S^(ell-1) of
     the cotangent bundle times the product of all inputs times the twist
     squared, each one value of the form chi(. product L^2)."""
-    times_twist = ClassMultiplier(twist, surface)
+    times_twist = input_class(twist, surface)
     form = chi_functional(times_twist.times(times_twist.times(product)), surface)
     return [_apply(form, _sym_cotangent_coords(m, surface)) for m in range(top)]
 
@@ -130,7 +179,7 @@ def _product_all(surface: SurfaceModel, chars: Sequence[ChernCharacter]
     """The product of several classes; the empty product is the unit."""
     out = unit_coords(surface)
     for c in chars:
-        out = ClassMultiplier(c, surface).times(out)
+        out = input_class(c, surface).times(out)
     return out
 
 
@@ -151,17 +200,16 @@ def _split_step(graded: list, y: ClassMultiplier) -> list:
     return [right[0], *middle, left[-1]]
 
 
-def _split_sums(surface: SurfaceModel, first: ChernCharacter | ClassCoords,
-                others: Sequence[ChernCharacter | ClassCoords]) -> tuple[list, int]:
+def _split_sums(first: ClassCoords, others: Sequence[ClassMultiplier]
+                ) -> tuple[list, int]:
     """(x_1 (x) 1) * prod over the others of (z x_t (x) 1 + 1 (x) x_t): the
     coefficient of z^(r-1) is the sum of x_P (x) x_(P^c) over the subsets P
     of size r that contain the first index.  Returns the integer numerators
     and their common denominator."""
-    coords, den = class_coords(first, surface)
+    coords, den = first
     zero = (0,) * (len(coords) - 1)
     graded = [tuple((a, *zero) for a in coords)]
-    for e in others:
-        y = ClassMultiplier(e, surface)
+    for y in others:
         graded = _split_step(graded, y)
         den *= y.den
     return graded, den
@@ -210,10 +258,9 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
         raise ValueError("need at least one bundle")
     if twist is None:
         twist = default_twist(surface)
-    require_line_bundle_class(twist, surface, "twist")
-
-    phi = chi_functional(twist, surface)
-    graded, den = _split_sums(surface, bundles[0], bundles[1:])
+    phi = require_line_bundle_class(twist, surface, "twist").form(1)
+    graded, den = _split_sums(class_coords(bundles[0], surface),
+                              [input_class(e, surface) for e in bundles[1:]])
     terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, den),))
              for r, t in enumerate(graded, 1)]
     diag = _diag_chis(surface, _product_all(surface, bundles), twist, k - 1)
@@ -231,57 +278,72 @@ def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], int],
     described by its composition beta (how many elements of each type it
     holds).  Entry b of the result is the sum, over the set partitions of the
     elements into b <= max_blocks blocks, of the product of weight(beta) over
-    the blocks.  The recursion pins the block of the first remaining element,
-    so each set partition is counted once: choosing the rest of that block
-    from the remaining multiset mu gives C(mu_i0 - 1, beta_i0 - 1) *
-    prod_(i != i0) C(mu_i, beta_i) set partitions per composition.  Weights are
-    looked up once, only for blocks of partitions that the sum contains.  The
-    sums of each sub-multiset are formed once, up to max_blocks blocks, so
-    the cost follows the number prod (m_i + 1) of sub-multisets: equal
-    bundles cost far less than distinct ones.  `top_cohomology_dim`, whose
-    elements are all distinct, runs its own subset DP over bitmasks instead.
+    the blocks.  Each sum pins the block of the first element of its
+    multiset mu, so each set partition is counted once: choosing the rest of
+    that block from mu gives C(mu_i0 - 1, beta_i0 - 1) * prod_(i != i0)
+    C(mu_i, beta_i) set partitions per composition, times the sums of the
+    multiset left over.  Weights are looked up once, only for blocks of
+    partitions that the sum contains.  The sums of each sub-multiset are
+    formed once, up to max_blocks blocks, bottom-up in lexicographic order
+    (a leftover multiset precedes every multiset it is left over from), so
+    the cost follows the number prod (m_i + 1) of sub-multisets and the
+    stack depth does not grow with it: equal bundles cost far less than
+    distinct ones.  `top_cohomology_dim_sweep`, whose elements are all
+    distinct, runs its own subset DP over bitmasks instead.
     """
-    memo: dict[tuple, list] = {}
+    memo: dict[tuple, list] = {(0,) * len(mults): [1]}
     weight = cache(weight)
 
     def sums(mu: tuple[int, ...]) -> list:
-        if mu in memo:
-            return memo[mu]
         out = [0] * (min(max_blocks, sum(mu)) + 1)
         i0 = next(i for i, m in enumerate(mu) if m)
         pinned = list(mu)
         pinned[i0] -= 1
         for others in itertools.product(*(range(m + 1) for m in pinned)):
             rest = tuple(map(operator.sub, pinned, others))
-            if any(rest):
-                if max_blocks == 1:
-                    continue
-                below = sums(rest)
-            else:
-                below = [1]
+            if max_blocks == 1 and any(rest):
+                continue
             block = others[:i0] + (others[i0] + 1,) + others[i0 + 1:]
             w = prod(map(comb, pinned, others)) * weight(block)
-            for b, v in enumerate(below[:max_blocks]):
+            for b, v in enumerate(memo[rest][:max_blocks]):
                 out[b + 1] += w * v
-        memo[mu] = out
         return out
 
-    return sums(tuple(mults))
+    # Every leftover multiset lies below the whole one with its first
+    # element removed; with one block there are no leftovers.
+    top = tuple(mults)
+    i0 = next(i for i, m in enumerate(top) if m)
+    below_top = [range(m + 1) for m in top]
+    below_top[i0] = range(top[i0])
+    if max_blocks > 1:
+        for mu in itertools.islice(itertools.product(*below_top), 1, None):
+            memo[mu] = sums(mu)
+    return sums(top)
 
 
 def chi_product_invariants(surface: SurfaceModel, n: int,
                            bundles: Sequence[ChernCharacter],
                            twist: ChernCharacter | None = None) -> ChiResult:
     """Euler characteristic of the invariants of the ambient product of
-    pullbacks on the n-fold product (the uncorrected first approximation).
+    pullbacks on the n-fold product (the uncorrected first approximation):
+    `chi_product_invariants_sweep` over the single n."""
+    return chi_product_invariants_sweep(surface, range(n, n + 1), bundles, twist)[0]
+
+
+def chi_product_invariants_sweep(surface: SurfaceModel, ns: range,
+                                 bundles: Sequence[ChernCharacter],
+                                 twist: ChernCharacter | None = None
+                                 ) -> list[ChiResult]:
+    """`chi_product_invariants` at each n of the nonempty range ns.
 
     The sum runs over set partitions of [k] into b <= n blocks: the product
     of chi(E_B L) over the blocks B, times S^(n-b) chi(L) for the n - b
     unused points.  Equal bundles are grouped into types, the block weight
     chi(L prod y_i^beta_i) is computed once per sub-multiset beta, and the
-    partitions are summed by `_block_sums`.  One term per block count b,
-    labelled blocks=b, with factors (sum over partitions into b blocks of the
-    product of weights, S^(n-b) chi(L)).
+    partitions are summed by `_block_sums`, once for the whole range, up to
+    its largest n blocks.  One term per block count b <= n, labelled
+    blocks=b, with factors (sum over partitions into b blocks of the product
+    of weights, S^(n-b) chi(L)).
 
     The sums run on integers: with phi = chi(. L) over the denominator d_phi
     and bundle type i over D_i, the weight of beta is an integer over
@@ -289,20 +351,20 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
     is an integer over d_phi^b prod D_i^m_i for every partition alike.
     """
     k = len(bundles)
-    if k < 1 or n < 1:
+    if k < 1 or not ns or ns[0] < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if twist is None:
         twist = default_twist(surface)
-    require_line_bundle_class(twist, surface, "twist")
-    types = Counter(bundles)
+    form, d_phi = require_line_bundle_class(twist, surface, "twist").form(1)
+    # Equal bundles share one input class, so they count as one type.
+    types = Counter(input_class(e, surface) for e in bundles)
     mults = list(types.values())
     # The numerator of the class prod y_i^beta_i of every sub-multiset beta,
     # one product each, over prod D_i^beta_i.
     unit, _ = unit_coords(surface)
     classes = {(): unit}
     den_all = 1
-    for e, m in types.items():
-        y = ClassMultiplier(e, surface)
+    for y, m in types.items():
         den_all *= y.den ** m
         grown = {}
         for beta, v in classes.items():
@@ -311,14 +373,12 @@ def chi_product_invariants(surface: SurfaceModel, n: int,
                 if j < m:
                     v = y(v)
         classes = grown
-    form, d_phi = chi_functional(twist, surface)
     block_sums = _block_sums(
-        mults, lambda beta: sum(map(operator.mul, form, classes[beta])), n)
-    chi_twist = Fraction(form[0], d_phi)
-    return _result([Term(f"blocks={b}", Fraction(1),
-                         (Fraction(block_sums[b], d_phi ** b * den_all),
-                          sym_pow_chi(n - b, chi_twist)))
-                    for b in range(1, len(block_sums))])
+        mults, lambda beta: sum(map(operator.mul, form, classes[beta])), ns[-1])
+    return _sweep_results(Fraction(form[0], d_phi),
+                          [(f"blocks={b}", Fraction(1),
+                            (Fraction(block_sums[b], d_phi ** b * den_all),), b)
+                           for b in range(1, len(block_sums))], ns)
 
 
 def sym_power_coefficient(k: int, ell: int) -> int:
@@ -343,14 +403,16 @@ def sym_power_coefficient(k: int, ell: int) -> int:
 
 
 def _check_power_args(surface: SurfaceModel, bundle: ChernCharacter, k: int,
-                      twist: ChernCharacter | None) -> ChernCharacter:
+                      twist: ChernCharacter | None
+                      ) -> tuple[InputClass, ChernCharacter, InputClass]:
+    """The input classes of the bundle and the twist, both line-bundle
+    classes, and the twist."""
     if k < 1:
         raise ValueError("need k >= 1")
     if twist is None:
         twist = default_twist(surface)
-    require_line_bundle_class(bundle, surface, "bundle")
-    require_line_bundle_class(twist, surface, "twist")
-    return twist
+    return (require_line_bundle_class(bundle, surface, "bundle"), twist,
+            require_line_bundle_class(twist, surface, "twist"))
 
 
 def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
@@ -365,19 +427,16 @@ def chi_sym_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     coefficient `sym_power_coefficient`, for ell = 1..k-1 (it vanishes at
     ell = k).
     """
-    twist = _check_power_args(surface, bundle, k, twist)
-    times_bundle = ClassMultiplier(bundle, surface)
-    powers = [unit_coords(surface)]
-    for _ in range(k):
-        powers.append(times_bundle.times(powers[-1]))
-    phi = chi_functional(twist, surface)
-    chi = [_apply(phi, p) for p in powers]
-    total = sum((chi[j] * chi[k - j] for j in range((k + 1) // 2)), Fraction(0))
+    times_bundle, twist, times_twist = _check_power_args(surface, bundle, k, twist)
+    phi = times_twist.form(1)
+    chi = [_apply(phi, times_bundle.power(j)) for j in range(k + 1)]
+    values = [chi[j] * chi[k - j] for j in range((k + 1) // 2)]
     if k % 2 == 0:
-        total += sym_pow_chi(2, chi[k // 2])
-    for ell, diag in enumerate(_diag_chis(surface, powers[k], twist, k - 1), 1):
-        total -= sym_power_coefficient(k, ell) * diag
-    return total
+        values.append(sym_pow_chi(2, chi[k // 2]))
+    for ell, diag in enumerate(_diag_chis(surface, times_bundle.power(k), twist,
+                                          k - 1), 1):
+        values.append(-sym_power_coefficient(k, ell) * diag)
+    return fraction_sum(values)
 
 
 def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
@@ -394,11 +453,11 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     term remains, matching the vanishing of the sign-character coefficients
     `complexes.ext_power_multiplicity`.
     """
-    twist = _check_power_args(surface, bundle, k, twist)
+    _, twist, times_twist = _check_power_args(surface, bundle, k, twist)
     if k == 1:
         return chi_taut(surface, 2, bundle, twist)
     if k == 2:
-        return gen_binomial(_apply(chi_functional(twist, surface),
+        return gen_binomial(_apply(times_twist.form(1),
                                    class_coords(bundle, surface)), 2)
     return Fraction(0)
 
@@ -442,10 +501,11 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     if k < 1 or khat < 1:
         raise ValueError("need at least one bundle on each side")
     duals = [dual_coords(class_coords(e, surface)) for e in source]
-    source_sums, den = _split_sums(surface, duals[0], duals[1:])
+    source_sums, den = _split_sums(duals[0], [ClassMultiplier(d, surface)
+                                              for d in duals[1:]])
     by_size = [[t] for t in source_sums]
     for f in target:
-        y = ClassMultiplier(f, surface)
+        y = input_class(f, surface)
         by_size = [_split_step(graded, y) for graded in by_size]
         den *= y.den
     phi = chi_functional(unit_coords(surface), surface)
@@ -494,47 +554,60 @@ def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
                     e2: ChernCharacter, e3: ChernCharacter,
                     twist: ChernCharacter | None = None) -> ChiResult:
     """Euler characteristic of a triple product of induced bundles on the
-    n-point space (n >= 3), with determinant twist."""
-    if n < 3:
+    n-point space (n >= 3), with determinant twist: `chi_taut_triple_sweep`
+    over the single n."""
+    return chi_taut_triple_sweep(surface, range(n, n + 1), e1, e2, e3, twist)[0]
+
+
+def chi_taut_triple_sweep(surface: SurfaceModel, ns: range, e1: ChernCharacter,
+                          e2: ChernCharacter, e3: ChernCharacter,
+                          twist: ChernCharacter | None = None) -> list[ChiResult]:
+    """`chi_taut_triple` at each n of the nonempty range ns (n >= 3).  The
+    factors before the last of each term are free of n and formed once; the
+    last is S^(n-J) chi(L) with J = 1, 2 or 3."""
+    if not ns or ns[0] < 3:
         raise ValueError("need n >= 3")
     if twist is None:
         twist = default_twist(surface)
-    require_line_bundle_class(twist, surface, "twist")
+    times_twist = require_line_bundle_class(twist, surface, "twist")
     # The eight classes e_1, e_2, e_3, e_a e_b, e_1 e_2 e_3 and
     # Omega e_1 e_2 e_3, each built once, against the forms chi(. L^j).
     # Each class is a pair (integer numerators, denominator).
     single = [class_coords(x, surface) for x in (e1, e2, e3)]
-    times = [ClassMultiplier(x, surface) for x in single]
+    times = [input_class(x, surface) for x in (e1, e2, e3)]
     pair = {(a, b): times[a - 1].times(single[b - 1])
             for (a, b, _) in _TRIPLE_PAIRS}
     full = times[2].times(pair[1, 2])
     cot_full = ClassMultiplier(_sym_cotangent_coords(1, surface), surface).times(full)
-    times_twist = ClassMultiplier(twist, surface)
-    twist_sq = times_twist.times(class_coords(twist, surface))
-    chi1, chi2, chi3 = (chi_functional(t, surface) for t in
-                        (twist, twist_sq, times_twist.times(twist_sq)))
-    chi_twist = _at_unit(chi1)
-    s1, s2, s3 = (sym_pow_chi(n - j, chi_twist) for j in (1, 2, 3))
+    chi1, chi2, chi3 = (times_twist.form(j) for j in (1, 2, 3))
     lone = [_apply(chi1, v) for v in single]
 
-    terms = [Term("singletons", Fraction(1), (*lone, s3))]
+    parts = [("singletons", Fraction(1), tuple(lone), 3)]
     for (a, b, c) in _TRIPLE_PAIRS:
-        terms.append(Term(f"pair {a}{b}|{c} L", Fraction(1),
-                          (_apply(chi1, pair[a, b]), lone[c - 1], s2)))
-        terms.append(Term(f"pair {a}{b}|{c} L^2", Fraction(-1),
-                          (_apply(chi2, pair[a, b]), lone[c - 1], s3)))
-    terms.append(Term("full L", Fraction(1), (_apply(chi1, full), s1)))
-    terms.append(Term("full L^2", Fraction(-3), (_apply(chi2, full), s2)))
-    terms.append(Term("full L^3", Fraction(2), (_apply(chi3, full), s3)))
-    terms.append(Term("cotangent L^2", Fraction(-1), (_apply(chi2, cot_full), s2)))
-    terms.append(Term("cotangent L^3", Fraction(1), (_apply(chi3, cot_full), s3)))
-    return _result(terms)
+        parts.append((f"pair {a}{b}|{c} L", Fraction(1),
+                      (_apply(chi1, pair[a, b]), lone[c - 1]), 2))
+        parts.append((f"pair {a}{b}|{c} L^2", Fraction(-1),
+                      (_apply(chi2, pair[a, b]), lone[c - 1]), 3))
+    parts.append(("full L", Fraction(1), (_apply(chi1, full),), 1))
+    parts.append(("full L^2", Fraction(-3), (_apply(chi2, full),), 2))
+    parts.append(("full L^3", Fraction(2), (_apply(chi3, full),), 3))
+    parts.append(("cotangent L^2", Fraction(-1), (_apply(chi2, cot_full),), 2))
+    parts.append(("cotangent L^3", Fraction(1), (_apply(chi3, cot_full),), 3))
+    return _sweep_results(_at_unit(chi1), parts, ns)
 
 
 def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
                        q: int) -> int:
     """Dimension of the top-degree cohomology of a product of k induced
-    bundles on the n-point space.
+    bundles on the n-point space: `top_cohomology_dim_sweep` over the
+    single n."""
+    return top_cohomology_dim_sweep(k, range(n, n + 1), h2_by_subset, q)[0]
+
+
+def top_cohomology_dim_sweep(k: int, ns: range,
+                             h2_by_subset: Mapping[frozenset, int],
+                             q: int) -> list[int]:
+    """`top_cohomology_dim` at each n of the nonempty range ns.
 
     The sum runs over set partitions of [k] into b <= n blocks: the product
     of the block values times dim S^(n-b) of the q-dimensional top cohomology
@@ -555,8 +628,12 @@ def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
     without element 1 are formed bottom-up, then those of the full set: one
     step per (mask, submask) pair, O(3^k) in all, each graded by the block
     count up to n.  With n = 1 only the whole set is looked up.
+
+    The DP runs once, up to the largest n of the range, and each n reads
+    the sums of at most n blocks.  A range from n = 1 looks the whole set
+    up first, so a sweep fails as its first failing n would alone.
     """
-    if k < 1 or n < 1:
+    if k < 1 or not ns or ns[0] < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -569,8 +646,11 @@ def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
                 + ",".join(map(str, sorted(key))) + "}")
         return h2_by_subset[key]
 
-    if n == 1:
-        return lookup(range(1, k + 1))
+    n = ns[-1]
+    if ns[0] == 1:
+        whole = lookup(range(1, k + 1))
+        if n == 1:
+            return [whole]
     subsets: list[tuple[int, ...]] = [()]
     for t in range(k, 0, -1):
         subsets += [s + (t,) for s in subsets]
@@ -594,7 +674,8 @@ def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
                 for b, v in enumerate(sums[rest ^ sub], 1):
                     out[b] += w * v
         sums.append(out[:n - 1])
-    return sum(g * int(sym_pow_chi(n - b, q)) for b, g in enumerate(out, 1))
+    sym = [int(sym_pow_chi(m, q)) for m in range(n)]
+    return [sum(g * sym[m - b] for b, g in enumerate(out[:m], 1)) for m in ns]
 
 
 def global_sections_dim(h0_values: Sequence[int], n: int) -> int:

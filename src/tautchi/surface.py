@@ -14,7 +14,10 @@ integer kernel holds a class as integer numerators over one denominator
 (`class_coords`): `ClassMultiplier` multiplies by a fixed class and
 `chi_functional` is the Riemann-Roch form chi(. y), both accepting a class in
 either form.  The formulas in `euler` use only the integer kernel and form
-one `Fraction` per evaluated value.
+one `Fraction` per evaluated value.  What they read of an input class (a
+bundle or the twist) is formed once per class and surface and kept there
+(`input_class`): its multiplier, its powers with their Riemann-Roch forms,
+and its line-bundle test.
 
 The module also provides the Euler characteristic of graded symmetric powers
 (`sym_pow_chi`).
@@ -26,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -61,10 +64,15 @@ def sym_pow_chi(m: int, chi: Rat) -> Fraction:
     Euler characteristic chi, i.e. binom(chi + m - 1, m).
 
     Valid for negative chi as well: the falling-factorial binomial gives the
-    signed exterior-power count (-1)^m * binom(-chi, m)."""
+    signed exterior-power count (-1)^m * binom(-chi, m).  An integral chi
+    takes `math.comb` in that form; a rational one, `gen_binomial`."""
     if m < 0:
         raise ValueError("symmetric power degree must be nonnegative")
-    return gen_binomial(as_fraction(chi) + m - 1, m)
+    chi = as_fraction(chi)
+    if chi.denominator == 1:
+        c = chi.numerator
+        return Fraction(comb(c + m - 1, m) if c > 0 else (-1) ** m * comb(-c, m))
+    return gen_binomial(chi + m - 1, m)
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,8 @@ class SurfaceModel:
 
     The invariants that every Riemann-Roch evaluation needs (the nonzero
     Gram entries of each row, G.K, K.K, chi(O) and the canonical class) are
-    computed once per surface and cached; they take no part in comparison.
+    computed once per surface and cached, as are the data of its input
+    classes (`input_class`); they take no part in comparison.
     """
 
     name: str
@@ -146,6 +155,12 @@ class SurfaceModel:
     def chi_structure_sheaf(self) -> int:
         """chi(O) = (K.K + c2)/12, an integer by Noether's formula."""
         return (self.k_squared + self.c2) // 12
+
+    @cached_property
+    def input_classes(self) -> dict[ClassCoords, "InputClass"]:
+        """The memo of `input_class`: the data of each input class met on
+        this surface, keyed by its integer coordinates."""
+        return {}
 
     @cached_property
     def _canonical_class(self) -> "DivisorClass":
@@ -219,10 +234,21 @@ class ChernCharacter:
             c1 = DivisorClass.of(c1)
         return ChernCharacter(Fraction(1), c1, surface.pair(c1.coeffs, c1.coeffs) / 2)
 
+    @cached_property
+    def coords(self) -> ClassCoords:
+        """The class as integer coordinates over a denominator
+        (`scaled_coords`), formed once."""
+        return scaled_coords(self)
+
     def is_line_bundle_class(self, surface: SurfaceModel) -> bool:
         """Rank 1, integral c1 and ch2 = c1.c1/2: the character of a line
         bundle whose first Chern class lies in the chosen lattice.  The
-        last test is 2 ch2 = c.Gc on the integral c."""
+        test runs once per class and surface (`input_class`)."""
+        return input_class(self, surface).is_line_bundle
+
+    def _line_bundle_test(self, surface: SurfaceModel) -> bool:
+        """The test of `is_line_bundle_class`; the last part is 2 ch2 = c.Gc
+        on the integral c."""
         if self.ch0 != 1:
             return False
         c1_square = self._integral_c1_square(surface)
@@ -360,12 +386,12 @@ def scaled_coords(a: ChernCharacter) -> tuple[tuple[int, ...], int]:
 def class_coords(y: ChernCharacter | ClassCoords, surface: SurfaceModel
                  ) -> ClassCoords:
     """A class as integer coordinates over a denominator, checked against
-    the Picard rank: a `ChernCharacter` is scaled by `scaled_coords`, a pair
+    the Picard rank: a `ChernCharacter` gives its cached `coords`, a pair
     (numerators, denominator) is taken as it is."""
     if isinstance(y, ChernCharacter):
         if len(y.ch1) != surface.picard_rank:
             raise ValueError("divisor class length does not match picard rank")
-        return scaled_coords(y)
+        return y.coords
     if len(y[0]) != surface.picard_rank + 2:
         raise ValueError("divisor class length does not match picard rank")
     return y
@@ -434,6 +460,54 @@ def chi_functional(y: ChernCharacter | ClassCoords, surface: SurfaceModel
             *(2 * x - r * k for x, k in zip(_gram_times(surface, c), gk)), 2 * r)
     g = gcd(*form, 2 * d)
     return tuple(x // g for x in form), 2 * d // g
+
+
+class InputClass(ClassMultiplier):
+    """Multiplication by an input class y (a bundle or the twist) on one
+    surface, together with what the formulas read of y, each formed on first
+    use and kept: the powers y^j, the Riemann-Roch forms chi(. y^j) and the
+    line-bundle test.  `input_class` keeps one per class and surface."""
+
+    __slots__ = ("_ch", "_surface", "_powers", "_forms", "_line_bundle")
+
+    def __init__(self, y: ChernCharacter, surface: SurfaceModel):
+        super().__init__(y, surface)
+        self._ch, self._surface = y, surface
+        self._powers = [unit_coords(surface)]
+        self._forms: list[ClassCoords] = []
+        self._line_bundle: bool | None = None
+
+    @property
+    def is_line_bundle(self) -> bool:
+        if self._line_bundle is None:
+            self._line_bundle = self._ch._line_bundle_test(self._surface)
+        return self._line_bundle
+
+    def power(self, j: int) -> ClassCoords:
+        """y^j for j >= 0 in integer coordinates over a denominator."""
+        powers = self._powers
+        while len(powers) <= j:
+            powers.append(self.times(powers[-1]))
+        return powers[j]
+
+    def form(self, j: int) -> ClassCoords:
+        """The linear form chi(. y^j) for j >= 1 (`chi_functional`)."""
+        forms = self._forms
+        while len(forms) < j:
+            forms.append(chi_functional(self.power(len(forms) + 1), self._surface))
+        return forms[j - 1]
+
+
+def input_class(y: ChernCharacter, surface: SurfaceModel) -> InputClass:
+    """The `InputClass` of y on the surface, formed on first use and then
+    kept in the surface's memo, keyed by the integer coordinates of y: the
+    classes that formulas take as inputs, never their products."""
+    coords = class_coords(y, surface)
+    memo = surface.input_classes
+    found = memo.get(coords)
+    if found is None:
+        found = memo[coords] = InputClass(y, surface)
+    return found
 
 
 # Bundled test surfaces with classically known invariants.

@@ -1,5 +1,6 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
+import gc
 import io
 import itertools
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautchi import cli, complexes, euler
+from tautchi import cli, complexes, euler, surface
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -277,14 +278,121 @@ def test_sample_jobs_out_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (REPO / "tests" / "data" / "sample_jobs.out.json").read_bytes()
 
 
+def test_sweeps_out_matches_golden(tmp_path, capsys):
+    # every sweepable kind, virtual inputs, a twist with chi(L) = -4, and a
+    # sweep that fails at n = 2: one ERROR row, exit 1
+    out = tmp_path / "out.json"
+    assert cli.run(str(REPO / "tests" / "data" / "sweeps.json"),
+                   out=str(out)) == cli.EXIT_JOB_ERROR
+    assert ("error: job 'top-fails-at-2' failed: ValueError: missing "
+            "top-cohomology value for subset {2}") in capsys.readouterr().err
+    assert out.read_bytes() == (REPO / "tests" / "data" / "sweeps.out.json").read_bytes()
+
+
+SWEEP_DOC = {
+    "surface": {"preset": "P1xP1"},
+    "bundles": [{"name": "A", "rank": 1, "c1": [2, -1], "c2": 0},
+                {"name": "E", "rank": 2, "c1": [0, 1], "c2": 1},
+                {"name": "V", "ch": ["1/3", ["-1/2", "1"], "2/5"]}],
+    "line_bundle": [1, 2],
+}
+SWEPT = {
+    "scala": ({"bundle": "V"}, 1),
+    "euler_three": ({"bundles": ["A", "V", "A"]}, 3),
+    "k0_invariants": ({"bundles": ["E", "V", "E", "A"]}, 1),
+    "h_top": ({"k": 3, "q": 2, "h2": {"1": 1, "2": 0, "3": 2, "1,2": 3, "1,3": 1,
+                                      "2,3": 4, "1,2,3": 2}}, 1),
+    "h0": ({"h0": [2, 3]}, 2),
+}
+
+
+@pytest.mark.parametrize("kind", cli.SWEEPABLE)
+def test_sweep_rows_equal_the_single_n_rows(kind):
+    fields, first = SWEPT[kind]
+    ns = range(first, first + 7)
+    jf = cli.parse_job_file({**SWEEP_DOC, "jobs": [
+        {"id": "sw", "kind": kind, "sweep_n": [ns[0], ns[-1]], **fields},
+        *({"id": f"sw[n={n}]", "kind": kind, "n": n, **fields} for n in ns)]})
+    swept = cli.run_one_job(jf, jf.jobs[0])
+    single = [row for job in jf.jobs[1:] for row in cli.run_one_job(jf, job)]
+    assert [row.to_json() for row in swept] == [row.to_json() for row in single]
+    assert [row.params["n"] for row in swept] == list(ns)
+
+
+def test_ring_data_formed_once_per_job_file(monkeypatch):
+    # the integer coordinates, the multiplier and the line-bundle test of
+    # each input class and the forms chi(. L^j) of the twist are formed once
+    # for the whole job file, however many jobs and rows read them
+    coords, built, tests, forms = [], [], [], []
+    scaled = surface.scaled_coords
+    monkeypatch.setattr(surface, "scaled_coords",
+                        lambda ch: coords.append(ch) or scaled(ch))
+    init = surface.InputClass.__init__
+    monkeypatch.setattr(surface.InputClass, "__init__",
+                        lambda self, y, s: built.append(y) or init(self, y, s))
+    line_bundle_test = surface.ChernCharacter._line_bundle_test
+    monkeypatch.setattr(surface.ChernCharacter, "_line_bundle_test",
+                        lambda ch, s: tests.append(ch) or line_bundle_test(ch, s))
+    form = surface.chi_functional
+    monkeypatch.setattr(surface, "chi_functional",
+                        lambda y, s: forms.append(y) or form(y, s))
+    jf = cli.parse_job_file({**SWEEP_DOC, "jobs": [
+        {"id": "s", "kind": "scala", "bundle": "E", "sweep_n": [1, 4]},
+        {"id": "t", "kind": "euler_three", "bundles": ["A", "E", "V"],
+         "sweep_n": [3, 5]},
+        {"id": "t2", "kind": "euler_three", "bundles": ["V", "V", "E"], "n": 4},
+        {"id": "k", "kind": "k0_invariants", "bundles": ["A", "E", "A"],
+         "sweep_n": [1, 3]},
+        {"id": "p", "kind": "euler_two", "bundles": ["A", "V", "E"]},
+        {"id": "y", "kind": "sym_power_two", "bundle": "A", "k": 3},
+        {"id": "y2", "kind": "sym_power_two", "bundle": "A", "k": 2},
+        {"id": "x", "kind": "scala", "bundle": "A", "n": 3}]})
+    for job in jf.jobs:
+        cli.run_one_job(jf, job)
+    inputs = [*jf.bundles.values(), jf.twist]
+    assert sorted(map(inputs.index, coords)) == [0, 1, 2, 3]
+    assert sorted(map(inputs.index, built)) == [0, 1, 2, 3]
+    # the twist at parse, the sym_power_two bundle at validation
+    assert tests == [jf.twist, jf.bundles["A"]]
+    twist = surface.input_class(jf.twist, jf.surface)
+    powers = [twist.power(j) for j in (1, 2, 3)]
+    assert [y for y in forms if y in powers] == powers
+
+
+def test_run_freezes_the_job_file_and_restores_the_freeze_count(tmp_path, capsys,
+                                                               monkeypatch):
+    seen = []
+    run_one_job = cli.run_one_job
+    monkeypatch.setattr(cli, "run_one_job",
+                        lambda jf, job: seen.append(gc.get_freeze_count())
+                        or run_one_job(jf, job))
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "s", "kind": "scala", "bundle": "O1", "n": 2},
+        {"id": "t", "kind": "h_top", "k": 2, "n": 2, "h2": {"1": 1}}]})
+    before = gc.get_freeze_count()
+    assert before == 0
+    assert cli.run(path) == cli.EXIT_JOB_ERROR
+    assert gc.get_freeze_count() == before
+    assert len(seen) == 2 and all(count > 0 for count in seen)
+    # objects a caller froze stay frozen
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.run(path) == cli.EXIT_JOB_ERROR
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
 def written_json(value):
     buf = io.StringIO()
     cli.write_json(value, buf.write)
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("name", ["sample_jobs.out.json", "verify_k5.out.json",
-                                  "verify_k8.out.json"])
+@pytest.mark.parametrize("name", ["sample_jobs.out.json", "sweeps.out.json",
+                                  "verify_k5.out.json", "verify_k8.out.json"])
 def test_writer_matches_json_dumps_on_golden_outputs(name):
     text = (REPO / "tests" / "data" / name).read_text(encoding="utf-8")
     rows = json.loads(text)
@@ -466,6 +574,26 @@ def test_slot_invariant_failure_keeps_its_row(monkeypatch):
     assert not ok and len(rows) == 47
     assert failing_rows(rows) == [
         (45, "verify[slot-invariants k=4]", "FAIL (dim=1 at ell=2, i=1)")]
+
+
+def test_slot_invariant_error_is_a_fail_row(monkeypatch, capsys):
+    # a trace that disagrees with the fixed-space rank fails its row; the
+    # suite goes on and --verify exits 2
+    invariants = complexes.group_invariant_dim
+
+    def mismatch_at_4_2_1(cx, degree, group, slot_character="trivial"):
+        if group == "slot" and (cx.k, cx.ell, degree) == (4, 2, 1):
+            raise ArithmeticError("injected trace mismatch")
+        return invariants(cx, degree, group, slot_character)
+
+    monkeypatch.setattr(complexes, "group_invariant_dim", mismatch_at_4_2_1)
+    rows, ok = cli.run_verification(5)
+    assert not ok and len(rows) == 47
+    assert failing_rows(rows) == [
+        (45, "verify[slot-invariants k=4]",
+         "FAIL (injected trace mismatch at ell=2, i=1)")]
+    assert cli.main(["--verify", "k=5"]) == cli.EXIT_VERIFY_FAILED
+    assert "FAIL (injected trace mismatch" in capsys.readouterr().out
 
 
 def test_corrupted_differential_fails_its_exactness_row(monkeypatch, capsys):

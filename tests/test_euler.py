@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -15,9 +16,11 @@ from oracles import stirling2
 from tautchi import cli, complexes, euler
 from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_hom_pair_two, chi_product_invariants,
-                           chi_sym_power_two, chi_taut, chi_taut_product_two,
-                           chi_taut_triple, global_sections_dim,
-                           hom_coeff_pair, top_cohomology_dim)
+                           chi_product_invariants_sweep, chi_sym_power_two,
+                           chi_taut, chi_taut_product_two, chi_taut_triple,
+                           chi_taut_triple_sweep, global_sections_dim,
+                           hom_coeff_pair, top_cohomology_dim,
+                           top_cohomology_dim_sweep)
 from tautchi.surface import (ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2,
                              sym_pow_chi)
 
@@ -141,6 +144,29 @@ def test_term_product_formed_once():
     assert Term("x", Fraction(-2), ()).value == -2
 
 
+EXACT = st.fractions(min_value=-60, max_value=60, max_denominator=48)
+
+
+@given(st.lists(st.tuples(EXACT, st.lists(EXACT, max_size=4)), max_size=8))
+def test_term_values_and_sums_equal_the_fraction_reference(drawn):
+    # the integer assembly against Fraction products and a Fraction sum
+    terms = [Term(f"t{i}", c, tuple(fs)) for i, (c, fs) in enumerate(drawn)]
+    reference = []
+    for c, fs in drawn:
+        for f in fs:
+            c *= f
+        reference.append(c)
+    assert [t.value for t in terms] == reference
+    assert all(type(t.value) is Fraction for t in terms)
+    total = sum(reference, Fraction(0))
+    assert euler.fraction_sum(t.value for t in terms) == total
+    assert euler.fraction_sum(reference) == total
+    assert euler._result(terms).value == total
+    assert ChiResult(total, tuple(terms)).value == total
+    with pytest.raises(ArithmeticError):
+        ChiResult(total + Fraction(1, 7), tuple(terms))
+
+
 # --- ambient invariants -------------------------------------------------------------
 
 def test_product_invariants_single_bundle_is_chi_taut():
@@ -149,6 +175,53 @@ def test_product_invariants_single_bundle_is_chi_taut():
         e = random_chern(rng, P2)
         tw = o_line(P2, [rng.randint(-2, 2)])
         assert chi_product_invariants(P2, n, [e], tw).value == chi_taut(P2, n, e, tw)
+
+
+@pytest.mark.parametrize("surface", [P2, QUADRIC, K3])
+def test_sweeps_equal_their_single_n_values(surface):
+    # one evaluation per range: block sums up to the largest n, truncated
+    # at each n, and the eight triple classes formed once
+    rng = random.Random(surface.picard_rank + 41)
+    e = [random_chern(rng, surface) for _ in range(3)]
+    tw = o_line(surface, [rng.randint(-2, 2) for _ in range(surface.picard_rank)])
+    ns = range(3, 10)
+    assert chi_taut_triple_sweep(surface, ns, *e, tw) == [
+        chi_taut_triple(surface, n, *e, tw) for n in ns]
+    bundles = [e[0], e[1], e[0], e[2], e[1], e[0]]
+    ns = range(1, 9)
+    swept = chi_product_invariants_sweep(surface, ns, bundles, tw)
+    assert swept == [chi_product_invariants(surface, n, bundles, tw) for n in ns]
+    assert [len(r.terms) for r in swept] == [1, 2, 3, 4, 5, 6, 6, 6]
+    with pytest.raises(ValueError, match="n >= 3"):
+        chi_taut_triple_sweep(surface, range(2, 5), *e, tw)
+    with pytest.raises(ValueError, match="n >= 1"):
+        chi_product_invariants_sweep(surface, range(0, 3), bundles, tw)
+
+
+def frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_block_sums_stack_depth_does_not_grow_with_copies():
+    # 150 copies of O(1) need 150 nested calls in a recursion over the
+    # leftover multisets; bottom-up they run in a fixed stack depth
+    k = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 60)
+    try:
+        res = chi_product_invariants(P2, 2, [o_line(P2, [1])] * k)
+    finally:
+        sys.setrecursionlimit(limit)
+
+    def chi(d):  # chi(O(d)) on the plane
+        return (d + 1) * (d + 2) // 2
+
+    pairs = sum(comb(k, a) * chi(a) * chi(k - a) for a in range(1, k)) // 2
+    assert [t.value for t in res.terms] == [chi(k), pairs]
 
 
 def test_product_invariants_counts_partitions_for_trivial_bundles():
@@ -398,6 +471,26 @@ def test_top_cohomology_missing_subset_named_in_mask_order(k, n, present, named)
     h2 = {frozenset(s): 1 for s in present}
     with pytest.raises(ValueError) as exc:
         top_cohomology_dim(k, n, h2, 0)
+    assert str(exc.value) == f"missing top-cohomology value for subset {named}"
+
+
+def test_top_cohomology_sweep_equals_its_single_n_values():
+    rng = random.Random(29)
+    for k in range(1, 6):
+        h2 = {s: rng.choice([0, 1, 2, 5, -1]) for s in all_subsets(k)}
+        for first, last in ((1, 1), (1, 7), (2, 6), (4, 4)):
+            q = rng.randint(0, 3)
+            assert top_cohomology_dim_sweep(k, range(first, last + 1), h2, q) == [
+                top_cohomology_dim(k, n, h2, q) for n in range(first, last + 1)]
+
+
+@pytest.mark.parametrize("first,named", [(1, "{1,2,3}"), (2, "{3}")])
+def test_top_cohomology_sweep_fails_as_its_first_failing_n(first, named):
+    # at n = 1 only the whole set is looked up, at n >= 2 every subset in
+    # mask order: a sweep names the subset that its first n alone names
+    h2 = {frozenset({1}): 1, frozenset({2}): 1}
+    with pytest.raises(ValueError) as exc:
+        top_cohomology_dim_sweep(3, range(first, 5), h2, 1)
     assert str(exc.value) == f"missing top-cohomology value for subset {named}"
 
 

@@ -13,7 +13,8 @@ from tautchi.surface import (BundleSpec, ChernCharacter, ClassMultiplier,
                              DivisorClass, SurfaceModel, as_fraction, ch_add,
                              ch_coords, ch_dual, ch_hom, ch_sub, ch_sym_cotangent,
                              ch_tangent, ch_tensor, chi_functional, gen_binomial,
-                             hrr_chi, k3, p1xp1, p2, scaled_coords, sym_pow_chi)
+                             hrr_chi, input_class, k3, p1xp1, p2, scaled_coords,
+                             sym_pow_chi, unit_coords)
 
 P2 = p2()
 
@@ -233,6 +234,44 @@ def test_chi_functional_is_twisted_riemann_roch(x, a, b):
             == hrr_chi(ch_tensor(x, twist, QUADRIC), QUADRIC))
 
 
+@given(chern_on(QUADRIC))
+def test_input_class_powers_and_forms_are_the_ring_products(y):
+    surface = p1xp1()
+    data = input_class(y, surface)
+    times = ClassMultiplier(y, surface)
+    power = unit_coords(surface)
+    assert data.power(0) == power
+    for j in range(1, 5):
+        power = times.times(power)
+        assert data.power(j) == power
+        assert data.form(j) == chi_functional(power, surface)
+    assert (data.r, data.c, data.s, data.gc, data.den) == (
+        times.r, times.c, times.s, times.gc, times.den)
+
+
+def test_input_class_is_formed_once_per_class_and_surface(monkeypatch):
+    tests = []
+    line_bundle_test = ChernCharacter._line_bundle_test
+    monkeypatch.setattr(ChernCharacter, "_line_bundle_test",
+                        lambda ch, surface: tests.append(ch)
+                        or line_bundle_test(ch, surface))
+    surface = p1xp1()
+    a = ChernCharacter.line_bundle([1, -2], surface)
+    data = input_class(a, surface)
+    # an equal class held by another object shares the data; another
+    # surface object has its own
+    assert input_class(ChernCharacter.make(1, [1, -2], -2), surface) is data
+    assert input_class(a, p1xp1()) is not data
+    assert a.coords is a.coords == scaled_coords(a)
+    for _ in range(3):
+        assert a.is_line_bundle_class(surface) and data.is_line_bundle
+        assert data.form(2) is data.form(2)
+    assert tests == [a]
+    assert list(surface.input_classes) == [a.coords]
+    assert not ChernCharacter.make(1, [1, -2], 0).is_line_bundle_class(surface)
+    assert len(tests) == 2
+
+
 def test_hom_examples():
     unit = ChernCharacter.unit(P2)
     assert ch_hom(line_on_p2(2), line_on_p2(2), P2) == unit
@@ -328,6 +367,22 @@ def test_sym_pow_chi_basics():
 def test_reflection_identity(chi, m):
     assert (-1) ** m * gen_binomial(-chi, m) == gen_binomial(chi + m - 1, m)
     assert sym_pow_chi(m, chi) == gen_binomial(chi + m - 1, m)
+
+
+def test_sym_pow_chi_comb_path_equals_gen_binomial():
+    # integral chi takes math.comb; gen_binomial is the reference
+    for chi in range(-30, 31):
+        for m in range(41):
+            got = sym_pow_chi(m, chi)
+            assert type(got) is Fraction
+            assert got == gen_binomial(chi + m - 1, m), (chi, m)
+            assert sym_pow_chi(m, Fraction(chi)) == got
+
+
+def test_sym_pow_chi_rational_takes_gen_binomial():
+    for chi in (Fraction(1, 2), Fraction(-7, 3)):
+        for m in range(8):
+            assert sym_pow_chi(m, chi) == oracles.naive_gen_binomial(chi + m - 1, m)
 
 
 @pytest.mark.parametrize("x", [0, 1, 7, -1, -5, Fraction(1, 2), Fraction(-7, 3),
