@@ -71,6 +71,20 @@ class JobFileError(ValueError):
     """Raised for any parse or validation problem in a job file."""
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The `object_pairs_hook` of a job file: the object of its key-value
+    pairs, where a repeated key is a `JobFileError` naming the key (plain
+    `json.load` would keep its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise JobFileError(f"repeated key {key!r} in one object")
+            seen.add(key)
+    return obj
+
+
 def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise JobFileError(f"{where}: expected a rational, got a boolean")
@@ -677,9 +691,12 @@ def write_rows(path: str, rows: Sequence[ResultRow]) -> None:
 def run(path: str, out: str | None = None) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except JobFileError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: parse error in {path} at line {exc.lineno} column "

@@ -45,9 +45,8 @@ from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .surface import (ChernCharacter, ClassCoords, ClassMultiplier, InputClass,
-                      SurfaceModel, ch_tangent, chi_functional, class_coords,
-                      dual_coords, gen_binomial, input_class, sym_pow_chi,
-                      unit_coords)
+                      SurfaceModel, chi_functional, class_coords, dual_coords,
+                      gen_binomial, input_class, sym_pow_chi, unit_coords)
 
 
 @dataclass(frozen=True)
@@ -184,17 +183,23 @@ def _product_all(surface: SurfaceModel, chars: Sequence[ChernCharacter]
 
 
 # Sums over splittings P | P^c are evaluated in A (x) A, where A is the
-# truncated ring in integer coordinates (see `surface.class_coords`).  An
-# element of A (x) A is a tuple of rows indexed by the left coordinate; a
-# z-graded element is a list of such tensors indexed by the power of z.  All
-# entries of a z-graded element share one denominator, which each step
-# multiplies by that of its class.
+# truncated ring in integer coordinates (see `surface.class_coords`), or in
+# the tensor square of its dual, the linear forms on A.  An element of
+# A (x) A is a tuple of rows indexed by the left coordinate; a z-graded
+# element is a list of such tensors indexed by the power of z.  All entries
+# of a z-graded element share one denominator, which each step multiplies by
+# that of its class.
 
-def _split_step(graded: list, y: ClassMultiplier) -> list:
-    """Multiply the numerators of a z-graded element of A (x) A by
-    (z y (x) 1 + 1 (x) y); the denominator gains the factor y.den."""
-    left = [tuple(zip(*map(y, zip(*t)))) for t in graded]
-    right = [tuple(map(y, t)) for t in graded]
+def _split_step(graded: list, y: Callable[[Sequence[int]], tuple[int, ...]]
+                ) -> list:
+    """Apply (z y (x) 1 + 1 (x) y) to the numerators of a z-graded element
+    of A (x) A, for y the numerator of a linear map of A: the multiplication
+    by a class (`ClassMultiplier`) or its adjoint on forms
+    (`ClassMultiplier.adjoint`); the denominator gains the map's factor.
+    All-zero rows and columns are kept as they are, without a call to y."""
+    left = [tuple(zip(*[y(col) if any(col) else col for col in zip(*t)]))
+            for t in graded]
+    right = [tuple(y(row) if any(row) else row for row in t) for t in graded]
     middle = [tuple(tuple(map(operator.add, a, b)) for a, b in zip(lt, rt))
               for lt, rt in zip(left, right[1:])]
     return [right[0], *middle, left[-1]]
@@ -221,6 +226,13 @@ def _pair_eval(phi: tuple[Sequence[int], int], tensor: tuple, den: int) -> Fract
     form, d = phi
     return Fraction(sum(a * sum(map(operator.mul, row, form))
                         for a, row in zip(form, tensor)), d * d * den)
+
+
+def _frobenius(s: tuple, t: tuple) -> int:
+    """The pairing sum_ij s_ij t_ij of an element s of A (x) A with an
+    element t of the tensor square of the forms on A."""
+    return sum(map(operator.mul, itertools.chain.from_iterable(s),
+                   itertools.chain.from_iterable(t)))
 
 
 def surviving_count(k: int, ell: int) -> int:
@@ -492,41 +504,50 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     tangent-twisted middle extension enters with the smaller coefficient c-.
 
     The double sum over P containing 1 and arbitrary Q of
-    chi(Hom(E_P, F_Q)) chi(Hom(E_(P^c), F_(Q^c))) factors like the main sum of
-    `chi_taut_product_two`: the duals of the source classes and then the
-    target classes are multiplied in with grading variables z and w, and
-    (chi (x) chi) of the coefficient of z^(a-1) w^b is the term |P|=a,|Q|=b.
+    chi(Hom(E_P, F_Q)) chi(Hom(E_(P^c), F_(Q^c))) is the term |P|=a,|Q|=b,
+    with chi = chi(. 1), of
+    (chi (x) chi)(S_a G_b) = <S_a, (beta (x) beta) G_b>,
+    beta(x, x') = chi(x x').  The source side S_a, the coefficient of
+    z^(a-1) in (e_1^dual (x) 1) prod_(t>=2) (z e_t^dual (x) 1 + 1 (x) e_t^dual),
+    is built like the main sum of `chi_taut_product_two`.  The target side
+    is formed once, as forms: starting from chi (x) chi, each target class f
+    applies (w f* (x) 1 + 1 (x) f*), where f* is the adjoint of the
+    multiplication by f, u -> u(f .) (`ClassMultiplier.adjoint`), and the
+    coefficient of w^b is the form tensor F_b.  Each term is then one integer
+    pairing <S_a, F_b> over one denominator.  The cost is
+    O((k^2 + khat^2)(p+2)^2) for Picard rank p: k - 1 source steps and khat
+    target steps, each over at most k or khat + 1 grades, plus k(khat + 1)
+    pairings.  The forms that depend on the surface alone, and chi (x) chi,
+    are formed once per surface (`SurfaceModel.hom_forms`).
     """
     k, khat = len(source), len(target)
     if k < 1 or khat < 1:
         raise ValueError("need at least one bundle on each side")
+    forms = surface.hom_forms
     duals = [dual_coords(class_coords(e, surface)) for e in source]
     source_sums, den = _split_sums(duals[0], [ClassMultiplier(d, surface)
                                               for d in duals[1:]])
-    by_size = [[t] for t in source_sums]
+    target_forms = [forms.chi_square]
     for f in target:
         y = input_class(f, surface)
-        by_size = [_split_step(graded, y) for graded in by_size]
+        target_forms = _split_step(target_forms, y.adjoint)
         den *= y.den
-    phi = chi_functional(unit_coords(surface), surface)
-    terms = [Term(f"|P|={a},|Q|={b}", Fraction(1), (_pair_eval(phi, t, den),))
-             for a, graded in enumerate(by_size, 1) for b, t in enumerate(graded)]
+    den *= forms.chi[1] ** 2
+    terms = [Term(f"|P|={a},|Q|={b}", Fraction(1),
+                  (Fraction(_frobenius(s, t), den),))
+             for a, s in enumerate(source_sums, 1)
+             for b, t in enumerate(target_forms)]
 
     # The diagonal classes: (S^(ell-1) Omega E)^dual on the source side and
     # S^(ellhat-1) Omega F on the target side; every correction is chi,
     # chi(. omega^dual) or chi(. T) of the product of one of each, and the
     # c+ factor is chi(. (1 + omega^dual)) by linearity of chi(. y) in y.
-    # Over the denominator 2, omega^dual = (1, -K, K.K/2) is (2, -2K, K.K)
-    # and 1 + omega^dual is (4, -2K, K.K).
     times_e = ClassMultiplier(_product_all(surface, source), surface)
     times_f = ClassMultiplier(_product_all(surface, target), surface)
     cot = [_sym_cotangent_coords(m, surface) for m in range(max(k, khat))]
     src = [ClassMultiplier(dual_coords(times_e.times(c)), surface) for c in cot[:k]]
     tgt = [times_f.times(c) for c in cot[:khat]]
-    minus_2k = tuple(-2 * x for x in surface.canonical)
-    phi_w = chi_functional(((2, *minus_2k, surface.k_squared), 2), surface)
-    phi_t = chi_functional(ch_tangent(surface), surface)
-    phi_cw = chi_functional(((4, *minus_2k, surface.k_squared), 2), surface)
+    phi, phi_w, phi_t, phi_cw = forms[:4]
 
     for ellhat, b in enumerate(tgt, 1):
         terms.append(Term(f"into-diag ellhat={ellhat}",

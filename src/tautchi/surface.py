@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rat = Union[int, Fraction]
 # A class of A = Q + Pic_Q + Q as integer numerators (ch0, ch1_1, ..., ch1_p,
@@ -88,7 +88,8 @@ class SurfaceModel:
     The invariants that every Riemann-Roch evaluation needs (the nonzero
     Gram entries of each row, G.K, K.K, chi(O) and the canonical class) are
     computed once per surface and cached, as are the data of its input
-    classes (`input_class`); they take no part in comparison.
+    classes (`input_class`) and the surface-only forms of the Hom pair
+    (`hom_forms`); they take no part in comparison.
     """
 
     name: str
@@ -161,6 +162,21 @@ class SurfaceModel:
         """The memo of `input_class`: the data of each input class met on
         this surface, keyed by its integer coordinates."""
         return {}
+
+    @cached_property
+    def hom_forms(self) -> "HomForms":
+        """The forms of the Hom pair that depend on this surface alone
+        (`HomForms`), formed on first use."""
+        chi = chi_functional(unit_coords(self), self)
+        # Over the denominator 2, omega^dual = (1, -K, K.K/2) is
+        # (2, -2K, K.K) and 1 + omega^dual is (4, -2K, K.K).
+        minus_2k = tuple(-2 * x for x in self.canonical)
+        return HomForms(
+            chi,
+            chi_functional(((2, *minus_2k, self.k_squared), 2), self),
+            chi_functional(ch_tangent(self), self),
+            chi_functional(((4, *minus_2k, self.k_squared), 2), self),
+            tuple(tuple(a * b for b in chi[0]) for a in chi[0]))
 
     @cached_property
     def _canonical_class(self) -> "DivisorClass":
@@ -440,6 +456,16 @@ class ClassMultiplier:
         """y.x for a class x in integer coordinates over its denominator."""
         return self(x[0]), self.den * x[1]
 
+    def adjoint(self, u: Sequence[int]) -> tuple[int, ...]:
+        """The numerator of the linear form x -> u(y.x), for a linear form u
+        on A with integer numerators U (coefficients of x0, x_c, x2):
+        (r U0 + c.U_c + s U2, r U_c + U2 Gc, r U2).  As for a product, the
+        caller multiplies its running denominator by den."""
+        r, u2, mid = self.r, u[-1], u[1:-1]
+        return (r * u[0] + sum(map(operator.mul, self.c, mid)) + self.s * u2,
+                *(r * x + u2 * g for x, g in zip(mid, self.gc)),
+                r * u2)
+
 
 def chi_functional(y: ChernCharacter | ClassCoords, surface: SurfaceModel
                    ) -> tuple[tuple[int, ...], int]:
@@ -460,6 +486,21 @@ def chi_functional(y: ChernCharacter | ClassCoords, surface: SurfaceModel
             *(2 * x - r * k for x, k in zip(_gram_times(surface, c), gk)), 2 * r)
     g = gcd(*form, 2 * d)
     return tuple(x // g for x in form), 2 * d // g
+
+
+class HomForms(NamedTuple):
+    """What `euler.chi_hom_pair_two` reads of the surface alone
+    (`SurfaceModel.hom_forms`): the Riemann-Roch forms chi(. 1),
+    chi(. omega^dual), chi(. T) and chi(. (1 + omega^dual)) as integer
+    coordinates over a denominator, and the numerators of chi (x) chi on
+    A (x) A (rows indexed by the left coordinate), over the square of the
+    denominator of chi."""
+
+    chi: ClassCoords
+    chi_omega_dual: ClassCoords
+    chi_tangent: ClassCoords
+    chi_one_plus_omega_dual: ClassCoords
+    chi_square: tuple[tuple[int, ...], ...]
 
 
 class InputClass(ClassMultiplier):

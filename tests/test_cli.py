@@ -59,6 +59,32 @@ def test_parse_error_is_position_annotated(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+@pytest.mark.parametrize("text, key", [
+    # a bundle's c1 given twice: json.load alone would run O(2) as A
+    ('{"surface": {"preset": "P2"}, "bundles": [{"name": "A", "rank": 1, '
+     '"c1": [1], "c1": [2]}], "jobs": [{"id": "a", "kind": "scala", '
+     '"bundle": "A", "n": 2}]}', "c1"),
+    ('{"surface": {"preset": "P2"}, "jobs": [], "jobs": []}', "jobs"),
+    ('{"surface": {"preset": "P2"}, "jobs": [{"id": "s", "kind": "h0", '
+     '"h0": [1], "n": 1, "n": 2}]}', "n"),
+    ('{"surface": {"preset": "K3", "h_square": 2, "h_square": 4}, "jobs": []}',
+     "h_square"),
+])
+def test_repeated_key_is_rejected(tmp_path, capsys, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert cli.run(str(path)) == cli.EXIT_BAD_INPUT
+    assert f"repeated key {key!r}" in capsys.readouterr().err
+    with pytest.raises(cli.JobFileError, match=f"repeated key {key!r}"):
+        json.loads(text, object_pairs_hook=cli.unique_keys)
+
+
+def test_equal_keys_in_different_objects_are_accepted():
+    doc = json.loads('{"a": {"n": 1}, "b": {"n": 2}, "n": 3}',
+                     object_pairs_hook=cli.unique_keys)
+    assert doc == {"a": {"n": 1}, "b": {"n": 2}, "n": 3}
+
+
 def test_precondition_violation_names_job(tmp_path, capsys):
     path = write_jobs(tmp_path, {**BASE, "jobs": [
         {"id": "bad3", "kind": "euler_three", "bundles": ["O", "O", "O"], "n": 2}]})
@@ -278,6 +304,16 @@ def test_sample_jobs_out_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (REPO / "tests" / "data" / "sample_jobs.out.json").read_bytes()
 
 
+def test_hom_pairs_out_matches_golden(tmp_path, capsys):
+    # euler_bichar_two with k, khat in 1..5 on the rank-4 blow-up, with
+    # fractional virtual, rank-0 and negative-rank classes
+    out = tmp_path / "out.json"
+    assert cli.run(str(REPO / "tests" / "data" / "hom_pairs.json"),
+                   out=str(out)) == cli.EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (REPO / "tests" / "data" / "hom_pairs.out.json").read_bytes()
+
+
 def test_sweeps_out_matches_golden(tmp_path, capsys):
     # every sweepable kind, virtual inputs, a twist with chi(L) = -4, and a
     # sweep that fails at n = 2: one ERROR row, exit 1
@@ -392,6 +428,7 @@ def written_json(value):
 
 
 @pytest.mark.parametrize("name", ["sample_jobs.out.json", "sweeps.out.json",
+                                  "hom_pairs.out.json",
                                   "verify_k5.out.json", "verify_k8.out.json"])
 def test_writer_matches_json_dumps_on_golden_outputs(name):
     text = (REPO / "tests" / "data" / name).read_text(encoding="utf-8")

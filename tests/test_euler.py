@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import stirling2
 from tautchi import cli, complexes, euler
+from tautchi import surface as surface_module
 from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_hom_pair_two, chi_product_invariants,
                            chi_product_invariants_sweep, chi_sym_power_two,
@@ -338,6 +339,36 @@ def test_hom_pair_builds_each_diagonal_class_once(monkeypatch):
     chi_hom_pair_two(P2, source, target)
     # O(k + khat) cotangent powers, not one pair per (ell, ellhat)
     assert 0 < len(calls) <= len(source) + len(target)
+
+
+def test_hom_pair_forms_the_target_side_once(monkeypatch):
+    steps = []
+    step = euler._split_step
+    monkeypatch.setattr(euler, "_split_step",
+                        lambda graded, y: steps.append(y) or step(graded, y))
+    source = [o_line(P2, [d]) for d in (1, -1, 2, 0)]
+    target = [o_line(P2, [d]) for d in (0, 3, -2)]
+    chi_hom_pair_two(P2, source, target)
+    # k - 1 source steps and khat target steps, not k - 1 + k * khat
+    assert len(steps) == (len(source) - 1) + len(target)
+
+
+def test_hom_pair_forms_its_surface_forms_once(monkeypatch):
+    surface = p2()  # a model of its own, on which nothing is formed yet
+    built = []
+    for module in (surface_module, euler):
+        for name in ("chi_functional", "ch_tangent"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name,
+                    lambda *args, fn=fn, name=name: built.append(name) or fn(*args))
+    chi_hom_pair_two(surface, [o_line(surface, [1])], [unit(surface)])
+    assert built.count("chi_functional") == 4
+    built.clear()
+    chi_hom_pair_two(surface, [o_line(surface, [2]), unit(surface)],
+                     [o_line(surface, [-1])])
+    assert built == []
 
 
 def test_hom_coeff_pair_values():

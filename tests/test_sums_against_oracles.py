@@ -6,6 +6,7 @@ freshly built class per factor, the integer class products of
 the Fraction ring functions made to raise."""
 
 import itertools
+import operator
 import sys
 from fractions import Fraction
 
@@ -172,6 +173,22 @@ def test_integer_class_product_matches_fraction_oracle(data):
     assert den > 0 and all(type(v) is int for v in form)
     assert Fraction(sum(a * b for a, b in zip(form, ch_coords(x))), den) == \
         hrr_chi(ch_tensor(x, y, surface), surface)
+
+
+@settings(max_examples=200, deadline=None)
+@given(surfaces.flatmap(lambda s: st.tuples(
+    st.just(s), st.one_of(coprime_classes(s), integer_vectors(s)),
+    integer_vectors(s), integer_vectors(s))))
+def test_adjoint_is_the_form_of_the_product(data):
+    # u(y.x) = (y* u)(x) for the adjoint y* of the multiplication by y, with
+    # y a virtual class (zero and negative ranks among them) or raw
+    # coordinates, and u a form and x a class as integer numerators
+    surface, y, (u, _), (x, _) = data
+    times_y = ClassMultiplier(y, surface)
+    adjoint = times_y.adjoint(u)
+    assert len(adjoint) == len(u) and all(type(v) is int for v in adjoint)
+    assert (sum(map(operator.mul, u, times_y(x)))
+            == sum(map(operator.mul, adjoint, x)))
 
 
 @settings(max_examples=200, deadline=None)
