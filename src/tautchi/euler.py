@@ -8,12 +8,15 @@ each class product is built once as integer coordinates
 linear form chi(. y) (`surface.chi_functional`) formed once.
 Sums over subsets and set partitions are not enumerated: they are graded
 products in the truncated ring, polynomial in the number of bundles, and
-dynamic programs over blocks, with one term per grade.  The block DP of
-`chi_product_invariants` runs over sub-multisets of equal bundles; that of
-`top_cohomology_dim`, whose data are per subset, over bitmasks.  Inputs may
-be virtual (arbitrary rational rank), so objects of the derived category are
-admissible wherever a formula extends additively.  Results carry a term-by-term
-breakdown whose recombined value is checked at construction time; each
+dynamic programs over blocks, with one term per grade.  The double sum of
+`chi_hom_pair_two` forms its target side once, as linear forms (the adjoints
+of the target multiplications applied to chi (x) chi), and pairs it with
+each source grade.  The block DP of `chi_product_invariants` runs over
+sub-multisets of equal bundles; that of `top_cohomology_dim`, whose data
+are per subset, over bitmasks.  Inputs may be virtual (arbitrary rational
+rank), so objects of the derived category are admissible wherever a formula
+extends additively.  Results carry a term-by-term breakdown whose
+recombined value is checked at construction time; each
 term's product is formed once (`Term.value`), and values are assembled as
 integer products and sums over a common denominator.
 

@@ -79,12 +79,6 @@ def test_repeated_key_is_rejected(tmp_path, capsys, text, key):
         json.loads(text, object_pairs_hook=cli.unique_keys)
 
 
-def test_equal_keys_in_different_objects_are_accepted():
-    doc = json.loads('{"a": {"n": 1}, "b": {"n": 2}, "n": 3}',
-                     object_pairs_hook=cli.unique_keys)
-    assert doc == {"a": {"n": 1}, "b": {"n": 2}, "n": 3}
-
-
 def test_precondition_violation_names_job(tmp_path, capsys):
     path = write_jobs(tmp_path, {**BASE, "jobs": [
         {"id": "bad3", "kind": "euler_three", "bundles": ["O", "O", "O"], "n": 2}]})
