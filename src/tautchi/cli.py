@@ -27,10 +27,6 @@ from . import euler
 from .surface import (BundleSpec, ChernCharacter, DivisorClass, SurfaceModel,
                       PRESETS, gen_binomial, sym_pow_chi)
 
-KINDS = ("scala", "euler_two", "euler_bichar_two", "euler_three",
-         "sym_power_two", "h_top", "h0", "k0_invariants", "verify_complexes")
-SWEEPABLE = ("scala", "euler_three", "h_top", "h0", "k0_invariants")
-
 EXIT_OK = 0
 EXIT_JOB_ERROR = 1
 EXIT_VERIFY_FAILED = 2
@@ -69,6 +65,14 @@ def is_positive_decimal(text: str) -> bool:
 
 class JobFileError(ValueError):
     """Raised for any parse or validation problem in a job file."""
+
+
+def check_keys(obj: dict[str, Any], allowed: Sequence[str], where: str) -> None:
+    """Reject a key of a job-file object that nothing reads."""
+    for key in obj:
+        if key not in allowed:
+            raise JobFileError(f"{where}: key {key!r} is not allowed here "
+                               f"(allowed: {', '.join(allowed)})")
 
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -127,15 +131,18 @@ def parse_surface(doc: Any) -> SurfaceModel:
         raise JobFileError("surface: expected an object")
     if "preset" in doc:
         name = doc["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise JobFileError(f"surface: unknown preset {name!r} "
                                f"(available: {', '.join(sorted(PRESETS))})")
+        check_keys(doc, ("preset", "h_square") if name == "K3" else ("preset",),
+                   "surface")
         try:
             if name == "K3" and "h_square" in doc:
                 return PRESETS[name](parse_int(doc["h_square"], "h_square"))
             return PRESETS[name]()
         except (TypeError, ValueError) as exc:
             raise JobFileError(f"surface: {exc}") from None
+    check_keys(doc, ("name", "gram", "canonical", "c2"), "surface")
     try:
         gram = tuple(tuple(parse_int(x, "surface: gram") for x in row)
                      for row in doc["gram"])
@@ -162,6 +169,7 @@ def parse_bundles(doc: Any, surface: SurfaceModel) -> dict[str, ChernCharacter]:
         if name in out:
             raise JobFileError(f"{where}: duplicate bundle name {name!r}")
         if "ch" in b:
+            check_keys(b, ("name", "ch"), where)
             ch = b["ch"]
             if not isinstance(ch, list) or len(ch) != 3:
                 raise JobFileError(f"{where}: ch must be [ch0, [c1...], ch2]")
@@ -170,6 +178,7 @@ def parse_bundles(doc: Any, surface: SurfaceModel) -> dict[str, ChernCharacter]:
                 parse_divisor(ch[1], surface.picard_rank, where),
                 parse_rational(ch[2], where))
         else:
+            check_keys(b, ("name", "rank", "c1", "c2"), where)
             rank = parse_int(b.get("rank"), f"{where}: rank")
             c1 = parse_divisor(b.get("c1", [0] * surface.picard_rank),
                                surface.picard_rank, where)
@@ -180,12 +189,18 @@ def parse_bundles(doc: Any, surface: SurfaceModel) -> dict[str, ChernCharacter]:
 
 @dataclass(frozen=True)
 class Job:
+    """A validated job: its object in the job file, and what validation
+    parsed from it."""
     id: str
     kind: str
     payload: dict[str, Any]
-    sweep: tuple[int, int] | None = None
-    # h_top only: the h2 values keyed by the subsets that validation parsed.
-    h2_by_subset: dict[frozenset, int] | None = None
+    # The range of n (one n for a job with `n`), or None for a kind without n.
+    ns: range | None
+    # The params its rows echo, each row of a kind with n adding its n; None
+    # for a kind whose evaluation makes its own rows.
+    params: dict[str, Any] | None
+    # What the kind's own check parsed: h_top's h2 values keyed by subset.
+    data: Any
 
 
 @dataclass(frozen=True)
@@ -212,9 +227,34 @@ class ResultRow:
                 "value": self.value, "terms": self.terms}
 
 
+@dataclass(frozen=True)
+class Kind:
+    """A job kind: the payload keys it reads, its n range, its own checks,
+    the params its rows echo, and its evaluation."""
+    # The results of a validated job, one per n of its range; or its rows.
+    evaluate: Callable[[JobFile, Job], list]
+    # The payload keys it reads besides id, kind, n and sweep_n: those that
+    # name one bundle, those that name a nonempty list of bundles, and the
+    # others.
+    one: tuple[str, ...] = ()
+    many: tuple[str, ...] = ()
+    other: tuple[str, ...] = ()
+    # The smallest n, or None for a kind without n.
+    min_n: int | None = None
+    # The payload keys its rows echo as params over `defaults`, which hold
+    # the default of an optional key or a constant that keeps the bytes of
+    # --out; None for a kind whose evaluation makes its own rows.
+    echo: tuple[str, ...] | None = ()
+    defaults: dict[str, Any] = field(default_factory=dict)
+    # Its own checks, check(jf, jid, payload, ns); the job's data is what
+    # it returns.
+    check: Callable[[JobFile, str, dict[str, Any], range | None], Any] | None = None
+
+
 def parse_job_file(doc: Any) -> JobFile:
     if not isinstance(doc, dict):
         raise JobFileError("top level: expected an object")
+    check_keys(doc, ("surface", "bundles", "line_bundle", "jobs"), "top level")
     surface = parse_surface(doc.get("surface"))
     bundles = parse_bundles(doc.get("bundles", []), surface)
     if "line_bundle" in doc:
@@ -229,82 +269,77 @@ def parse_job_file(doc: Any) -> JobFile:
     raw_jobs = doc.get("jobs")
     if not isinstance(raw_jobs, list):
         raise JobFileError("jobs: expected a list")
+    integral = frozenset(name for name, ch in bundles.items()
+                         if ch.is_integral_class(surface))
+    jf = JobFile(surface, bundles, twist, (), integral)
     jobs: list[Job] = []
     seen_ids: set[str] = set()
     for i, j in enumerate(raw_jobs):
-        where = f"jobs[{i}]"
         if not isinstance(j, dict):
-            raise JobFileError(f"{where}: expected an object")
+            raise JobFileError(f"jobs[{i}]: expected an object")
         jid = str(j.get("id", f"job{i}"))
         if jid in seen_ids:
-            raise JobFileError(f"{where}: duplicate job id {jid!r}")
+            raise JobFileError(f"jobs[{i}]: duplicate job id {jid!r}")
         seen_ids.add(jid)
-        kind = j.get("kind")
-        if kind not in KINDS:
-            raise JobFileError(f"job {jid!r}: unknown kind {kind!r} "
-                               f"(available: {', '.join(KINDS)})")
-        sweep = None
-        if "sweep_n" in j:
-            if kind not in SWEEPABLE:
-                raise JobFileError(f"job {jid!r}: kind {kind!r} does not support "
-                                   f"an n-sweep")
-            raw = j["sweep_n"]
-            if (not isinstance(raw, list) or len(raw) != 2
-                    or not all(is_int(x) for x in raw)):
-                raise JobFileError(f"job {jid!r}: sweep_n must be [first, last]")
-            if raw[0] > raw[1]:
-                raise JobFileError(f"job {jid!r}: sweep_n {raw} is reversed "
-                                   f"(first must not exceed last)")
-            sweep = (raw[0], raw[1])
-        payload = {k: v for k, v in j.items() if k not in ("id", "kind", "sweep_n")}
-        jobs.append(Job(jid, kind, payload, sweep))
-    integral = frozenset(name for name, ch in bundles.items()
-                         if ch.is_integral_class(surface))
-    jf = JobFile(surface, bundles, twist, tuple(jobs), integral)
-    return replace(jf, jobs=tuple(validate_job(jf, job) for job in jf.jobs))
+        jobs.append(validate_job(jf, jid, j))
+    return replace(jf, jobs=tuple(jobs))
 
 
-def job_file_to_doc(jf: JobFile) -> dict[str, Any]:
-    """Serialize a parsed job file back to its canonical JSON document; the
-    composite parse(serialize(parse(doc))) equals parse(doc)."""
-    doc: dict[str, Any] = {
-        "surface": {"name": jf.surface.name,
-                    "gram": [list(row) for row in jf.surface.gram],
-                    "canonical": list(jf.surface.canonical),
-                    "c2": jf.surface.c2},
-        "bundles": [{"name": name,
-                     "ch": [rational_to_str(ch.ch0),
-                            [rational_to_str(c) for c in ch.ch1.coeffs],
-                            rational_to_str(ch.ch2)]}
-                    for name, ch in jf.bundles.items()],
-        "line_bundle": [rational_to_str(c) for c in jf.twist.ch1.coeffs],
-        "jobs": [],
-    }
-    for job in jf.jobs:
-        rec: dict[str, Any] = {"id": job.id, "kind": job.kind, **job.payload}
-        if job.sweep is not None:
-            rec["sweep_n"] = list(job.sweep)
-        doc["jobs"].append(rec)
-    return doc
+def validate_job(jf: JobFile, jid: str, j: dict[str, Any]) -> Job:
+    """Check one job object against its kind's entry in KINDS and against
+    the job file; returns the job with what validation parsed."""
+    name = j.get("kind")
+    if not isinstance(name, str) or name not in KINDS:
+        raise JobFileError(f"job {jid!r}: unknown kind {name!r} "
+                           f"(available: {', '.join(KINDS)})")
+    kind = KINDS[name]
+    n_keys = () if kind.min_n is None else ("n", "sweep_n")
+    check_keys(j, ("id", "kind", *kind.one, *kind.many, *kind.other, *n_keys),
+               f"job {jid!r}")
+    ns = None if kind.min_n is None else _n_range(jid, j, kind.min_n)
+    for key in kind.many:
+        if not isinstance(j.get(key), list) or not j[key]:
+            raise JobFileError(f"job {jid!r}: {key} must be a nonempty list "
+                               f"of bundle names")
+    for bundle in _bundle_names(kind, j):
+        if not isinstance(bundle, str) or bundle not in jf.bundles:
+            raise JobFileError(f"job {jid!r}: unknown bundle {bundle!r}")
+    data = None if kind.check is None else kind.check(jf, jid, j, ns)
+    params = None if kind.echo is None else {
+        **kind.defaults, **{key: j[key] for key in kind.echo if key in j}}
+    return Job(jid, name, j, ns, params, data)
 
 
-def _resolve(jf: JobFile, jid: str, names: Any, field_name: str
-             ) -> list[ChernCharacter]:
-    if not isinstance(names, list) or not names:
-        raise JobFileError(f"job {jid!r}: {field_name} must be a nonempty list "
-                           f"of bundle names")
-    out = []
-    for name in names:
-        if name not in jf.bundles:
-            raise JobFileError(f"job {jid!r}: unknown bundle {name!r}")
-        out.append(jf.bundles[name])
-    return out
+def _n_range(jid: str, j: dict[str, Any], min_n: int) -> range:
+    """The n range of a job of a kind with n: its `n`, or its
+    `sweep_n` [first, last]."""
+    if "sweep_n" not in j:
+        n = _need_int(jid, j, "n", min_n)
+        return range(n, n + 1)
+    if "n" in j:
+        raise JobFileError(f"job {jid!r}: keys 'n' and 'sweep_n' exclude each "
+                           f"other")
+    raw = j["sweep_n"]
+    if not isinstance(raw, list) or len(raw) != 2 or not all(map(is_int, raw)):
+        raise JobFileError(f"job {jid!r}: sweep_n must be [first, last]")
+    if raw[0] > raw[1]:
+        raise JobFileError(f"job {jid!r}: sweep_n {raw} is reversed "
+                           f"(first must not exceed last)")
+    if raw[0] < min_n:
+        raise JobFileError(f"job {jid!r}: sweep over n must start at {min_n}")
+    return range(raw[0], raw[1] + 1)
 
 
-def _resolve_one(jf: JobFile, jid: str, name: Any) -> ChernCharacter:
-    if name not in jf.bundles:
-        raise JobFileError(f"job {jid!r}: unknown bundle {name!r}")
-    return jf.bundles[name]
+def _bundle_names(kind: Kind, p: dict[str, Any]) -> list[Any]:
+    """The bundle names a job of the kind reads."""
+    names = [p.get(key) for key in kind.one]
+    for key in kind.many:
+        names.extend(p[key])
+    return names
+
+
+def _classes(jf: JobFile, job: Job, key: str) -> list[ChernCharacter]:
+    return [jf.bundles[name] for name in job.payload[key]]
 
 
 def _need_int(jid: str, payload: dict, key: str, minimum: int) -> int:
@@ -316,105 +351,77 @@ def _need_int(jid: str, payload: dict, key: str, minimum: int) -> int:
     return v
 
 
-def _check_sweep_min(jid: str, sweep: tuple[int, int], minimum: int) -> None:
-    if sweep[0] < minimum:
-        raise JobFileError(f"job {jid!r}: sweep over n must start at {minimum}")
+def _check_three(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> None:
+    if len(p["bundles"]) != 3:
+        raise JobFileError(f"job {jid!r}: bundles must list exactly three names")
 
 
-def validate_job(jf: JobFile, job: Job) -> Job:
-    """Check a job against the job file; returns it with what validation
-    parsed attached (the subsets of an h_top job's h2 keys)."""
-    p = job.payload
-    jid = job.id
-    if job.kind == "scala":
-        _resolve_one(jf, jid, p.get("bundle"))
-        if job.sweep is None:
-            _need_int(jid, p, "n", 1)
-        else:
-            _check_sweep_min(jid, job.sweep, 1)
-    elif job.kind == "euler_two":
-        _resolve(jf, jid, p.get("bundles"), "bundles")
-    elif job.kind == "euler_bichar_two":
-        _resolve(jf, jid, p.get("source"), "source")
-        _resolve(jf, jid, p.get("target"), "target")
-    elif job.kind == "euler_three":
-        names = p.get("bundles")
-        if not isinstance(names, list) or len(names) != 3:
-            raise JobFileError(f"job {jid!r}: bundles must list exactly three names")
-        _resolve(jf, jid, names, "bundles")
-        if job.sweep is None:
-            _need_int(jid, p, "n", 3)
-        else:
-            _check_sweep_min(jid, job.sweep, 3)
-    elif job.kind == "sym_power_two":
-        bundle = _resolve_one(jf, jid, p.get("bundle"))
-        k = _need_int(jid, p, "k", 1)
-        if k > SYM_POWER_MAX_K:
-            raise JobFileError(f"job {jid!r}: k = {k} exceeds the sym_power_two "
-                               f"budget k <= {SYM_POWER_MAX_K}")
-        if not bundle.is_line_bundle_class(jf.surface):
-            raise JobFileError(f"job {jid!r}: bundle must be a line-bundle class")
-    elif job.kind == "h_top":
-        k = _need_int(jid, p, "k", 1)
-        if k > H_TOP_MAX_K:
-            raise JobFileError(f"job {jid!r}: k = {k} exceeds the h_top budget "
-                               f"k <= {H_TOP_MAX_K}")
-        if job.sweep is None:
-            _need_int(jid, p, "n", 1)
-        else:
-            _check_sweep_min(jid, job.sweep, 1)
-        h2 = p.get("h2")
-        if not isinstance(h2, dict):
-            raise JobFileError(f"job {jid!r}: h2 must be an object keyed by "
-                               f"comma-joined subsets")
-        keys_by_subset: dict[frozenset, str] = {}
-        for key, v in h2.items():
-            subset = _parse_subset_key(jid, key, k)
-            if subset in keys_by_subset:
-                raise JobFileError(f"job {jid!r}: h2 keys {keys_by_subset[subset]!r} "
-                                   f"and {key!r} name the same subset")
-            keys_by_subset[subset] = key
-            if not is_int(v) or v < 0:
-                raise JobFileError(f"job {jid!r}: h2[{key!r}] must be a "
-                                   f"nonnegative integer")
-        q = p.get("q", 0)
-        if not is_int(q) or q < 0:
-            raise JobFileError(f"job {jid!r}: q must be a nonnegative integer")
-        return replace(job, h2_by_subset={subset: h2[key] for subset, key
-                                          in keys_by_subset.items()})
-    elif job.kind == "h0":
-        h0 = p.get("h0")
-        if (not isinstance(h0, list) or not h0
-                or not all(is_int(v) and v >= 0 for v in h0)):
-            raise JobFileError(f"job {jid!r}: h0 must be a nonempty list of "
-                               f"nonnegative integers")
-        if job.sweep is None:
-            n = _need_int(jid, p, "n", 1)
-            if n < len(h0):
-                raise JobFileError(f"job {jid!r}: the product formula requires "
-                                   f"n >= k (got n = {n}, k = {len(h0)})")
-        else:
-            _check_sweep_min(jid, job.sweep, len(h0))
-    elif job.kind == "k0_invariants":
-        mults = Counter(_resolve(jf, jid, p.get("bundles"), "bundles")).values()
-        states = prod(m + 1 for m in mults)
-        if states > K0_MAX_STATES:
-            raise JobFileError(f"job {jid!r}: {states} DP states (the product of "
-                               f"multiplicity + 1 over {len(mults)} distinct "
-                               f"bundle classes) exceed the k0_invariants "
-                               f"budget of {K0_MAX_STATES}")
-        if job.sweep is None:
-            _need_int(jid, p, "n", 1)
-        else:
-            _check_sweep_min(jid, job.sweep, 1)
-    elif job.kind == "verify_complexes":
-        if "k_max" in p:
-            k_max = _need_int(jid, p, "k_max", 1)
-            if k_max > VERIFY_MAX_K:
-                raise JobFileError(f"job {jid!r}: {_verify_budget_message(k_max)}")
-        # Loaded here, not in run_one_job, so the job's run time excludes it.
-        from . import complexes  # noqa: F401
-    return job
+def _check_sym_power(jf: JobFile, jid: str, p: dict[str, Any],
+                     ns: range | None) -> None:
+    k = _need_int(jid, p, "k", 1)
+    if k > SYM_POWER_MAX_K:
+        raise JobFileError(f"job {jid!r}: k = {k} exceeds the sym_power_two "
+                           f"budget k <= {SYM_POWER_MAX_K}")
+    if not jf.bundles[p["bundle"]].is_line_bundle_class(jf.surface):
+        raise JobFileError(f"job {jid!r}: bundle must be a line-bundle class")
+
+
+def _check_h_top(jf: JobFile, jid: str, p: dict[str, Any],
+                 ns: range | None) -> dict[frozenset, int]:
+    """The h2 values keyed by their subsets."""
+    k = _need_int(jid, p, "k", 1)
+    if k > H_TOP_MAX_K:
+        raise JobFileError(f"job {jid!r}: k = {k} exceeds the h_top budget "
+                           f"k <= {H_TOP_MAX_K}")
+    h2 = p.get("h2")
+    if not isinstance(h2, dict):
+        raise JobFileError(f"job {jid!r}: h2 must be an object keyed by "
+                           f"comma-joined subsets")
+    keys_by_subset: dict[frozenset, str] = {}
+    for key, v in h2.items():
+        subset = _parse_subset_key(jid, key, k)
+        if subset in keys_by_subset:
+            raise JobFileError(f"job {jid!r}: h2 keys {keys_by_subset[subset]!r} "
+                               f"and {key!r} name the same subset")
+        keys_by_subset[subset] = key
+        if not is_int(v) or v < 0:
+            raise JobFileError(f"job {jid!r}: h2[{key!r}] must be a "
+                               f"nonnegative integer")
+    q = p.get("q", 0)
+    if not is_int(q) or q < 0:
+        raise JobFileError(f"job {jid!r}: q must be a nonnegative integer")
+    return {subset: h2[key] for subset, key in keys_by_subset.items()}
+
+
+def _check_h0(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> None:
+    h0 = p.get("h0")
+    if (not isinstance(h0, list) or not h0
+            or not all(is_int(v) and v >= 0 for v in h0)):
+        raise JobFileError(f"job {jid!r}: h0 must be a nonempty list of "
+                           f"nonnegative integers")
+    if ns[0] < len(h0):
+        raise JobFileError(f"job {jid!r}: the product formula requires n >= k "
+                           f"(got n = {ns[0]}, k = {len(h0)})")
+
+
+def _check_k0_states(jf: JobFile, jid: str, p: dict[str, Any],
+                     ns: range | None) -> None:
+    mults = Counter(jf.bundles[name] for name in p["bundles"]).values()
+    states = prod(m + 1 for m in mults)
+    if states > K0_MAX_STATES:
+        raise JobFileError(f"job {jid!r}: {states} DP states (the product of "
+                           f"multiplicity + 1 over {len(mults)} distinct "
+                           f"bundle classes) exceed the k0_invariants "
+                           f"budget of {K0_MAX_STATES}")
+
+
+def _check_verify(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> None:
+    if "k_max" in p:
+        k_max = _need_int(jid, p, "k_max", 1)
+        if k_max > VERIFY_MAX_K:
+            raise JobFileError(f"job {jid!r}: {_verify_budget_message(k_max)}")
+    # Loaded here, not in run_one_job, so the job's run time excludes it.
+    from . import complexes  # noqa: F401
 
 
 def _verify_budget_message(k_max: int) -> str:
@@ -436,6 +443,53 @@ def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
     return frozenset(parts)
 
 
+# The job kinds.  A kind with n evaluates its whole range of n at once, and
+# a job with an n is the range [n, n].  Each evaluation looks its function
+# up when it runs.
+KINDS: dict[str, Kind] = {
+    "scala": Kind(
+        one=("bundle",), min_n=1, echo=("bundle",),
+        evaluate=lambda jf, job: [
+            euler.chi_taut(jf.surface, n, jf.bundles[job.payload["bundle"]], jf.twist)
+            for n in job.ns]),
+    "euler_two": Kind(
+        many=("bundles",), echo=("bundles",), defaults={"brute": False},
+        evaluate=lambda jf, job: [euler.chi_taut_product_two(
+            jf.surface, _classes(jf, job, "bundles"), jf.twist)]),
+    "euler_bichar_two": Kind(
+        many=("source", "target"), echo=("source", "target"),
+        evaluate=lambda jf, job: [euler.chi_hom_pair_two(
+            jf.surface, _classes(jf, job, "source"), _classes(jf, job, "target"))]),
+    "euler_three": Kind(
+        many=("bundles",), min_n=3, echo=("bundles",), check=_check_three,
+        evaluate=lambda jf, job: euler.chi_taut_triple_sweep(
+            jf.surface, job.ns, *_classes(jf, job, "bundles"), jf.twist)),
+    "sym_power_two": Kind(
+        one=("bundle",), other=("k",), echo=("bundle", "k"),
+        defaults={"swap_variant": "twisted"}, check=_check_sym_power,
+        evaluate=lambda jf, job: [euler.chi_sym_power_two(
+            jf.surface, jf.bundles[job.payload["bundle"]], job.payload["k"],
+            jf.twist)]),
+    "h_top": Kind(
+        other=("k", "h2", "q"), min_n=1, echo=("k", "q"), defaults={"q": 0},
+        check=_check_h_top,
+        evaluate=lambda jf, job: euler.top_cohomology_dim_sweep(
+            job.params["k"], job.ns, job.data, job.params["q"])),
+    "h0": Kind(
+        other=("h0",), min_n=1, echo=("h0",), check=_check_h0,
+        evaluate=lambda jf, job: [euler.global_sections_dim(job.payload["h0"], n)
+                                  for n in job.ns]),
+    "k0_invariants": Kind(
+        many=("bundles",), min_n=1, echo=("bundles",), check=_check_k0_states,
+        evaluate=lambda jf, job: euler.chi_product_invariants_sweep(
+            jf.surface, job.ns, _classes(jf, job, "bundles"), jf.twist)),
+    "verify_complexes": Kind(
+        other=("k_max",), echo=None, check=_check_verify,
+        evaluate=lambda jf, job: run_verification(
+            job.payload.get("k_max", 7), id_prefix=job.id)[0]),
+}
+
+
 def _terms_json(result: euler.ChiResult) -> list[dict[str, Any]]:
     return [{"label": t.label,
              "coefficient": rational_to_str(t.coefficient),
@@ -449,84 +503,27 @@ Result = Fraction | int | euler.ChiResult
 def run_one_job(jf: JobFile, job: Job) -> list[ResultRow]:
     """The rows of one job: one row, or one per n of a sweep.  A job with an
     n is the sweep [n, n], so both run one evaluation over their range."""
-    if job.kind == "verify_complexes":
-        k_max = job.payload.get("k_max", 7)
-        rows, _ok = run_verification(k_max, id_prefix=job.id)
-        return rows
-    p = job.payload
-    if job.kind not in SWEEPABLE:
-        params, names, result = _run_fixed(jf, job)
-        return [_row(jf, job, job.id, params, names, result)]
-    first, last = job.sweep if job.sweep is not None else (p["n"], p["n"])
-    ns = range(first, last + 1)
-    params, names, results = _run_sweep(jf, job, ns)
-    return [_row(jf, job, job.id if job.sweep is None else f"{job.id}[n={n}]",
-                 {**params, "n": n}, names, result)
-            for n, result in zip(ns, results)]
-
-
-def _run_fixed(jf: JobFile, job: Job) -> tuple[dict[str, Any], list[str], Result]:
-    """A job of a kind without n: its params, input bundle names and result."""
-    p = job.payload
-    if job.kind == "euler_two":
-        chars = [jf.bundles[name] for name in p["bundles"]]
-        # "brute" stays in the params so that --out keeps its bytes
-        return ({"bundles": list(p["bundles"]), "brute": False}, p["bundles"],
-                euler.chi_taut_product_two(jf.surface, chars, jf.twist))
-    if job.kind == "euler_bichar_two":
-        return ({"source": list(p["source"]), "target": list(p["target"])},
-                p["source"] + p["target"],
-                euler.chi_hom_pair_two(jf.surface,
-                                       [jf.bundles[x] for x in p["source"]],
-                                       [jf.bundles[x] for x in p["target"]]))
-    if job.kind == "sym_power_two":
-        # "swap_variant" stays in the params so that --out keeps its bytes
-        return ({"bundle": p["bundle"], "k": p["k"], "swap_variant": "twisted"},
-                [p["bundle"]],
-                euler.chi_sym_power_two(jf.surface, jf.bundles[p["bundle"]],
-                                        p["k"], jf.twist))
-    raise JobFileError(f"job {job.id!r}: unhandled kind {job.kind!r}")  # pragma: no cover
-
-
-def _run_sweep(jf: JobFile, job: Job, ns: range
-               ) -> tuple[dict[str, Any], list[str], list[Result]]:
-    """A job of a kind with n over the range ns: its params without n, input
-    bundle names and one result per n."""
-    p = job.payload
-    if job.kind == "scala":
-        bundle = jf.bundles[p["bundle"]]
-        return ({"bundle": p["bundle"]}, [p["bundle"]],
-                [euler.chi_taut(jf.surface, n, bundle, jf.twist) for n in ns])
-    if job.kind == "euler_three":
-        e1, e2, e3 = (jf.bundles[x] for x in p["bundles"])
-        return ({"bundles": list(p["bundles"])}, p["bundles"],
-                euler.chi_taut_triple_sweep(jf.surface, ns, e1, e2, e3, jf.twist))
-    if job.kind == "k0_invariants":
-        chars = [jf.bundles[name] for name in p["bundles"]]
-        return ({"bundles": list(p["bundles"])}, p["bundles"],
-                euler.chi_product_invariants_sweep(jf.surface, ns, chars, jf.twist))
-    if job.kind == "h_top":
-        if job.h2_by_subset is None:
-            raise JobFileError(f"job {job.id!r}: h_top job has no parsed h2 values "
-                               f"(run it through validate_job first)")
-        q = p.get("q", 0)
-        return ({"k": p["k"], "q": q}, [],
-                euler.top_cohomology_dim_sweep(p["k"], ns, job.h2_by_subset, q))
-    if job.kind == "h0":
-        return ({"h0": list(p["h0"])}, [],
-                [euler.global_sections_dim(p["h0"], n) for n in ns])
-    raise JobFileError(f"job {job.id!r}: unhandled kind {job.kind!r}")  # pragma: no cover
+    results = KINDS[job.kind].evaluate(jf, job)
+    if job.params is None:  # the evaluation made the rows
+        return results
+    if job.ns is None:
+        return [_row(jf, job, job.id, job.params, results[0])]
+    sweep = "sweep_n" in job.payload
+    return [_row(jf, job, f"{job.id}[n={n}]" if sweep else job.id,
+                 {**job.params, "n": n}, result)
+            for n, result in zip(job.ns, results)]
 
 
 def _row(jf: JobFile, job: Job, row_id: str, params: dict[str, Any],
-         names: list[str], result: Result) -> ResultRow:
+         result: Result) -> ResultRow:
     """The row of one result; a value that is not an integer although every
     input bundle is integral fails the job."""
     if isinstance(result, euler.ChiResult):
         value, terms = result.value, _terms_json(result)
     else:
         value, terms = result, []
-    if value.denominator != 1 and jf.integral.issuperset(names):
+    if value.denominator != 1 and jf.integral.issuperset(
+            _bundle_names(KINDS[job.kind], job.payload)):
         raise ArithmeticError(f"value {rational_to_str(value)} is not an integer, "
                               f"but every input bundle is integral")
     return ResultRow(row_id, job.kind, params, rational_to_str(value), terms)

@@ -244,6 +244,12 @@ def surviving_count(k: int, ell: int) -> int:
     return sum(comb(k, j) for j in range(ell, k + 1))
 
 
+def _surviving_counts(k: int) -> list[int]:
+    """surviving_count(k, ell) for ell = 1..k, as the suffix sums of one row
+    of binomials."""
+    return list(itertools.accumulate(comb(k, j) for j in range(k, 0, -1)))[::-1]
+
+
 def diagonal_multiplicity(k: int, ell: int) -> int:
     """Closed-form count (surviving_count(k, ell) - binom(k-1, ell-1)) / 2 of
     swap-invariant kernel vectors; the coefficient of the ell-th diagonal term
@@ -477,25 +483,6 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     return Fraction(0)
 
 
-def hom_coeff_left(k: int, khat: int, ellhat: int) -> int:
-    """Coefficient of the source-side diagonal Hom correction."""
-    return 2 ** (k - 1) * surviving_count(khat, ellhat)
-
-
-def hom_coeff_right(k: int, ell: int, khat: int) -> int:
-    """Coefficient of the target-side diagonal Hom correction."""
-    return 2 ** (khat - 1) * surviving_count(k, ell)
-
-
-def hom_coeff_pair(k: int, khat: int, ell: int, ellhat: int) -> tuple[int, int]:
-    """The pair (c+, c-) of diagonal-vs-diagonal coefficients."""
-    s = surviving_count(k, ell)
-    shat = surviving_count(khat, ellhat)
-    w = comb(k - 1, ell - 1) * comb(khat - 1, ellhat - 1)
-    assert (s * shat + w) % 2 == 0
-    return (s * shat + w) // 2, (s * shat - w) // 2
-
-
 def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
                      target: Sequence[ChernCharacter]) -> ChiResult:
     """Alternating sum of Ext dimensions between two products of induced
@@ -552,17 +539,26 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
     tgt = [times_f.times(c) for c in cot[:khat]]
     phi, phi_w, phi_t, phi_cw = forms[:4]
 
+    # The coefficients: into-diag 2^(k-1) s(khat, ellhat), from-diag
+    # 2^(khat-1) s(k, ell) and diag-diag (c+, c-) = (s shat +- w)/2, with
+    # s = `surviving_count` and w = binom(k-1, ell-1) binom(khat-1, ellhat-1);
+    # s and w are even or odd together (`diagonal_multiplicity`).
+    counts, counts_hat = _surviving_counts(k), _surviving_counts(khat)
+    binoms = [comb(k - 1, j) for j in range(k)]
+    binoms_hat = [comb(khat - 1, j) for j in range(khat)]
     for ellhat, b in enumerate(tgt, 1):
         terms.append(Term(f"into-diag ellhat={ellhat}",
-                          Fraction(-hom_coeff_left(k, khat, ellhat)),
+                          Fraction(-2 ** (k - 1) * counts_hat[ellhat - 1]),
                           (_apply(phi, src[0].times(b)),)))
     for ell, a in enumerate(src, 1):
         terms.append(Term(f"from-diag ell={ell}",
-                          Fraction(-hom_coeff_right(k, ell, khat)),
+                          Fraction(-2 ** (khat - 1) * counts[ell - 1]),
                           (_apply(phi_w, a.times(tgt[0])),)))
     for ell, a in enumerate(src, 1):
         for ellhat, b in enumerate(tgt, 1):
-            c_plus, c_minus = hom_coeff_pair(k, khat, ell, ellhat)
+            both = counts[ell - 1] * counts_hat[ellhat - 1]
+            w = binoms[ell - 1] * binoms_hat[ellhat - 1]
+            c_plus, c_minus = (both + w) // 2, (both - w) // 2
             cls = a.times(b)
             terms.append(Term(f"diag-diag ell={ell},{ellhat} c+",
                               Fraction(c_plus), (_apply(phi_cw, cls),)))

@@ -29,15 +29,14 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from tautchi.complexes import (ChainComplexQ, SparseRationalMatrix,
                                _difference_rep_matrix, _inclusion_wedge,
                                _wedge_indices, _wedge_of_map,
                                slot_action_matrix, swap_action_matrix)
-from tautchi.euler import (ChiResult, Term, hom_coeff_left, hom_coeff_pair,
-                          hom_coeff_right)
+from tautchi.euler import ChiResult, Term, surviving_count
 from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_hom,
                              ch_sym_cotangent, ch_tangent, ch_tensor,
                              ch_tensor_all, gen_binomial, hrr_chi, sym_pow_chi)
@@ -175,6 +174,25 @@ def chi_taut_triple_by_classes(surface, n, e1, e2, e3, twist=None):
     terms.append(Term("cotangent L^3", Fraction(1),
                       (tchi([cot, e1, e2, e3], 3), s3)))
     return _chi_result(terms)
+
+
+def hom_coeff_left(k, khat, ellhat):
+    """Coefficient of the source-side diagonal Hom correction."""
+    return 2 ** (k - 1) * surviving_count(khat, ellhat)
+
+
+def hom_coeff_right(k, ell, khat):
+    """Coefficient of the target-side diagonal Hom correction."""
+    return 2 ** (khat - 1) * surviving_count(k, ell)
+
+
+def hom_coeff_pair(k, khat, ell, ellhat):
+    """The pair (c+, c-) of diagonal-vs-diagonal coefficients."""
+    s = surviving_count(k, ell)
+    shat = surviving_count(khat, ellhat)
+    w = comb(k - 1, ell - 1) * comb(khat - 1, ellhat - 1)
+    assert (s * shat + w) % 2 == 0
+    return (s * shat + w) // 2, (s * shat - w) // 2
 
 
 def chi_hom_pair_two_by_classes(surface, source, target):

@@ -1,5 +1,6 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
+import dataclasses
 import gc
 import io
 import itertools
@@ -146,7 +147,7 @@ def test_h_top_keys_parsed_once(tmp_path, monkeypatch):
          "h2": dict.fromkeys(keys, 1)},
         {"id": "sw", "kind": "h_top", "k": 3, "q": 1, "sweep_n": [1, 3],
          "h2": dict.fromkeys(keys, 1)}]})
-    assert jf.jobs[0].h2_by_subset == {
+    assert jf.jobs[0].data == jf.jobs[1].data == {
         frozenset(map(int, key.split(","))): 1 for key in keys}
 
     def refuse(*args):
@@ -162,9 +163,12 @@ def test_h_top_keys_parsed_once(tmp_path, monkeypatch):
 def test_hand_built_job_objects_fail_loudly():
     jf = cli.parse_job_file({**BASE, "jobs": [
         {"id": "t", "kind": "h_top", "k": 1, "n": 1, "h2": {"1": 2}}]})
-    unparsed = cli.Job("t", "h_top", jf.jobs[0].payload)
-    with pytest.raises(cli.JobFileError, match="no parsed h2 values"):
-        cli.run_one_job(jf, unparsed)
+    # what validation parses has no default: a job built without it fails
+    # at construction, and one with its h2 values left out fails at run time
+    with pytest.raises(TypeError):
+        cli.Job("t", "h_top", jf.jobs[0].payload)
+    with pytest.raises(TypeError):
+        cli.run_one_job(jf, dataclasses.replace(jf.jobs[0], data=None))
     # the integrality flags have no default that would turn the guard off
     with pytest.raises(TypeError):
         cli.JobFile(jf.surface, jf.bundles, jf.twist, jf.jobs)
@@ -336,7 +340,8 @@ SWEPT = {
 }
 
 
-@pytest.mark.parametrize("kind", cli.SWEEPABLE)
+@pytest.mark.parametrize("kind", [name for name, kind in cli.KINDS.items()
+                                  if kind.min_n is not None])
 def test_sweep_rows_equal_the_single_n_rows(kind):
     fields, first = SWEPT[kind]
     ns = range(first, first + 7)
@@ -347,6 +352,120 @@ def test_sweep_rows_equal_the_single_n_rows(kind):
     single = [row for job in jf.jobs[1:] for row in cli.run_one_job(jf, job)]
     assert [row.to_json() for row in swept] == [row.to_json() for row in single]
     assert [row.params["n"] for row in swept] == list(ns)
+
+
+# One job of each kind that validation accepts on BASE.
+VALID_JOBS = {
+    "scala": {"bundle": "O1", "n": 2},
+    "euler_two": {"bundles": ["O", "O1"]},
+    "euler_bichar_two": {"source": ["O1"], "target": ["O", "O1"]},
+    "euler_three": {"bundles": ["O", "O1", "O1"], "n": 3},
+    "sym_power_two": {"bundle": "O1", "k": 2},
+    "h_top": {"k": 1, "n": 1, "h2": {"1": 2}, "q": 1},
+    "h0": {"h0": [2], "n": 1},
+    "k0_invariants": {"bundles": ["O1", "O"], "n": 2},
+    "verify_complexes": {"k_max": 1},
+}
+
+
+def test_every_kind_has_a_valid_job_that_runs():
+    assert VALID_JOBS.keys() == cli.KINDS.keys()
+    jf = cli.parse_job_file({**BASE, "jobs": [
+        {"id": name, "kind": name, **fields} for name, fields in VALID_JOBS.items()]})
+    for job in jf.jobs:
+        assert cli.run_one_job(jf, job)
+
+
+KEY_ERRORS = {
+    "unknown-key": ({"colour": 1}, "'colour'"),
+    "n-and-sweep_n": ({"n": 3, "sweep_n": [3, 4]}, "'n'"),
+}
+
+
+@pytest.mark.parametrize("extra,key", KEY_ERRORS.values(), ids=KEY_ERRORS.keys())
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_key_that_the_kind_does_not_read_is_rejected(tmp_path, capsys, kind,
+                                                     extra, key):
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "j", "kind": kind, **VALID_JOBS[kind], **extra}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "job 'j'" in err and key in err
+
+
+SCALA_A = {"id": "s", "kind": "scala", "bundle": "A", "n": 2}
+P2_A = {"surface": {"preset": "P2"},
+        "bundles": [{"name": "A", "rank": 1, "c1": [1]}]}
+# Keys that nothing read, each of which used to run without a word.
+UNREAD_KEYS = {
+    "bundle-c_1": ({**P2_A, "bundles": [{"name": "A", "rank": 1, "c_1": [1]}],
+                    "jobs": [SCALA_A]}, "bundles[0]", "c_1"),
+    "top-line_bundles": ({**P2_A, "line_bundles": [2], "jobs": [SCALA_A]},
+                         "top level", "line_bundles"),
+    "bundle-ch-and-c1": ({**P2_A, "bundles": [{"name": "A", "ch": [1, [1], "1/2"],
+                                               "c1": [1]}],
+                          "jobs": [SCALA_A]}, "bundles[0]", "c1"),
+    "P2-h_square": ({**P2_A, "surface": {"preset": "P2", "h_square": 4},
+                     "jobs": [SCALA_A]}, "surface", "h_square"),
+    "euler_two-n": ({**P2_A, "jobs": [{"id": "e", "kind": "euler_two",
+                                       "bundles": ["A", "A"], "n": 3}]},
+                    "job 'e'", "n"),
+    "sym_power_two-n": ({**P2_A, "jobs": [{"id": "y", "kind": "sym_power_two",
+                                           "bundle": "A", "k": 2, "n": 5}]},
+                        "job 'y'", "n"),
+    "job-line_bundle": ({**P2_A, "jobs": [{**SCALA_A, "line_bundle": [1]}]},
+                        "job 's'", "line_bundle"),
+    "k0-sweep": ({**P2_A, "jobs": [{"id": "k", "kind": "k0_invariants",
+                                    "bundles": ["A"], "n": 1, "sweep": [1, 4]}]},
+                 "job 'k'", "sweep"),
+}
+
+
+@pytest.mark.parametrize("doc,where,key", UNREAD_KEYS.values(),
+                         ids=UNREAD_KEYS.keys())
+def test_unread_key_is_rejected(tmp_path, capsys, doc, where, key):
+    # the repeated key of the same list is test_repeated_key_is_rejected
+    assert cli.run(write_jobs(tmp_path, doc)) == cli.EXIT_BAD_INPUT
+    assert f"{where}: key {key!r} is not allowed" in capsys.readouterr().err
+
+
+def test_unknown_key_file_exits_bad_input(capsys):
+    # the file the console-script check of the CI runs: c_1 for c1
+    assert cli.run(str(REPO / "tests" / "data" / "unknown_key.json")) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bundles[0]: key 'c_1' is not allowed" in captured.err
+
+
+@pytest.mark.parametrize("name", ["scripts/sample_jobs.json",
+                                  "tests/data/sweeps.json",
+                                  "tests/data/hom_pairs.json"])
+def test_golden_job_files_are_accepted(name):
+    with open(REPO / name, encoding="utf-8") as fh:
+        doc = json.load(fh, object_pairs_hook=cli.unique_keys)
+    jf = cli.parse_job_file(doc)
+    assert [job.id for job in jf.jobs] == [job["id"] for job in doc["jobs"]]
+
+
+@pytest.mark.parametrize("name", [["O1"], 3, None])
+def test_bundle_name_that_is_not_a_string_is_rejected(tmp_path, capsys, name):
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "s", "kind": "scala", "bundle": name, "n": 2}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert f"job 's': unknown bundle {name!r}" in capsys.readouterr().err
+
+
+def test_readme_kind_table_matches_the_kinds():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    rows = {m.group(1): m.group(2).split(" | ")
+            for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", text, re.M)
+            if m.group(1) in cli.KINDS}
+    assert rows.keys() == cli.KINDS.keys()
+    for name, kind in cli.KINDS.items():
+        keys, n_range = rows[name][:2]
+        assert set(re.findall(r"`(\w+)`", keys)) == {*kind.one, *kind.many,
+                                                     *kind.other}
+        assert n_range.startswith("n ≥ ") == (kind.min_n is not None)
 
 
 def test_ring_data_formed_once_per_job_file(monkeypatch):
@@ -479,16 +598,6 @@ USAGE_ERRORS = {"unknown-flag": ["--bogus"], "missing-value": ["--jobs"],
 def test_usage_error_exits_bad_input(capsys, argv):
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert "usage" in capsys.readouterr().err
-
-
-def test_round_trip_parse_serialize_parse():
-    doc = {**BASE,
-           "line_bundle": [1],
-           "jobs": [{"id": "x", "kind": "euler_two", "bundles": ["O", "O1"]},
-                    {"id": "y", "kind": "scala", "bundle": "O", "sweep_n": [1, 3]}]}
-    jf1 = cli.parse_job_file(doc)
-    jf2 = cli.parse_job_file(cli.job_file_to_doc(jf1))
-    assert jf1 == jf2
 
 
 def test_rational_parsing():
@@ -949,12 +1058,13 @@ def test_integer_literal_beyond_the_digit_limit_is_a_parse_error(tmp_path, capsy
     path = tmp_path / "huge.json"
     path.write_text('{"surface": {"preset": "P2"}, "jobs": [], "n": '
                     + "1" * 5000 + "}")
-    code = cli.run(str(path))
+    assert cli.run(str(path)) == cli.EXIT_BAD_INPUT
+    # without the digit limit the literal parses, and the top-level key "n"
+    # that nothing reads is rejected
     if hasattr(sys, "set_int_max_str_digits"):
-        assert code == cli.EXIT_BAD_INPUT
         assert "parse error" in capsys.readouterr().err
     else:
-        assert code == cli.EXIT_OK
+        assert "key 'n' is not allowed" in capsys.readouterr().err
 
 
 def test_surface_that_fails_wu_is_rejected(tmp_path, capsys):

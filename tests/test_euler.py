@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import stirling2
+from oracles import hom_coeff_pair, stirling2
 from tautchi import cli, complexes, euler
 from tautchi import surface as surface_module
 from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
@@ -20,7 +20,7 @@ from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_product_invariants_sweep, chi_sym_power_two,
                            chi_taut, chi_taut_product_two, chi_taut_triple,
                            chi_taut_triple_sweep, global_sections_dim,
-                           hom_coeff_pair, top_cohomology_dim,
+                           top_cohomology_dim,
                            top_cohomology_dim_sweep)
 from tautchi.surface import (ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2,
                              sym_pow_chi)
@@ -351,6 +351,18 @@ def test_hom_pair_forms_the_target_side_once(monkeypatch):
     chi_hom_pair_two(P2, source, target)
     # k - 1 source steps and khat target steps, not k - 1 + k * khat
     assert len(steps) == (len(source) - 1) + len(target)
+
+
+def test_hom_pair_forms_its_coefficient_counts_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(euler, "comb", lambda n, r: calls.append((n, r)) or comb(n, r))
+    source = [o_line(P2, [d]) for d in (1, -1, 2, 0, 1, 3)]
+    target = [o_line(P2, [d]) for d in (0, 3, -2, 1, -1)]
+    value = chi_hom_pair_two(P2, source, target)
+    # one row of binomials per side for the surviving counts and one for the
+    # diagonal weights: 2 (k + khat) binomials, not O(k khat (k + khat))
+    assert len(calls) == 2 * (len(source) + len(target))
+    assert value == oracles.chi_hom_pair_two_by_classes(P2, source, target)
 
 
 def test_hom_pair_forms_its_surface_forms_once(monkeypatch):

@@ -3,6 +3,7 @@
 The job files of the small-batch and big-sums workloads are regenerated for
 seeds 0-10 by `perfbench/workloads.py`, run through `cli.run_one_job`, and
 each row's value is compared with `perfbench/expected/<workload>.json`.
+The job files of every workload pass validation, strict keys included.
 Both files are only read.
 """
 
@@ -39,3 +40,11 @@ def test_recorded_values_reproduced(workload, seed):
     got = {row.id: row.value for job in jf.jobs
            for row in cli.run_one_job(jf, job)}
     assert got == expected
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_benchmark_job_file_is_accepted(workload):
+    for seed in range(11):
+        doc = WORKLOADS[workload](seed).doc
+        jf = cli.parse_job_file(doc)
+        assert [job.id for job in jf.jobs] == [job["id"] for job in doc["jobs"]]
