@@ -9,10 +9,14 @@ Usage (from anywhere):
 For each workload, each checkout's own `perfbench/run.py` runs --pairs times
 at --trace 0 for the benchmark's own run length, the two sides alternating:
 the parent runs first in even pairs, the change in odd ones.  The workloads
-are those that CHANGE_DIR's `perfbench/workloads.py` defines.  The output file has one entry per workload
-with each end-to-end metric's inclusive quartiles on both sides, the number
-of pairs whose change run reads lower (ties count for neither side), and
-whether every run reported "correct": true.  Nothing under either
+are those that CHANGE_DIR's `perfbench/workloads.py` defines.  The output
+file has one entry per workload with each end-to-end metric's inclusive
+quartiles on both sides, the number of pairs whose change run reads lower
+(ties count for neither side), and whether every run reported
+"correct": true.  One more entry, `wall_s/setup_s`, is the ratio of each
+run's two times: `setup_s` is nearly all process start and imports, so it
+tracks the host's speed, and the ratio moves less with host drift that
+lasts longer than a pair than `wall_s` alone.  Nothing under either
 checkout's `perfbench/` is changed.
 """
 
@@ -37,22 +41,31 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+WALL_PER_SETUP = "wall_s/setup_s"
+
+
+def _compare(unit: str, parent: list[float], change: list[float]) -> dict:
+    return {"unit": unit, "parent": quartiles(parent), "change": quartiles(change),
+            "change_lower_pairs": sum(c < p for p, c in zip(parent, change))}
+
+
 def summarize(workload: str, seed: int, pairs: list[tuple[dict, dict]]) -> dict:
     """One workload's entry from its (parent, change) pairs of result lines,
     each the JSON object that ends a `perfbench/run.py` run.  A metric is
-    summarized over the pairs in which both sides report it."""
+    summarized over the pairs in which both sides report it, and so is
+    `wall_s/setup_s`, the ratio of each run's `wall_s` to its `setup_s`."""
     names = [name for name in pairs[0][0]["metrics"]
              if all(name in side["metrics"] for pair in pairs for side in pair)]
     metrics = {}
     for name in names:
-        parent = [p["metrics"][name]["value"] for p, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
-        metrics[name] = {
-            "unit": pairs[0][0]["metrics"][name]["unit"],
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
-        }
+        metrics[name] = _compare(pairs[0][0]["metrics"][name]["unit"],
+                                 [p["metrics"][name]["value"] for p, _ in pairs],
+                                 [c["metrics"][name]["value"] for _, c in pairs])
+    if "wall_s" in metrics and "setup_s" in metrics:
+        def ratio(side):
+            return side["metrics"]["wall_s"]["value"] / side["metrics"]["setup_s"]["value"]
+        metrics[WALL_PER_SETUP] = _compare("ratio", [ratio(p) for p, _ in pairs],
+                                           [ratio(c) for _, c in pairs])
     return {"workload": workload, "seed": seed, "pairs": len(pairs),
             "all_correct": all(side.get("correct") is True
                                for pair in pairs for side in pair),

@@ -42,13 +42,15 @@ SYM_POWER_MAX_K = 1000
 # k = 12 at n = 12 takes 35-60 ms and k = 13 takes 0.11-0.19 s (same host).
 H_TOP_MAX_K = 12
 
-# Budget of a `k0_invariants` job, in states of its set-partition DP over
-# the types of equal bundles: prod (m_i + 1) over the multiplicities m_i of
-# the distinct bundle classes.  2^12 keeps 12 distinct classes: O(1)...O(12)
-# on P2 at n = 12 takes 0.51 s.  At the same count repeated classes cost more,
-# since each state sums over its own sub-multisets: 6 classes of 3 copies at
-# n = 18 take 1.1 s, 4 of 7 at n = 28 3.0 s, 3 of 15 at n = 45 8.0 s and 2 of
-# 63 at n = 126 47 s (same host).
+# Budget of a `k0_invariants` job: prod (m_i + 1) over the multiplicities
+# m_i of its distinct bundle classes, at most 2^12.  It was the state count
+# of the typed DP that the decorated-block sum replaced, and it is kept so
+# that the same jobs are accepted.  The sum is polynomial in the copies: at
+# the budget O(1)...O(12) on P2 at n = 12 takes about 1 ms, one class of 4095
+# copies at n = 2 14 ms, 3 classes of 15 at n = 45 20 ms and 2 of 63 at
+# n = 126 1.1 s (same host).  The budget does not bound n: 4095 copies at
+# n = 4095 are accepted, and their k n^2 = 7e10 Horner steps are
+# intractable.
 K0_MAX_STATES = 4096
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
@@ -108,6 +110,15 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def parse_str(obj: dict[str, Any], key: str, where: str) -> str:
+    """The string under key; any other JSON value is rejected, not coerced
+    with `str`."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise JobFileError(f"{where}: key {key!r} must be a string, got {value!r}")
+    return value
+
+
 def parse_int(value: Any, where: str) -> int:
     if not is_int(value):
         raise JobFileError(f"{where}: expected an integer, got {value!r}")
@@ -148,7 +159,7 @@ def parse_surface(doc: Any) -> SurfaceModel:
                      for row in doc["gram"])
         canonical = tuple(parse_int(x, "surface: canonical") for x in doc["canonical"])
         c2 = parse_int(doc["c2"], "surface: c2")
-        name = str(doc.get("name", "surface"))
+        name = parse_str(doc, "name", "surface") if "name" in doc else "surface"
     except (KeyError, TypeError) as exc:
         raise JobFileError(f"surface: {exc}") from None
     try:
@@ -165,7 +176,7 @@ def parse_bundles(doc: Any, surface: SurfaceModel) -> dict[str, ChernCharacter]:
         where = f"bundles[{i}]"
         if not isinstance(b, dict) or "name" not in b:
             raise JobFileError(f"{where}: expected an object with a name")
-        name = str(b["name"])
+        name = parse_str(b, "name", where)
         if name in out:
             raise JobFileError(f"{where}: duplicate bundle name {name!r}")
         if "ch" in b:
@@ -277,7 +288,7 @@ def parse_job_file(doc: Any) -> JobFile:
     for i, j in enumerate(raw_jobs):
         if not isinstance(j, dict):
             raise JobFileError(f"jobs[{i}]: expected an object")
-        jid = str(j.get("id", f"job{i}"))
+        jid = parse_str(j, "id", f"jobs[{i}]") if "id" in j else f"job{i}"
         if jid in seen_ids:
             raise JobFileError(f"jobs[{i}]: duplicate job id {jid!r}")
         seen_ids.add(jid)

@@ -11,9 +11,14 @@ products in the truncated ring, polynomial in the number of bundles, and
 dynamic programs over blocks, with one term per grade.  The double sum of
 `chi_hom_pair_two` forms its target side once, as linear forms (the adjoints
 of the target multiplications applied to chi (x) chi), and pairs it with
-each source grade.  The block DP of `chi_product_invariants` runs over
-sub-multisets of equal bundles; that of `top_cohomology_dim`, whose data
-are per subset, over bitmasks.  Inputs may be virtual (arbitrary rational
+each source grade.  The set-partition sum of `chi_product_invariants` is a
+decorated-block sum: in the truncated ring a block's product keeps at most
+two marked elements, so the sum is a Gaussian moment (Isserlis) of a
+polynomial with at most min(prod (m_t + 1), C(min(k, 2n) + p, p))
+monomials times n + 1 powers of y, for m_t copies of class t and Picard
+rank p, plus O(k n^2) steps that place the unmarked elements: polynomial in
+the copies.  That of `top_cohomology_dim`, whose data are per subset, is a
+DP over bitmasks.  Inputs may be virtual (arbitrary rational
 rank), so objects of the derived category are admissible wherever a formula
 extends additively.  Results carry a term-by-term breakdown whose
 recombined value is checked at construction time; each
@@ -43,7 +48,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -290,56 +294,183 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     return _result(terms)
 
 
-def _block_sums(mults: Sequence[int], weight: Callable[[tuple[int, ...]], int],
-                max_blocks: int) -> list[int]:
+def _gaussian_moments(cov: Sequence[Sequence[int]], bounds: Sequence[int],
+                      radix: Sequence[int], top: int, scale: int
+                      ) -> dict[int, tuple[int, int]]:
+    """The nonzero moments E[xi^alpha] of a centred Gaussian vector xi of
+    integer covariance cov, for the alpha <= bounds of even degree 2h <= top:
+    {sum_a alpha_a radix_a: (h, scale^h E[xi^alpha])}.
+
+    By Isserlis' theorem E[xi_a f] = sum_c cov_ac E[d_c f]: with a the
+    smallest index in alpha and gamma = alpha - e_a, E[xi^alpha] =
+    sum_c cov_ac gamma_c E[xi^(gamma - e_c)], a moment of degree 2h - 2.
+    So the moments are formed one degree at a time, each alpha from the one
+    left when its two smallest indices are removed, and so exactly once."""
+    q = len(cov)
+    moments = {0: 1}
+    out = {0: (0, 1)}
+    # (alpha, its code, the largest index a pair added to it may use: its
+    # smallest index, or q - 1 for alpha = 0), of degree 2h - 2
+    level = [((0,) * q, 0, q - 1)]
+    for half in range(1, top // 2 + 1):
+        grown = []
+        for alpha, code, first in level:
+            for b in range(first + 1):
+                for a in range(b + 1):
+                    beta = list(alpha)
+                    beta[a] += 1
+                    beta[b] += 1
+                    if beta[a] > bounds[a] or beta[b] > bounds[b]:
+                        continue
+                    key = code + radix[a] + radix[b]
+                    base = key - radix[a]
+                    beta[a] -= 1
+                    moment = 0
+                    for c, g in enumerate(cov[a]):
+                        if g and beta[c]:
+                            moment += g * beta[c] * moments[base - radix[c]]
+                    beta[a] += 1
+                    moments[key] = moment
+                    grown.append((beta, key, a))
+                    if moment:
+                        out[key] = (half, moment * scale ** half)
+        level = grown
+    return out
+
+
+def _decorated_block_sums(types: Sequence[tuple[ClassMultiplier, int]],
+                          form: Sequence[int], gram: Sequence[Sequence[int]],
+                          n: int) -> list[int]:
     """Set-partition sums graded by the number of blocks, for
-    `chi_product_invariants`.
+    `chi_product_invariants`: entry b, for 1 <= b <= min(n, k), is the sum
+    over the set partitions of the k elements into b blocks of the product
+    over the blocks B of phi(x_B).  Here phi is the form with integer
+    coefficients (phi_0, phi_c, phi_top), x_B the product of the numerators
+    x_i = (r_i, c_i, d_i) of the classes in B, and the elements come in
+    types, each a class with its multiplicity.
 
-    The elements come in types with multiplicities `mults`; a block is
-    described by its composition beta (how many elements of each type it
-    holds).  Entry b of the result is the sum, over the set partitions of the
-    elements into b <= max_blocks blocks, of the product of weight(beta) over
-    the blocks.  Each sum pins the block of the first element of its
-    multiset mu, so each set partition is counted once: choosing the rest of
-    that block from mu gives C(mu_i0 - 1, beta_i0 - 1) * prod_(i != i0)
-    C(mu_i, beta_i) set partitions per composition, times the sums of the
-    multiset left over.  Weights are looked up once, only for blocks of
-    partitions that the sum contains.  The sums of each sub-multiset are
-    formed once, up to max_blocks blocks, bottom-up in lexicographic order
-    (a leftover multiset precedes every multiset it is left over from), so
-    the cost follows the number prod (m_i + 1) of sub-multisets and the
-    stack depth does not grow with it: equal bundles cost far less than
-    distinct ones.  `top_cohomology_dim_sweep`, whose elements are all
-    distinct, runs its own subset DP over bitmasks instead.
+    In the truncated ring a product keeps at most two of the parts
+    a_i = (0, c_i, d_i), so phi(x_B) = phi_0 r_B + sum_i r_(B-i) mu_i +
+    sum_(i<j) r_(B-ij) phi_top c_i.G.c_j with mu_i = phi_c.c_i + phi_top d_i:
+    a block carries no mark, one marked element or one marked pair, and an
+    unmarked element contributes r_i wherever it sits.  Hence
+
+      sum over |pi| = b = sum_(s+p+j=b) E_(s,p) phi_top^p phi_0^j
+                          N(k - s - 2p, s + p, j),
+
+    where E_(s,p) = [y^s z^2p] E_xi prod_i (r_i + y mu_i + z xi.c_i) for a
+    Gaussian xi of covariance G (Isserlis: a moment of degree 2p sums the
+    pairings c_i.G.c_j over the perfect matchings), and N(u, m, j) counts
+    the placements of u unmarked elements into the m marked blocks and j
+    new, nonempty ones: N(u, m, j) = (m + j) N(u-1, m, j) + N(u-1, m, j-1).
+    No rank is divided by, so virtual and rank-0 classes need no care.
+
+    The variables are one Gaussian per type, eta_t = xi.c_t of covariance
+    c_t.G.c_u, if the prod (m_t + 1) monomials they allow are no more than
+    the C(min(k, 2n) + p, p) of the Picard coordinates xi (covariance G);
+    otherwise the Picard coordinates.  Each type's factor is raised to its
+    multiplicity by the multinomial theorem, and a monomial y^s xi^alpha
+    with 2s + |alpha| > 2n is dropped as it arises, since it only feeds sums
+    over more than n blocks.  So the product has at most
+    min(prod (m_t + 1), C(min(k, 2n) + p, p)) monomials per power of y, and
+    n + 1 powers.  A monomial is one integer, (2s + |alpha|) W plus alpha in
+    the mixed radix of its bounds (W the product of the radices), so a
+    product of monomials is a sum of integers and the truncation one
+    comparison.  For each m = s + p, sum_u e_u N(u, m, j) over j <= n - m is
+    formed by Horner's rule over u, with N(u, m, .) = T_m^u e_0 and
+    (T_m v)_j = (m + j) v_j + v_(j-1): O(k n^2) steps in all, with no table
+    of N and no recursion.
     """
-    memo: dict[tuple, list] = {(0,) * len(mults): [1]}
-    weight = cache(weight)
+    k = sum(m for _, m in types)
+    top = min(n, k)
+    f0, fc, ftop = form[0], form[1:-1], form[-1]
+    p = len(fc)
+    deg = min(k, 2 * n)
+    if prod(m + 1 for _, m in types) <= comb(deg + p, p):
+        bounds = [m for _, m in types]
+        lines = [((t, 1),) for t in range(len(types))]
+        cov = None
+    else:
+        bounds = [deg] * p
+        lines = [tuple((a, x) for a, x in enumerate(y.c) if x) for y, _ in types]
+        cov = gram
+    radix = [1]
+    for bound in bounds:
+        radix.append(radix[-1] * (bound + 1))
+    width = radix.pop()
+    limit = (2 * n + 1) * width
 
-    def sums(mu: tuple[int, ...]) -> list:
-        out = [0] * (min(max_blocks, sum(mu)) + 1)
-        i0 = next(i for i, m in enumerate(mu) if m)
-        pinned = list(mu)
-        pinned[i0] -= 1
-        for others in itertools.product(*(range(m + 1) for m in pinned)):
-            rest = tuple(map(operator.sub, pinned, others))
-            if max_blocks == 1 and any(rest):
-                continue
-            block = others[:i0] + (others[i0] + 1,) + others[i0 + 1:]
-            w = prod(map(comb, pinned, others)) * weight(block)
-            for b, v in enumerate(memo[rest][:max_blocks]):
-                out[b + 1] += w * v
-        return out
+    # poly: {monomial: coefficient} of the product of the factors so far.
+    poly: dict[int, int] | None = None
+    for (y, m), line in zip(types, lines):
+        r, mu = y.r, sum(map(operator.mul, fc, y.c)) + ftop * y.s
+        # (r + y mu + xi.c)^m: the multinomial m!/(a! b! c!) r^a mu^b times
+        # the monomials of (xi.c)^c, kept in `power`.
+        factor = {}
+        power = {0: 1}
+        for c in range(min(m, 2 * n) + 1):
+            if c:
+                grown: dict[int, int] = {}
+                for code, v in power.items():
+                    for a, x in line:
+                        key = code + radix[a]
+                        grown[key] = grown.get(key, 0) + v * x
+                power = grown
+            for b in range(min(m - c, n - (c + 1) // 2) + 1):
+                coef = comb(m, c) * comb(m - c, b) * r ** (m - b - c) * mu ** b
+                if coef:
+                    base = (2 * b + c) * width
+                    for code, v in power.items():
+                        factor[base + code] = coef * v
+        if poly is None:
+            poly = factor
+            continue
+        product: dict[int, int] = {}
+        for key, v in poly.items():
+            room = limit - key
+            for other, x in factor.items():
+                if other < room:
+                    both = key + other
+                    product[both] = product.get(both, 0) + v * x
+        poly = product
 
-    # Every leftover multiset lies below the whole one with its first
-    # element removed; with one block there are no leftovers.
-    top = tuple(mults)
-    i0 = next(i for i, m in enumerate(top) if m)
-    below_top = [range(m + 1) for m in top]
-    below_top[i0] = range(top[i0])
-    if max_blocks > 1:
-        for mu in itertools.islice(itertools.product(*below_top), 1, None):
-            memo[mu] = sums(mu)
-    return sums(top)
+    if deg < 2:
+        moments = {0: (0, 1)}
+    else:
+        if cov is None:
+            cov = [[0] * len(types) for _ in types]
+            for t, (y, _) in enumerate(types):
+                for u in range(t, len(types)):
+                    cov[t][u] = cov[u][t] = sum(map(operator.mul, y.c,
+                                                    types[u][0].gc))
+        moments = _gaussian_moments(cov, bounds, radix, deg, ftop)
+    # rows[m][p] = E_(m-p,p) phi_top^p: s + |alpha|/2 = m is half of 2s + |alpha|.
+    rows = [[0] * (m + 1) for m in range(top + 1)]
+    for key, v in poly.items():
+        w, code = divmod(key, width)
+        found = moments.get(code)
+        if found:
+            half, moment = found
+            rows[w // 2][half] += v * moment
+
+    sums = [0] * (top + 1)
+    f0_powers = [f0 ** j for j in range(top + 1)]
+    for marked, row in enumerate(rows):
+        if not any(row):
+            continue
+        # v = sum_u e_u N(u, marked, .) with e_(k-marked-p) = row[p], by
+        # Horner's rule from the largest u down; after p steps v_j vanishes
+        # for j > p.
+        span = top - marked + 1
+        v = [0] * span
+        for u in range(k - marked, -1, -1):
+            pairs = k - marked - u
+            for j in range(min(span - 1, pairs), 0, -1):
+                v[j] = (marked + j) * v[j] + v[j - 1]
+            v[0] = marked * v[0] + (row[pairs] if pairs <= marked else 0)
+        for j, x in enumerate(v):
+            sums[marked + j] += x * f0_powers[j]
+    return sums
 
 
 def chi_product_invariants(surface: SurfaceModel, n: int,
@@ -359,16 +490,19 @@ def chi_product_invariants_sweep(surface: SurfaceModel, ns: range,
 
     The sum runs over set partitions of [k] into b <= n blocks: the product
     of chi(E_B L) over the blocks B, times S^(n-b) chi(L) for the n - b
-    unused points.  Equal bundles are grouped into types, the block weight
-    chi(L prod y_i^beta_i) is computed once per sub-multiset beta, and the
-    partitions are summed by `_block_sums`, once for the whole range, up to
-    its largest n blocks.  One term per block count b <= n, labelled
-    blocks=b, with factors (sum over partitions into b blocks of the product
-    of weights, S^(n-b) chi(L)).
+    unused points.  Equal bundles are grouped into types, and the sums over
+    the partitions into b blocks are formed by `_decorated_block_sums`, once
+    for the whole range, up to its largest n: a product of one factor per
+    type with at most min(prod (m_t + 1), C(min(k, 2n) + p, p)) monomials
+    times n + 1 powers of y, for multiplicities m_t and Picard rank p, its
+    Gaussian moments, and O(k n^2) Horner steps that place the unmarked
+    elements.  So the cost is polynomial in the number of copies of each
+    class, and no recursion depth grows with k or n.  One term per block
+    count b <= n, labelled blocks=b, with factors (sum over partitions into
+    b blocks of the product of chi(E_B L), S^(n-b) chi(L)).
 
     The sums run on integers: with phi = chi(. L) over the denominator d_phi
-    and bundle type i over D_i, the weight of beta is an integer over
-    d_phi prod D_i^beta_i, so the product over the b blocks of a partition
+    and bundle type i over D_i, the product over the b blocks of a partition
     is an integer over d_phi^b prod D_i^m_i for every partition alike.
     """
     k = len(bundles)
@@ -378,24 +512,9 @@ def chi_product_invariants_sweep(surface: SurfaceModel, ns: range,
         twist = default_twist(surface)
     form, d_phi = require_line_bundle_class(twist, surface, "twist").form(1)
     # Equal bundles share one input class, so they count as one type.
-    types = Counter(input_class(e, surface) for e in bundles)
-    mults = list(types.values())
-    # The numerator of the class prod y_i^beta_i of every sub-multiset beta,
-    # one product each, over prod D_i^beta_i.
-    unit, _ = unit_coords(surface)
-    classes = {(): unit}
-    den_all = 1
-    for y, m in types.items():
-        den_all *= y.den ** m
-        grown = {}
-        for beta, v in classes.items():
-            for j in range(m + 1):
-                grown[beta + (j,)] = v
-                if j < m:
-                    v = y(v)
-        classes = grown
-    block_sums = _block_sums(
-        mults, lambda beta: sum(map(operator.mul, form, classes[beta])), ns[-1])
+    types = list(Counter(input_class(e, surface) for e in bundles).items())
+    den_all = prod(y.den ** m for y, m in types)
+    block_sums = _decorated_block_sums(types, form, surface.gram, ns[-1])
     return _sweep_results(Fraction(form[0], d_phi),
                           [(f"blocks={b}", Fraction(1),
                             (Fraction(block_sums[b], d_phi ** b * den_all),), b)

@@ -1,7 +1,8 @@
 """Brute-force enumerations that the production sums in `tautchi.euler`
-replace, kept as test oracles, an independent regrouping of the
-triple-product formula, the triple-product and Hom-pair breakdowns with one
-Riemann-Roch evaluation of a freshly built class per factor (which
+replace, kept as test oracles, the typed multiset DP that the
+decorated-block sum of `tautchi.euler.chi_product_invariants` replaces, an
+independent regrouping of the triple-product formula, the triple-product
+and Hom-pair breakdowns with one Riemann-Roch evaluation of a freshly built class per factor (which
 `tautchi.euler` replaces by class products built once and linear forms),
 the dense double sum that the sparse `SurfaceModel.pair` replaces, the
 label-by-label complex builder and slot action that the table-driven
@@ -26,10 +27,12 @@ The cost is exponential in the number of bundles, so callers keep k small.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, prod
 from typing import Callable, Hashable, Iterable, Sequence
 
 from tautchi.complexes import (ChainComplexQ, SparseRationalMatrix,
@@ -37,7 +40,7 @@ from tautchi.complexes import (ChainComplexQ, SparseRationalMatrix,
                                _wedge_indices, _wedge_of_map,
                                slot_action_matrix, swap_action_matrix)
 from tautchi.euler import ChiResult, Term, surviving_count
-from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_hom,
+from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_coords, ch_hom,
                              ch_sym_cotangent, ch_tangent, ch_tensor,
                              ch_tensor_all, gen_binomial, hrr_chi, sym_pow_chi)
 from tautchi.symgroup import (Permutation, generators, position_sign,
@@ -97,6 +100,75 @@ def product_invariants_by_blocks(surface, n, bundles, twist):
             prod *= _twisted_chi(surface, [bundles[t - 1] for t in sorted(fiber)], twist)
         out[mi.max_value] += prod
     return dict(out)
+
+
+def typed_block_sums(mults, weight, max_blocks):
+    """Set-partition sums graded by the number of blocks, by a DP over the
+    sub-multisets of typed elements: the sum that `euler.chi_product_invariants`
+    evaluated before its decorated-block sum.
+
+    The elements come in types with multiplicities `mults`; a block is
+    described by its composition beta (how many elements of each type it
+    holds).  Entry b of the result is the sum, over the set partitions of the
+    elements into b <= max_blocks blocks, of the product of weight(beta) over
+    the blocks.  Each sum pins the block of the first element of its
+    multiset mu, so each set partition is counted once: choosing the rest of
+    that block from mu gives C(mu_i0 - 1, beta_i0 - 1) * prod_(i != i0)
+    C(mu_i, beta_i) set partitions per composition, times the sums of the
+    multiset left over.  The sums of each sub-multiset are formed once,
+    bottom-up in lexicographic order (a leftover multiset precedes every
+    multiset it is left over from), so the cost follows the number
+    prod (m_i + 1) of sub-multisets, each summing over its own
+    sub-multisets.
+    """
+    memo = {(0,) * len(mults): [1]}
+    weight = cache(weight)
+
+    def sums(mu):
+        out = [0] * (min(max_blocks, sum(mu)) + 1)
+        i0 = next(i for i, m in enumerate(mu) if m)
+        pinned = list(mu)
+        pinned[i0] -= 1
+        for others in itertools.product(*(range(m + 1) for m in pinned)):
+            rest = tuple(map(operator.sub, pinned, others))
+            if max_blocks == 1 and any(rest):
+                continue
+            block = others[:i0] + (others[i0] + 1,) + others[i0 + 1:]
+            w = prod(map(comb, pinned, others)) * weight(block)
+            for b, v in enumerate(memo[rest][:max_blocks]):
+                out[b + 1] += w * v
+        return out
+
+    # Every leftover multiset lies below the whole one with its first
+    # element removed; with one block there are no leftovers.
+    top = tuple(mults)
+    i0 = next(i for i, m in enumerate(top) if m)
+    below_top = [range(m + 1) for m in top]
+    below_top[i0] = range(top[i0])
+    if max_blocks > 1:
+        for mu in itertools.islice(itertools.product(*below_top), 1, None):
+            memo[mu] = sums(mu)
+    return sums(top)
+
+
+def product_invariants_by_typed_dp(surface, ns, bundles, twist):
+    """The terms of `product_invariants_by_blocks` at each n of the range
+    ns, by `typed_block_sums` up to its largest n: equal bundles are grouped
+    into types, and the weight of a composition beta is chi(L prod E_i^beta_i)
+    of a freshly built class."""
+    types = {}
+    for e in bundles:
+        types.setdefault(ch_coords(e), [e, 0])[1] += 1
+    chars = [e for e, _ in types.values()]
+
+    def weight(beta):
+        return _twisted_chi(surface, [e for e, b in zip(chars, beta)
+                                      for _ in range(b)], twist)
+
+    sums = typed_block_sums([m for _, m in types.values()], weight, ns[-1])
+    chi_twist = hrr_chi(twist, surface)
+    return [{b: v * sym_pow_chi(n - b, chi_twist)
+             for b, v in enumerate(sums[:n + 1]) if b} for n in ns]
 
 
 def top_cohomology_by_enumeration(k, n, h2_by_subset, q):

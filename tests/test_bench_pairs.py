@@ -40,6 +40,26 @@ def test_summary_counts_lower_change_pairs_and_ties_for_neither():
     assert wall["change"] == bench_pairs.quartiles([0.5, 1.0, 2.0, 0.1])
 
 
+def test_wall_per_setup_ratio_is_summarized_per_run():
+    # the change is slower in wall_s on a host that ran it slower overall:
+    # its ratio is the same as the parent's in the first pair and lower in
+    # the second
+    pairs = [(result(wall_s=0.5, setup_s=2.0), result(wall_s=0.75, setup_s=3.0)),
+             (result(wall_s=0.5, setup_s=2.0), result(wall_s=0.75, setup_s=3.75)),
+             (result(wall_s=1.0, setup_s=2.0), result(wall_s=0.25, setup_s=2.5))]
+    entry = bench_pairs.summarize("small-batch", 1, pairs)
+    ratio = entry["metrics"]["wall_s/setup_s"]
+    assert ratio["unit"] == "ratio"
+    assert ratio["parent"] == bench_pairs.quartiles([0.25, 0.25, 0.5])
+    assert ratio["change"] == bench_pairs.quartiles([0.25, 0.2, 0.1])
+    assert ratio["change_lower_pairs"] == 2
+    assert entry["metrics"]["wall_s"]["change_lower_pairs"] == 1
+    # without setup_s on both sides there is no ratio
+    entry = bench_pairs.summarize("small-batch", 1, [(result(wall_s=1.0),
+                                                      result(wall_s=0.5))])
+    assert "wall_s/setup_s" not in entry["metrics"]
+
+
 def test_summary_schema_matches_recorded_bench_files():
     recorded = json.loads((ROOT / "BENCH_16.json").read_text())["results"][0]
     pairs = [(result(wall_s=0.2, setup_s=0.1), result(wall_s=0.1, setup_s=0.1))] * 3

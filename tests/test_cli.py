@@ -312,6 +312,18 @@ def test_hom_pairs_out_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (REPO / "tests" / "data" / "hom_pairs.out.json").read_bytes()
 
 
+def test_k0_out_matches_golden(tmp_path, capsys):
+    # k0_invariants on P2 + P2 (block-diagonal Gram, chi(O) = 2): virtual,
+    # rank-0 and negative-rank classes, 8 distinct classes, heavy repeats up
+    # to 120 copies, and sweeps past k; recorded with the typed DP that the
+    # decorated-block sum replaced
+    out = tmp_path / "out.json"
+    assert cli.run(str(REPO / "tests" / "data" / "k0.json"),
+                   out=str(out)) == cli.EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (REPO / "tests" / "data" / "k0.out.json").read_bytes()
+
+
 def test_sweeps_out_matches_golden(tmp_path, capsys):
     # every sweepable kind, virtual inputs, a twist with chi(L) = -4, and a
     # sweep that fails at n = 2: one ERROR row, exit 1
@@ -439,7 +451,8 @@ def test_unknown_key_file_exits_bad_input(capsys):
 
 @pytest.mark.parametrize("name", ["scripts/sample_jobs.json",
                                   "tests/data/sweeps.json",
-                                  "tests/data/hom_pairs.json"])
+                                  "tests/data/hom_pairs.json",
+                                  "tests/data/k0.json"])
 def test_golden_job_files_are_accepted(name):
     with open(REPO / name, encoding="utf-8") as fh:
         doc = json.load(fh, object_pairs_hook=cli.unique_keys)
@@ -453,6 +466,36 @@ def test_bundle_name_that_is_not_a_string_is_rejected(tmp_path, capsys, name):
         {"id": "s", "kind": "scala", "bundle": name, "n": 2}]})
     assert cli.run(path) == cli.EXIT_BAD_INPUT
     assert f"job 's': unknown bundle {name!r}" in capsys.readouterr().err
+
+
+NOT_STRINGS = [7, {"a": 1}, ["s"], None, True, 1.5]
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS)
+def test_job_id_that_is_not_a_string_is_rejected(tmp_path, capsys, value):
+    # with str() coercion, ids "7" and 7 were duplicates
+    path = write_jobs(tmp_path, {**BASE, "jobs": [
+        {"id": "7", "kind": "scala", "bundle": "O", "n": 1},
+        {"id": value, "kind": "scala", "bundle": "O", "n": 2}]})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"jobs[1]: key 'id' must be a string, got {value!r}" in err
+    assert "duplicate" not in err
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS)
+def test_bundle_and_surface_names_that_are_not_strings_are_rejected(
+        tmp_path, capsys, value):
+    bundles = [{"name": value, "rank": 1, "c1": [1], "c2": 0}]
+    path = write_jobs(tmp_path, {**BASE, "bundles": bundles, "jobs": []})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert (f"bundles[0]: key 'name' must be a string, got {value!r}"
+            in capsys.readouterr().err)
+    surface = {"name": value, "gram": [[1]], "canonical": [-3], "c2": 3}
+    path = write_jobs(tmp_path, {**BASE, "surface": surface, "jobs": []})
+    assert cli.run(path) == cli.EXIT_BAD_INPUT
+    assert (f"surface: key 'name' must be a string, got {value!r}"
+            in capsys.readouterr().err)
 
 
 def test_readme_kind_table_matches_the_kinds():
@@ -541,7 +584,7 @@ def written_json(value):
 
 
 @pytest.mark.parametrize("name", ["sample_jobs.out.json", "sweeps.out.json",
-                                  "hom_pairs.out.json",
+                                  "hom_pairs.out.json", "k0.out.json",
                                   "verify_k5.out.json", "verify_k8.out.json"])
 def test_writer_matches_json_dumps_on_golden_outputs(name):
     text = (REPO / "tests" / "data" / name).read_text(encoding="utf-8")

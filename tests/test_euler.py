@@ -208,9 +208,12 @@ def frame_depth():
 
 
 def test_block_sums_stack_depth_does_not_grow_with_copies():
-    # 150 copies of O(1) need 150 nested calls in a recursion over the
-    # leftover multisets; bottom-up they run in a fixed stack depth
-    k = 150
+    # 4095 copies of O(1) at n = 2 are inside the k0_invariants budget; a
+    # recursion over the leftover multisets would nest 4095 calls, and a sum
+    # over the sub-multisets of each of the 4096 states would run for
+    # minutes.  The decorated-block sum runs in a fixed stack depth and in
+    # time polynomial in the copies.
+    k = 4095
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frame_depth() + 60)
     try:
@@ -476,10 +479,11 @@ def all_subsets(k):
 
 
 def top_cohomology_by_typed_dp(k, n, h2, q):
-    """The typed multiset DP of `k0_invariants` with k types of multiplicity 1."""
+    """The typed multiset DP (`oracles.typed_block_sums`) with k types of
+    multiplicity 1."""
     def weight(beta):
         return h2[frozenset(t for t, inside in enumerate(beta, 1) if inside)]
-    sums = euler._block_sums([1] * k, weight, n)
+    sums = oracles.typed_block_sums([1] * k, weight, n)
     return sum(g * int(sym_pow_chi(n - b, q)) for b, g in enumerate(sums))
 
 

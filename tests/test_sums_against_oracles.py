@@ -7,6 +7,7 @@ the Fraction ring functions made to raise."""
 
 import itertools
 import operator
+import random
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ import tautchi
 from tautchi import euler
 from tautchi import surface as surface_module
 from tautchi.euler import (chi_ext_power_two, chi_hom_pair_two,
-                           chi_product_invariants, chi_sym_power_two, chi_taut,
+                           chi_product_invariants,
+                           chi_product_invariants_sweep, chi_sym_power_two,
+                           chi_taut,
                            chi_taut_product_two, chi_taut_triple,
                            global_sections_dim, top_cohomology_dim)
 from tautchi.surface import (ChernCharacter, ClassMultiplier, DivisorClass,
@@ -95,6 +98,60 @@ def test_k0_invariants_match_partition_enumeration(data, n):
     expected = oracles.product_invariants_by_blocks(surface, n, bundles, twist)
     assert labelled(res, "blocks=") == {f"blocks={b}": v for b, v in expected.items()}
     assert res.value == sum(expected.values())
+
+
+# P2 disjoint union P2: a block-diagonal Gram matrix and chi(O) = 2.
+UNION = SurfaceModel("P2+P2", ((1, 0), (0, 1)), (-3, -3), 6)
+
+
+def random_class(rng, surface, kind):
+    """A line bundle, a virtual class over the denominator 6, or a rank-0
+    class, with small random data."""
+    c1 = [rng.randint(-2, 2) for _ in range(surface.picard_rank)]
+    if kind == "line":
+        return ChernCharacter.line_bundle(c1, surface)
+    rank = 0 if kind == "rank0" else Fraction(rng.choice([-7, -2, 3, 5]), 6)
+    return ChernCharacter.make(rank, DivisorClass.of([Fraction(x, 3) for x in c1]),
+                               Fraction(rng.randint(-5, 5), 6))
+
+
+def test_decorated_block_sum_matches_typed_dp_and_enumeration():
+    rng = random.Random(23)
+    # a twist with chi(L) = 0 where the surface has one: O(-1) on P2, O(-1, 2)
+    # on P1xP1, O(-H) on the blown-up plane, O(-1) + O(-1) on the union
+    zero_chi = {"P2": [-1], "P1xP1": [-1, 2], "P2-blown-up-3": [-1, 0, 0, 0],
+                "P2+P2": [-1, -1]}
+    for surface in (p2(), p1xp1(), k3(), BLOWUP, UNION):
+        chosen = [ChernCharacter.line_bundle(
+            [rng.randint(-1, 1) for _ in range(surface.picard_rank)], surface)]
+        if surface.name in zero_chi:
+            chosen.append(ChernCharacter.line_bundle(zero_chi[surface.name], surface))
+            assert hrr_chi(chosen[-1], surface) == 0
+        for twist in chosen:
+            pool = [random_class(rng, surface, kind)
+                    for kind in ("line", "line", "virtual", "rank0")]
+            cases = [[rng.choice(pool) for _ in range(rng.randint(1, 5))]
+                     for _ in range(3)]
+            for bundles in cases:
+                # sweeps from n = 1 past k
+                ns = range(1, len(bundles) + 3)
+                swept = chi_product_invariants_sweep(surface, ns, bundles, twist)
+                typed = oracles.product_invariants_by_typed_dp(
+                    surface, ns, bundles, twist)
+                for n, res, by_dp in zip(ns, swept, typed):
+                    expected = oracles.product_invariants_by_blocks(
+                        surface, n, bundles, twist)
+                    assert by_dp == expected
+                    assert labelled(res, "blocks=") == {
+                        f"blocks={b}": v for b, v in expected.items()}
+            # heavy repeats, too many elements to enumerate
+            heavy = [pool[2]] * 10 + [pool[3]] * 3 + [pool[0]] * 2
+            ns = range(1, 6)
+            swept = chi_product_invariants_sweep(surface, ns, heavy, twist)
+            typed = oracles.product_invariants_by_typed_dp(surface, ns, heavy, twist)
+            for res, expected in zip(swept, typed):
+                assert labelled(res, "blocks=") == {
+                    f"blocks={b}": v for b, v in expected.items()}
 
 
 @oracle_settings
