@@ -42,16 +42,26 @@ SYM_POWER_MAX_K = 1000
 # k = 12 at n = 12 takes 35-60 ms and k = 13 takes 0.11-0.19 s (same host).
 H_TOP_MAX_K = 12
 
-# Budget of a `k0_invariants` job: prod (m_i + 1) over the multiplicities
-# m_i of its distinct bundle classes, at most 2^12.  It was the state count
-# of the typed DP that the decorated-block sum replaced, and it is kept so
-# that the same jobs are accepted.  The sum is polynomial in the copies: at
-# the budget O(1)...O(12) on P2 at n = 12 takes about 1 ms, one class of 4095
-# copies at n = 2 14 ms, 3 classes of 15 at n = 45 20 ms and 2 of 63 at
-# n = 126 1.1 s (same host).  The budget does not bound n: 4095 copies at
-# n = 4095 are accepted, and their k n^2 = 7e10 Horner steps are
-# intractable.
+# Budgets of a `k0_invariants` job.  K0_MAX_STATES bounds prod (m_i + 1)
+# over the multiplicities m_i of its distinct bundle classes: the number of
+# monomials of its per-type Gaussian variables, which the decorated-block
+# sum uses when they are fewer than those of the Picard coordinates.  It is
+# kept from the typed DP that the sum replaced, so that the same jobs are
+# accepted.  It does not bound n, and the sum's O(k n^2) Horner steps run on
+# integers that grow with k: K0_MAX_WORK bounds k0_work(k, n), which the
+# times fit at about 1.5e-10 s per unit (P2, in process, one run each: one
+# class of 4095 copies at n = 10 takes 0.21 s, at n = 25 1.26 s and at n = 50
+# 5.1 s; 1000 copies at n = 50 0.39 s, at n = 100 1.87 s and at n = 200
+# 7.0 s; 200 copies at n = 200 0.23 s; same host).  Two classes of 63 copies
+# at n = 126 (2.5e8 units) take 1.15 s, spent in the polynomial product.
 K0_MAX_STATES = 4096
+K0_MAX_WORK = 10 ** 10
+
+
+def k0_work(k: int, n: int) -> int:
+    """The work units k^2 min(n, k)^2 of a `k0_invariants` job over k
+    bundles up to n."""
+    return (k * min(n, k)) ** 2
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
 # k_max): k = 7 takes 0.5-0.8 s, k = 8 2.4-3.5 s, k = 9 15-17 s and k = 10
@@ -415,15 +425,21 @@ def _check_h0(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> Non
                            f"(got n = {ns[0]}, k = {len(h0)})")
 
 
-def _check_k0_states(jf: JobFile, jid: str, p: dict[str, Any],
-                     ns: range | None) -> None:
+def _check_k0(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> None:
     mults = Counter(jf.bundles[name] for name in p["bundles"]).values()
     states = prod(m + 1 for m in mults)
     if states > K0_MAX_STATES:
-        raise JobFileError(f"job {jid!r}: {states} DP states (the product of "
-                           f"multiplicity + 1 over {len(mults)} distinct "
+        raise JobFileError(f"job {jid!r}: {states} per-type monomials (the product "
+                           f"of multiplicity + 1 over {len(mults)} distinct "
                            f"bundle classes) exceed the k0_invariants "
                            f"budget of {K0_MAX_STATES}")
+    k = len(p["bundles"])
+    work = k0_work(k, ns[-1])
+    if work > K0_MAX_WORK:
+        raise JobFileError(f"job {jid!r}: an estimated {work} work units "
+                           f"(k^2 min(n, k)^2 for k = {k} bundles up to "
+                           f"n = {ns[-1]}) exceed the k0_invariants budget of "
+                           f"{K0_MAX_WORK}")
 
 
 def _check_verify(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> None:
@@ -454,15 +470,14 @@ def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
     return frozenset(parts)
 
 
-# The job kinds.  A kind with n evaluates its whole range of n at once, and
-# a job with an n is the range [n, n].  Each evaluation looks its function
-# up when it runs.
+# The job kinds.  A kind with n evaluates its whole range of n with one call,
+# and a job with an n is the range [n, n].  Each evaluation looks its
+# function up when it runs.
 KINDS: dict[str, Kind] = {
     "scala": Kind(
         one=("bundle",), min_n=1, echo=("bundle",),
-        evaluate=lambda jf, job: [
-            euler.chi_taut(jf.surface, n, jf.bundles[job.payload["bundle"]], jf.twist)
-            for n in job.ns]),
+        evaluate=lambda jf, job: euler.chi_taut(
+            jf.surface, job.ns, jf.bundles[job.payload["bundle"]], jf.twist)),
     "euler_two": Kind(
         many=("bundles",), echo=("bundles",), defaults={"brute": False},
         evaluate=lambda jf, job: [euler.chi_taut_product_two(
@@ -473,7 +488,7 @@ KINDS: dict[str, Kind] = {
             jf.surface, _classes(jf, job, "source"), _classes(jf, job, "target"))]),
     "euler_three": Kind(
         many=("bundles",), min_n=3, echo=("bundles",), check=_check_three,
-        evaluate=lambda jf, job: euler.chi_taut_triple_sweep(
+        evaluate=lambda jf, job: euler.chi_taut_triple(
             jf.surface, job.ns, *_classes(jf, job, "bundles"), jf.twist)),
     "sym_power_two": Kind(
         one=("bundle",), other=("k",), echo=("bundle", "k"),
@@ -484,15 +499,15 @@ KINDS: dict[str, Kind] = {
     "h_top": Kind(
         other=("k", "h2", "q"), min_n=1, echo=("k", "q"), defaults={"q": 0},
         check=_check_h_top,
-        evaluate=lambda jf, job: euler.top_cohomology_dim_sweep(
+        evaluate=lambda jf, job: euler.top_cohomology_dim(
             job.params["k"], job.ns, job.data, job.params["q"])),
     "h0": Kind(
         other=("h0",), min_n=1, echo=("h0",), check=_check_h0,
-        evaluate=lambda jf, job: [euler.global_sections_dim(job.payload["h0"], n)
-                                  for n in job.ns]),
+        evaluate=lambda jf, job: euler.global_sections_dim(
+            job.payload["h0"], job.ns)),
     "k0_invariants": Kind(
-        many=("bundles",), min_n=1, echo=("bundles",), check=_check_k0_states,
-        evaluate=lambda jf, job: euler.chi_product_invariants_sweep(
+        many=("bundles",), min_n=1, echo=("bundles",), check=_check_k0,
+        evaluate=lambda jf, job: euler.chi_product_invariants(
             jf.surface, job.ns, _classes(jf, job, "bundles"), jf.twist)),
     "verify_complexes": Kind(
         other=("k_max",), echo=None, check=_check_verify,

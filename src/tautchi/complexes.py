@@ -261,7 +261,6 @@ class ChainComplexQ:
     k: int
     ell: int
     basis: dict[int, list[DegreeLabel]]
-    index: dict[int, dict[DegreeLabel, int]]
     differentials: dict[int, SparseRationalMatrix]  # degree d -> map C^d -> C^{d+1}
 
     @property
@@ -343,7 +342,6 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
         values = list(itertools.product((1, 2), repeat=top - i))
         basis[i] = [(m_set, a, wedge) for m_set in supports[i]
                     for a in values for wedge in wedges[i]]
-    index = {d: {lab: p for p, lab in enumerate(labs)} for d, labs in basis.items()}
 
     # Each (row, column) pair below is written once: the columns' images
     # under distinct supports M, and under distinct wedge terms, are distinct.
@@ -400,7 +398,7 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                     for w, w2, val in entries[v >> shift & 1]:
                         rows[rbase + w2][cols[cbase + w]] = val
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
-    return ChainComplexQ(k, ell, basis, index, diffs)
+    return ChainComplexQ(k, ell, basis, diffs)
 
 
 def _inclusion_wedge(m_set: tuple[int, ...], m: int, wedge: tuple[int, ...]

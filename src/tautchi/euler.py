@@ -28,10 +28,9 @@ integer products and sums over a common denominator.
 What a formula reads of its input classes (multipliers, powers, the forms
 chi(. L^j) of the twist, the line-bundle test) comes from
 `surface.input_class`, formed once per class and surface.  The formulas with
-an n have the form sum_J a_J S^(n-J) chi(L) with a_J free of n; the `_sweep`
-functions of the triple, `chi_product_invariants` and `top_cohomology_dim`
-form the a_J once for a whole range of n, and the single-n functions are
-their ranges [n, n].
+an n have the form sum_J a_J S^(n-J) chi(L) with a_J free of n, so each
+takes a nonempty range ns of n, forms the a_J once for the whole range and
+returns one result per n; one n is the range [n, n].
 
 The two-point formulas subtract diagonal correction terms whose integer
 coefficients are invariant counts of the complexes in `complexes`.  Every
@@ -124,6 +123,14 @@ def _sweep_results(chi_twist: Fraction,
     return results
 
 
+def _check_ns(ns: range, smallest: int) -> None:
+    """ns must be a nonempty ascending range of n >= smallest, so that ns[0]
+    and ns[-1] are its smallest and largest n."""
+    if not ns or ns.step < 0 or ns[0] < smallest:
+        raise ValueError(f"need a nonempty ascending range of n >= {smallest} "
+                         f"(got {ns})")
+
+
 def require_line_bundle_class(ch: ChernCharacter, surface: SurfaceModel,
                               what: str) -> InputClass:
     """The `InputClass` of ch, which must be the class of a line bundle."""
@@ -138,15 +145,15 @@ def default_twist(surface: SurfaceModel) -> ChernCharacter:
     return ChernCharacter.unit(surface)
 
 
-def chi_taut(surface: SurfaceModel, n: int, bundle: ChernCharacter,
-             twist: ChernCharacter) -> Fraction:
+def chi_taut(surface: SurfaceModel, ns: range, bundle: ChernCharacter,
+             twist: ChernCharacter) -> list[Fraction]:
     """Euler characteristic of a single induced bundle with determinant twist
-    on the n-point space: chi(F (x) L) * s^(n-1) chi(L)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    on the n-point space, at each n of the nonempty range ns:
+    chi(F (x) L) * S^(n-1) chi(L), with chi(F (x) L) and chi(L) formed once."""
+    _check_ns(ns, 1)
     form = require_line_bundle_class(twist, surface, "twist").form(1)
-    return (_apply(form, class_coords(bundle, surface))
-            * sym_pow_chi(n - 1, _at_unit(form)))
+    main, chi_twist = _apply(form, class_coords(bundle, surface)), _at_unit(form)
+    return [main * sym_pow_chi(n - 1, chi_twist) for n in ns]
 
 
 def _diag_chis(surface: SurfaceModel, product: ClassCoords,
@@ -473,20 +480,13 @@ def _decorated_block_sums(types: Sequence[tuple[ClassMultiplier, int]],
     return sums
 
 
-def chi_product_invariants(surface: SurfaceModel, n: int,
+def chi_product_invariants(surface: SurfaceModel, ns: range,
                            bundles: Sequence[ChernCharacter],
-                           twist: ChernCharacter | None = None) -> ChiResult:
+                           twist: ChernCharacter | None = None
+                           ) -> list[ChiResult]:
     """Euler characteristic of the invariants of the ambient product of
-    pullbacks on the n-fold product (the uncorrected first approximation):
-    `chi_product_invariants_sweep` over the single n."""
-    return chi_product_invariants_sweep(surface, range(n, n + 1), bundles, twist)[0]
-
-
-def chi_product_invariants_sweep(surface: SurfaceModel, ns: range,
-                                 bundles: Sequence[ChernCharacter],
-                                 twist: ChernCharacter | None = None
-                                 ) -> list[ChiResult]:
-    """`chi_product_invariants` at each n of the nonempty range ns.
+    pullbacks on the n-fold product (the uncorrected first approximation),
+    at each n of the nonempty range ns.
 
     The sum runs over set partitions of [k] into b <= n blocks: the product
     of chi(E_B L) over the blocks B, times S^(n-b) chi(L) for the n - b
@@ -505,9 +505,9 @@ def chi_product_invariants_sweep(surface: SurfaceModel, ns: range,
     and bundle type i over D_i, the product over the b blocks of a partition
     is an integer over d_phi^b prod D_i^m_i for every partition alike.
     """
-    k = len(bundles)
-    if k < 1 or not ns or ns[0] < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    if not bundles:
+        raise ValueError("need k >= 1")
+    _check_ns(ns, 1)
     if twist is None:
         twist = default_twist(surface)
     form, d_phi = require_line_bundle_class(twist, surface, "twist").form(1)
@@ -595,7 +595,7 @@ def chi_ext_power_two(surface: SurfaceModel, bundle: ChernCharacter, k: int,
     """
     _, twist, times_twist = _check_power_args(surface, bundle, k, twist)
     if k == 1:
-        return chi_taut(surface, 2, bundle, twist)
+        return chi_taut(surface, range(2, 3), bundle, twist)[0]
     if k == 2:
         return gen_binomial(_apply(times_twist.form(1),
                                    class_coords(bundle, surface)), 2)
@@ -689,23 +689,14 @@ def chi_hom_pair_two(surface: SurfaceModel, source: Sequence[ChernCharacter],
 _TRIPLE_PAIRS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
-def chi_taut_triple(surface: SurfaceModel, n: int, e1: ChernCharacter,
+def chi_taut_triple(surface: SurfaceModel, ns: range, e1: ChernCharacter,
                     e2: ChernCharacter, e3: ChernCharacter,
-                    twist: ChernCharacter | None = None) -> ChiResult:
+                    twist: ChernCharacter | None = None) -> list[ChiResult]:
     """Euler characteristic of a triple product of induced bundles on the
-    n-point space (n >= 3), with determinant twist: `chi_taut_triple_sweep`
-    over the single n."""
-    return chi_taut_triple_sweep(surface, range(n, n + 1), e1, e2, e3, twist)[0]
-
-
-def chi_taut_triple_sweep(surface: SurfaceModel, ns: range, e1: ChernCharacter,
-                          e2: ChernCharacter, e3: ChernCharacter,
-                          twist: ChernCharacter | None = None) -> list[ChiResult]:
-    """`chi_taut_triple` at each n of the nonempty range ns (n >= 3).  The
-    factors before the last of each term are free of n and formed once; the
-    last is S^(n-J) chi(L) with J = 1, 2 or 3."""
-    if not ns or ns[0] < 3:
-        raise ValueError("need n >= 3")
+    n-point space, with determinant twist, at each n of the nonempty range
+    ns (n >= 3).  The factors before the last of each term are free of n and
+    formed once; the last is S^(n-J) chi(L) with J = 1, 2 or 3."""
+    _check_ns(ns, 3)
     if twist is None:
         twist = default_twist(surface)
     times_twist = require_line_bundle_class(twist, surface, "twist")
@@ -735,18 +726,10 @@ def chi_taut_triple_sweep(surface: SurfaceModel, ns: range, e1: ChernCharacter,
     return _sweep_results(_at_unit(chi1), parts, ns)
 
 
-def top_cohomology_dim(k: int, n: int, h2_by_subset: Mapping[frozenset, int],
-                       q: int) -> int:
+def top_cohomology_dim(k: int, ns: range, h2_by_subset: Mapping[frozenset, int],
+                       q: int) -> list[int]:
     """Dimension of the top-degree cohomology of a product of k induced
-    bundles on the n-point space: `top_cohomology_dim_sweep` over the
-    single n."""
-    return top_cohomology_dim_sweep(k, range(n, n + 1), h2_by_subset, q)[0]
-
-
-def top_cohomology_dim_sweep(k: int, ns: range,
-                             h2_by_subset: Mapping[frozenset, int],
-                             q: int) -> list[int]:
-    """`top_cohomology_dim` at each n of the nonempty range ns.
+    bundles on the n-point space, at each n of the nonempty range ns.
 
     The sum runs over set partitions of [k] into b <= n blocks: the product
     of the block values times dim S^(n-b) of the q-dimensional top cohomology
@@ -772,8 +755,9 @@ def top_cohomology_dim_sweep(k: int, ns: range,
     the sums of at most n blocks.  A range from n = 1 looks the whole set
     up first, so a sweep fails as its first failing n would alone.
     """
-    if k < 1 or not ns or ns[0] < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    _check_ns(ns, 1)
     if q < 0:
         raise ValueError("q must be nonnegative")
 
@@ -817,18 +801,14 @@ def top_cohomology_dim_sweep(k: int, ns: range,
     return [sum(g * sym[m - b] for b, g in enumerate(out[:m], 1)) for m in ns]
 
 
-def global_sections_dim(h0_values: Sequence[int], n: int) -> int:
-    """Dimension of the global sections of a product of induced bundles for
-    n at least the number of factors: the plain product of the h0 inputs."""
+def global_sections_dim(h0_values: Sequence[int], ns: range) -> list[int]:
+    """Dimension of the global sections of a product of induced bundles at
+    each n of the nonempty range ns, all at least the number of factors: the
+    plain product of the h0 inputs."""
     k = len(h0_values)
     if k < 1:
         raise ValueError("need at least one bundle")
-    if n < k:
-        raise ValueError(f"the global-sections product formula requires n >= k "
-                         f"(got n = {n}, k = {k})")
+    _check_ns(ns, k)  # the product formula holds for n >= k
     if any(v < 0 for v in h0_values):
         raise ValueError("h0 values must be nonnegative")
-    prod = 1
-    for v in h0_values:
-        prod *= v
-    return prod
+    return [prod(h0_values)] * len(ns)

@@ -386,15 +386,16 @@ def build_complex_by_labels(k, ell):
                 for wedge2, coeff in _inclusion_wedge(m_set, m, wedge):
                     rows[target[(m_set, b, wedge2)]][col] = sgn * coeff
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
-    return ChainComplexQ(k, ell, basis, index, diffs)
+    return ChainComplexQ(k, ell, basis, diffs)
 
 
 def slot_action_matrix_by_labels(cx, perm, degree):
     """The slot action of perm in a degree, column by column: each image
-    label (M; a; T') is formed and looked up in `cx.index`.  The reference
-    for `tautchi.complexes.slot_action_matrix`, which finds rows by offsets."""
+    label (M; a; T') is formed and looked up in a map from the labels of
+    `cx.basis` to their positions.  The reference for
+    `tautchi.complexes.slot_action_matrix`, which finds rows by offsets."""
     labels = cx.basis[degree]
-    idx = cx.index[degree]
+    idx = {label: p for p, label in enumerate(labels)}
     rows = [{} for _ in labels]
     inv = perm.inverse()
     universe = range(1, cx.k + 1)

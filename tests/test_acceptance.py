@@ -174,17 +174,17 @@ def test_criterion_09_formula_consistency():
             tw = ChernCharacter.line_bundle(
                 [rng.randint(-2, 2)] * surface.picard_rank, surface)
             assert (euler.chi_taut_product_two(surface, [e], tw).value
-                    == euler.chi_taut(surface, 2, e, tw))
+                    == euler.chi_taut(surface, range(2, 3), e, tw)[0])
         for _ in range(50):
             surface = rng.choice([P2, K3, p1xp1()])
             e1, e2, e3 = (_random_chern(rng, surface) for _ in range(3))
             n = rng.randint(3, 6)
-            assert (euler.chi_taut_triple(surface, n, e1, e2, e3).value
+            assert (euler.chi_taut_triple(surface, range(n, n + 1), e1, e2, e3)[0].value
                     == oracles.chi_taut_triple_grouped(surface, n, e1, e2, e3))
         for k in (1, 2, 3):
             bundles = [_random_chern(rng, P2) for _ in range(k)]
             tw = ChernCharacter.line_bundle([rng.randint(-1, 1)], P2)
-            inv = euler.chi_product_invariants(P2, 2, bundles, tw)
+            [inv] = euler.chi_product_invariants(P2, range(2, 3), bundles, tw)
             full = euler.chi_taut_product_two(P2, bundles, tw)
             main = {t.label: t.value for t in full.terms
                     if t.label.startswith("|P|=")}
@@ -206,8 +206,8 @@ def test_criterion_10_worked_fixtures():
         # two-point pair of trivial bundles gives 1*1 + 1*1 for the splits
         # minus the single diagonal term chi(O) = 1
         assert euler.chi_taut_product_two(P2, [o_p2, o_p2]).value == 1
-        assert euler.chi_taut_triple(P2, 3, o_p2, o_p2, o_p2).value == 1
-        assert euler.chi_taut_triple(K3, 3, o_k3, o_k3, o_k3).value == 38
+        assert euler.chi_taut_triple(P2, range(3, 4), o_p2, o_p2, o_p2)[0].value == 1
+        assert euler.chi_taut_triple(K3, range(3, 4), o_k3, o_k3, o_k3)[0].value == 38
         assert euler.chi_hom_pair_two(P2, [o_p2], [o_p2]).value == 2
 
     report(10, "worked fixtures on the plane and a K3", check)
@@ -219,7 +219,8 @@ def test_criterion_11_integrality_and_rejection():
             e = ChernCharacter.line_bundle(coords, surface)
             o = ChernCharacter.unit(surface)
             assert euler.chi_taut_product_two(surface, [e, e, o]).value.denominator == 1
-            assert euler.chi_taut_triple(surface, 4, e, o, e).value.denominator == 1
+            [triple] = euler.chi_taut_triple(surface, range(4, 5), e, o, e)
+            assert triple.value.denominator == 1
             assert euler.chi_hom_pair_two(surface, [e], [o, e]).value.denominator == 1
             assert euler.chi_sym_power_two(surface, e, 2).denominator == 1
             assert euler.chi_ext_power_two(surface, e, 2).denominator == 1

@@ -1,5 +1,6 @@
 """Job file parsing, execution, output determinism, and exit codes."""
 
+import ast
 import dataclasses
 import gc
 import io
@@ -201,8 +202,8 @@ def test_integral_bundles_flagged_once_at_parse(monkeypatch):
     assert len(calls) == len(INTEGRALITY_BUNDLES)
 
 
-def half(*args, **kwargs):
-    return Fraction(1, 2)
+def half(surface, ns, *args, **kwargs):
+    return [Fraction(1, 2)] * len(ns)
 
 
 def test_non_integral_value_of_integral_bundles_fails_the_row(tmp_path, capsys,
@@ -458,6 +459,43 @@ def test_golden_job_files_are_accepted(name):
         doc = json.load(fh, object_pairs_hook=cli.unique_keys)
     jf = cli.parse_job_file(doc)
     assert [job.id for job in jf.jobs] == [job["id"] for job in doc["jobs"]]
+
+
+def traced_euler_names():
+    """The `euler` functions that `perfbench/tracer.py` wraps: its
+    TARGETS["euler"], read from the file's literal without importing it."""
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    [targets] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    return ast.literal_eval(targets)["euler"]
+
+
+@pytest.mark.parametrize("name", ["scripts/sample_jobs.json",
+                                  "tests/data/sweeps.json"])
+def test_every_formula_job_makes_one_traced_euler_call(monkeypatch, name):
+    # The tracer charges a job's formula work to the euler layer only through
+    # the functions it wraps; a job that reaches its formula by another name
+    # has that work counted as cli self time.
+    calls = []
+    for target in traced_euler_names():
+        def counted(*args, _fn=getattr(euler, target), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(euler, target, counted)
+    with open(REPO / name, encoding="utf-8") as fh:
+        jf = cli.parse_job_file(json.load(fh, object_pairs_hook=cli.unique_keys))
+    kinds = set()
+    for job in jf.jobs:
+        if job.kind == "verify_complexes":
+            continue
+        calls.clear()
+        try:
+            cli.run_one_job(jf, job)
+        except ValueError:  # the sweep of sweeps.json that fails by design
+            assert job.id == "top-fails-at-2"
+        assert len(calls) == 1, (job.id, calls)
+        kinds.add(job.kind)
+    assert kinds >= {"scala", "euler_three", "h_top", "h0", "k0_invariants"}
 
 
 @pytest.mark.parametrize("name", [["O1"], 3, None])
@@ -918,9 +956,9 @@ def k0_job_file(tmp_path, names, n):
 def test_k0_invariants_distinct_class_budget(tmp_path, capsys, types):
     path = k0_job_file(tmp_path, [f"L{j}" for j in range(types)], 2)
     assert cli.run(path) == cli.EXIT_BAD_INPUT
-    assert (f"job 'k': {2 ** types} DP states (the product of multiplicity + 1 "
-            f"over {types} distinct bundle classes) exceed the k0_invariants "
-            f"budget of 4096" in capsys.readouterr().err)
+    assert (f"job 'k': {2 ** types} per-type monomials (the product of "
+            f"multiplicity + 1 over {types} distinct bundle classes) exceed the "
+            f"k0_invariants budget of 4096" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("names,states", [
@@ -934,8 +972,9 @@ def test_k0_invariants_repeated_classes_count_against_the_budget(
     classes = len(set(name.replace("Dup", "L0") for name in names))
     path = k0_job_file(tmp_path, names, 20)
     assert cli.run(path) == cli.EXIT_BAD_INPUT
-    assert (f"job 'k': {states} DP states (the product of multiplicity + 1 "
-            f"over {classes} distinct bundle classes)" in capsys.readouterr().err)
+    assert (f"job 'k': {states} per-type monomials (the product of "
+            f"multiplicity + 1 over {classes} distinct bundle classes)"
+            in capsys.readouterr().err)
 
 
 def test_k0_invariants_at_the_budget_runs(tmp_path, capsys):
@@ -948,9 +987,79 @@ def test_k0_invariants_at_the_budget_runs(tmp_path, capsys):
         assert cli.main(["--jobs", path, "--out", str(out)]) == cli.EXIT_OK
         capsys.readouterr()
         jf = cli.parse_job_file(json.loads(Path(path).read_text()))
-        expect = euler.chi_product_invariants(
-            jf.surface, 2, [jf.bundles[name] for name in names]).value
+        [expect] = [r.value for r in euler.chi_product_invariants(
+            jf.surface, range(2, 3), [jf.bundles[name] for name in names])]
         assert json.loads(out.read_text())[0]["value"] == cli.rational_to_str(expect)
+
+
+K0_WORK_ROWS = [
+    # (copies of each class, n, seconds in process on P2): the timings the
+    # work budget k^2 min(n, k)^2 <= 10^10 was fitted to
+    ([4095], 10, 0.21), ([4095], 25, 1.26), ([4095], 50, 5.1),
+    ([1000], 50, 0.39), ([1000], 100, 1.87), ([1000], 200, 7.0),
+    ([200], 200, 0.23), ([63, 63], 126, 1.15)]
+
+
+@pytest.mark.parametrize("copies,n,seconds", K0_WORK_ROWS)
+def test_k0_invariants_work_budget_bounds_n(tmp_path, copies, n, seconds):
+    names = [name for j, m in enumerate(copies, 1) for name in [f"L{j}"] * m]
+    doc = json.loads(Path(k0_job_file(tmp_path, names, n)).read_text())
+    k = sum(copies)
+    work = cli.k0_work(k, n)
+    # the estimate is within a factor 1.5 of the measured time, except where
+    # the polynomial product dominates (two classes at n = 126)
+    if len(copies) == 1:
+        assert 2 / 3 < 1.5e-10 * work / seconds < 1.5
+    if work <= cli.K0_MAX_WORK:
+        [job] = cli.parse_job_file(doc).jobs
+        assert job.ns == range(n, n + 1)
+        return
+    with pytest.raises(cli.JobFileError) as exc:
+        cli.parse_job_file(doc)
+    assert str(exc.value) == (
+        f"job 'k': an estimated {work} work units (k^2 min(n, k)^2 for "
+        f"k = {k} bundles up to n = {n}) exceed the k0_invariants budget of "
+        f"10000000000")
+
+
+def test_k0_invariants_work_budget_reads_the_last_n_of_a_sweep(tmp_path):
+    doc = json.loads(Path(k0_job_file(tmp_path, ["L1"] * 1000, 2)).read_text())
+    doc["jobs"][0].pop("n")
+    doc["jobs"][0]["sweep_n"] = [1, 100]
+    cli.parse_job_file(doc)
+    doc["jobs"][0]["sweep_n"] = [1, 101]
+    with pytest.raises(cli.JobFileError, match="up to n = 101"):
+        cli.parse_job_file(doc)
+
+
+def test_k0_invariants_work_is_monotone_and_saturates_at_k():
+    for k in range(1, 12):
+        works = [cli.k0_work(k, n) for n in range(1, 15)]
+        assert works == sorted(works)
+        assert works[k - 1:] == [k ** 4] * (14 - k + 1)
+        assert cli.k0_work(k + 1, 5) > cli.k0_work(k, 5)
+
+
+def test_golden_k0_jobs_are_inside_the_work_budget():
+    works = []
+    for name in ("scripts/sample_jobs.json", "tests/data/sweeps.json",
+                 "tests/data/k0.json"):
+        jf = cli.parse_job_file(json.loads((REPO / name).read_text()))
+        works += [cli.k0_work(len(job.payload["bundles"]), job.ns[-1])
+                  for job in jf.jobs if job.kind == "k0_invariants"]
+    assert max(works) == 57600 <= cli.K0_MAX_WORK
+
+
+def test_k0_over_budget_file_exits_bad_input(capsys):
+    # the file the console-script check of the CI runs: 4095 copies of O(1)
+    # at n = 4095, inside the monomial budget and far beyond the work budget
+    path = REPO / "tests" / "data" / "k0_over_budget.json"
+    assert cli.run(str(path)) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("job 'k0-4095': an estimated 281200199450625 work units "
+            "(k^2 min(n, k)^2 for k = 4095 bundles up to n = 4095) exceed the "
+            "k0_invariants budget of 10000000000") in captured.err
 
 
 def test_verify_flag_budget(monkeypatch, capsys):

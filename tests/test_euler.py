@@ -17,11 +17,9 @@ from tautchi import cli, complexes, euler
 from tautchi import surface as surface_module
 from tautchi.euler import (ChiResult, Term, chi_ext_power_two,
                            chi_hom_pair_two, chi_product_invariants,
-                           chi_product_invariants_sweep, chi_sym_power_two,
-                           chi_taut, chi_taut_product_two, chi_taut_triple,
-                           chi_taut_triple_sweep, global_sections_dim,
-                           top_cohomology_dim,
-                           top_cohomology_dim_sweep)
+                           chi_sym_power_two, chi_taut, chi_taut_product_two,
+                           chi_taut_triple, global_sections_dim,
+                           top_cohomology_dim)
 from tautchi.surface import (ChernCharacter, DivisorClass, hrr_chi, k3, p1xp1, p2,
                              sym_pow_chi)
 
@@ -47,6 +45,11 @@ def unit(surface):
     return ChernCharacter.unit(surface)
 
 
+def at(n):
+    """The range of n alone."""
+    return range(n, n + 1)
+
+
 def random_chern(rng, surface):
     rank = surface.picard_rank
     r = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
@@ -56,18 +59,19 @@ def random_chern(rng, surface):
 # --- single bundle with determinant twist ----------------------------------------
 
 def test_chi_taut_values():
-    assert chi_taut(P2, 1, o_line(P2, [1]), unit(P2)) == 3
-    assert chi_taut(P2, 2, o_line(P2, [1]), unit(P2)) == 3
-    for n in range(1, 6):
-        assert chi_taut(P2, n, unit(P2), unit(P2)) == 1
+    assert chi_taut(P2, range(1, 3), o_line(P2, [1]), unit(P2)) == [3, 3]
+    assert chi_taut(P2, range(1, 6), unit(P2), unit(P2)) == [1] * 5
     # on a K3 the twist-only factor grows
-    assert [chi_taut(K3, n, unit(K3), unit(K3)) for n in range(1, 6)] \
-        == [2, 4, 6, 8, 10]
+    assert chi_taut(K3, range(1, 6), unit(K3), unit(K3)) == [2, 4, 6, 8, 10]
+    assert chi_taut(K3, at(4), unit(K3), unit(K3)) == [8]
+    for ns in (range(0, 3), range(2, 2), range(3, 0, -1)):
+        with pytest.raises(ValueError, match="ascending range of n >= 1"):
+            chi_taut(P2, ns, unit(P2), unit(P2))
 
 
 def test_chi_taut_requires_line_bundle_twist():
     with pytest.raises(ValueError, match="line bundle"):
-        chi_taut(P2, 2, unit(P2), ChernCharacter.make(2, [0], 0))
+        chi_taut(P2, at(2), unit(P2), ChernCharacter.make(2, [0], 0))
 
 
 # --- two-point products ------------------------------------------------------------
@@ -93,7 +97,8 @@ def test_product_two_line_bundle_pairs():
 @given(chern_on(P2), st.integers(-3, 3))
 def test_product_two_single_factor_reduces_to_chi_taut(e, d):
     twist = o_line(P2, [d])
-    assert chi_taut_product_two(P2, [e], twist).value == chi_taut(P2, 2, e, twist)
+    assert (chi_taut_product_two(P2, [e], twist).value
+            == chi_taut(P2, at(2), e, twist)[0])
 
 
 @given(st.lists(chern_on(P2), min_size=2, max_size=4))
@@ -175,7 +180,8 @@ def test_product_invariants_single_bundle_is_chi_taut():
     for n in (1, 2, 3, 5):
         e = random_chern(rng, P2)
         tw = o_line(P2, [rng.randint(-2, 2)])
-        assert chi_product_invariants(P2, n, [e], tw).value == chi_taut(P2, n, e, tw)
+        assert ([r.value for r in chi_product_invariants(P2, range(1, n + 1), [e], tw)]
+                == chi_taut(P2, range(1, n + 1), e, tw))
 
 
 @pytest.mark.parametrize("surface", [P2, QUADRIC, K3])
@@ -186,17 +192,29 @@ def test_sweeps_equal_their_single_n_values(surface):
     e = [random_chern(rng, surface) for _ in range(3)]
     tw = o_line(surface, [rng.randint(-2, 2) for _ in range(surface.picard_rank)])
     ns = range(3, 10)
-    assert chi_taut_triple_sweep(surface, ns, *e, tw) == [
-        chi_taut_triple(surface, n, *e, tw) for n in ns]
+    assert chi_taut_triple(surface, ns, *e, tw) == [
+        chi_taut_triple(surface, at(n), *e, tw)[0] for n in ns]
     bundles = [e[0], e[1], e[0], e[2], e[1], e[0]]
     ns = range(1, 9)
-    swept = chi_product_invariants_sweep(surface, ns, bundles, tw)
-    assert swept == [chi_product_invariants(surface, n, bundles, tw) for n in ns]
+    swept = chi_product_invariants(surface, ns, bundles, tw)
+    assert swept == [chi_product_invariants(surface, at(n), bundles, tw)[0]
+                     for n in ns]
     assert [len(r.terms) for r in swept] == [1, 2, 3, 4, 5, 6, 6, 6]
+    assert chi_taut(surface, ns, e[0], tw) == [
+        chi_taut(surface, at(n), e[0], tw)[0] for n in ns]
+    # empty or descending: a descending range would read its last n as the
+    # largest and form the block sums only up to it
+    for bad in (range(3, 3), range(5, 1), range(6, 2, -1)):
+        with pytest.raises(ValueError, match="ascending range of n >= 3"):
+            chi_taut_triple(surface, bad, *e, tw)
+        with pytest.raises(ValueError, match="ascending range of n >= 1"):
+            chi_product_invariants(surface, bad, bundles, tw)
+    assert chi_product_invariants(surface, range(1, 9, 3), bundles, tw) == [
+        swept[0], swept[3], swept[6]]
     with pytest.raises(ValueError, match="n >= 3"):
-        chi_taut_triple_sweep(surface, range(2, 5), *e, tw)
+        chi_taut_triple(surface, range(2, 5), *e, tw)
     with pytest.raises(ValueError, match="n >= 1"):
-        chi_product_invariants_sweep(surface, range(0, 3), bundles, tw)
+        chi_product_invariants(surface, range(0, 3), bundles, tw)
 
 
 def frame_depth():
@@ -217,7 +235,7 @@ def test_block_sums_stack_depth_does_not_grow_with_copies():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frame_depth() + 60)
     try:
-        res = chi_product_invariants(P2, 2, [o_line(P2, [1])] * k)
+        [res] = chi_product_invariants(P2, at(2), [o_line(P2, [1])] * k)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -231,17 +249,17 @@ def test_block_sums_stack_depth_does_not_grow_with_copies():
 def test_product_invariants_counts_partitions_for_trivial_bundles():
     for k in (1, 2, 3, 4):
         for n in (1, 2, 3, 4, 6):
-            res = chi_product_invariants(P2, n, [unit(P2)] * k)
+            [res] = chi_product_invariants(P2, at(n), [unit(P2)] * k)
             expected = sum(stirling2(k, m) for m in range(1, min(k, n) + 1))
             assert res.value == expected
 
 
 def test_product_invariants_has_one_term_per_block_count():
-    res = chi_product_invariants(P2, 3, [unit(P2)] * 3)
+    [res] = chi_product_invariants(P2, at(3), [unit(P2)] * 3)
     assert [t.label for t in res.terms] == ["blocks=1", "blocks=2", "blocks=3"]
     # S(3, b) set partitions of weight 1 each, all points used or S^j chi(O) = 1
     assert [t.factors for t in res.terms] == [(1, 1), (3, 1), (1, 1)]
-    assert len(chi_product_invariants(P2, 2, [unit(P2)] * 3).terms) == 2
+    assert len(chi_product_invariants(P2, at(2), [unit(P2)] * 3)[0].terms) == 2
 
 
 def test_product_invariants_n2_matches_product_two_main_term():
@@ -249,7 +267,7 @@ def test_product_invariants_n2_matches_product_two_main_term():
     for k in (1, 2, 3):
         bundles = [random_chern(rng, P2) for _ in range(k)]
         tw = o_line(P2, [rng.randint(-1, 1)])
-        inv = chi_product_invariants(P2, 2, bundles, tw).value
+        inv = chi_product_invariants(P2, at(2), bundles, tw)[0].value
         full = chi_taut_product_two(P2, bundles, tw)
         main = sum(t.value for t in full.terms if t.label.startswith("|P|="))
         assert inv == main
@@ -261,8 +279,9 @@ def test_sym_power_k1_is_chi_taut():
     for surface, coords in [(P2, [2]), (K3, [1]), (QUADRIC, [1, 2])]:
         e = o_line(surface, coords)
         tw = o_line(surface, [0] * surface.picard_rank)
-        assert chi_sym_power_two(surface, e, 1, tw) == chi_taut(surface, 2, e, tw)
-        assert chi_ext_power_two(surface, e, 1, tw) == chi_taut(surface, 2, e, tw)
+        [taut] = chi_taut(surface, at(2), e, tw)
+        assert chi_sym_power_two(surface, e, 1, tw) == taut
+        assert chi_ext_power_two(surface, e, 1, tw) == taut
 
 
 @pytest.mark.parametrize("surface,ecoords,lcoords", [
@@ -416,8 +435,8 @@ def test_hom_pair_self_is_symmetric_in_arguments_swap():
 # --- triple products -------------------------------------------------------------------
 
 def test_triple_fixtures():
-    assert chi_taut_triple(P2, 3, unit(P2), unit(P2), unit(P2)).value == 1
-    assert chi_taut_triple(K3, 3, unit(K3), unit(K3), unit(K3)).value == 38
+    assert chi_taut_triple(P2, at(3), unit(P2), unit(P2), unit(P2))[0].value == 1
+    assert chi_taut_triple(K3, at(3), unit(K3), unit(K3), unit(K3))[0].value == 38
 
 
 def test_triple_grouped_form_agrees_with_nine_terms():
@@ -426,29 +445,31 @@ def test_triple_grouped_form_agrees_with_nine_terms():
         surface = rng.choice([P2, K3, QUADRIC])
         e1, e2, e3 = (random_chern(rng, surface) for _ in range(3))
         n = rng.randint(3, 6)
-        nine = chi_taut_triple(surface, n, e1, e2, e3).value
+        [nine] = [r.value for r in chi_taut_triple(surface, at(n), e1, e2, e3)]
         grouped = oracles.chi_taut_triple_grouped(surface, n, e1, e2, e3)
         assert nine == grouped
 
 
 def test_triple_requires_three_points():
     with pytest.raises(ValueError, match="n >= 3"):
-        chi_taut_triple(P2, 2, unit(P2), unit(P2), unit(P2))
+        chi_taut_triple(P2, at(2), unit(P2), unit(P2), unit(P2))
 
 
 def test_triple_symmetric_in_bundles():
     rng = random.Random(4)
     e1, e2, e3 = (random_chern(rng, P2) for _ in range(3))
     tw = o_line(P2, [1])
-    base = chi_taut_triple(P2, 4, e1, e2, e3, tw).value
-    assert chi_taut_triple(P2, 4, e3, e1, e2, tw).value == base
-    assert chi_taut_triple(P2, 4, e2, e1, e3, tw).value == base
+    def values(*e):
+        return [r.value for r in chi_taut_triple(P2, range(3, 6), *e, tw)]
+    base = values(e1, e2, e3)
+    assert values(e3, e1, e2) == base
+    assert values(e2, e1, e3) == base
 
 
 def test_triple_n_dependence_through_sym_factors_only():
     # constant in n when all chi factors of the twist are 1
-    vals = [chi_taut_triple(P2, n, unit(P2), unit(P2), unit(P2)).value
-            for n in range(3, 7)]
+    vals = [r.value for r in chi_taut_triple(P2, range(3, 7), unit(P2), unit(P2),
+                                             unit(P2))]
     assert vals == [1, 1, 1, 1]
 
 
@@ -458,19 +479,22 @@ def test_top_cohomology_single_bundle_matches_graded_oracle():
     # k = 1: h2 * dim S^(n-1) of a q-dimensional even space
     for q in (0, 1, 2, 3):
         for n in (1, 2, 3, 4):
-            got = top_cohomology_dim(1, n, {frozenset({1}): 5}, q)
+            [got] = top_cohomology_dim(1, at(n), {frozenset({1}): 5}, q)
             assert got == 5 * oracles.graded_sym_chi_oracle([(2, q)], n - 1)
 
 
 def test_top_cohomology_errors_and_zero():
-    assert top_cohomology_dim(2, 2, {frozenset({1}): 0, frozenset({2}): 0,
-                                     frozenset({1, 2}): 0}, 3) == 0
+    assert top_cohomology_dim(2, at(2), {frozenset({1}): 0, frozenset({2}): 0,
+                                         frozenset({1, 2}): 0}, 3) == [0]
     with pytest.raises(ValueError, match="missing top-cohomology value"):
-        top_cohomology_dim(2, 2, {frozenset({1}): 1}, 0)
+        top_cohomology_dim(2, at(2), {frozenset({1}): 1}, 0)
+    for bad in (range(2, 2), range(3, 0, -1)):
+        with pytest.raises(ValueError, match="ascending range of n >= 1"):
+            top_cohomology_dim(2, bad, {frozenset({1}): 1}, 0)
 
 
 def test_top_cohomology_n1():
-    assert top_cohomology_dim(3, 1, {frozenset({1, 2, 3}): 7}, 9) == 7
+    assert top_cohomology_dim(3, at(1), {frozenset({1, 2, 3}): 7}, 9) == [7]
 
 
 def all_subsets(k):
@@ -494,7 +518,7 @@ def test_top_cohomology_subset_dp_matches_typed_dp_and_enumeration():
             q = rng.randint(0, 3)
             # zero and negative block values, so that no cancellation hides
             h2 = {s: rng.choice([0, 0, 1, 2, 5, -1, -3]) for s in all_subsets(k)}
-            got = top_cohomology_dim(k, n, h2, q)
+            [got] = top_cohomology_dim(k, at(n), h2, q)
             assert got == top_cohomology_by_typed_dp(k, n, h2, q)
             if k <= 6 or n in (2, k):
                 assert got == oracles.top_cohomology_by_enumeration(k, n, h2, q)
@@ -517,7 +541,7 @@ def test_top_cohomology_missing_subset_named_in_mask_order(k, n, present, named)
     # order is the one named: {4}, {3}, {3,4}, {2}, {2,4}, ... for k = 4
     h2 = {frozenset(s): 1 for s in present}
     with pytest.raises(ValueError) as exc:
-        top_cohomology_dim(k, n, h2, 0)
+        top_cohomology_dim(k, at(n), h2, 0)
     assert str(exc.value) == f"missing top-cohomology value for subset {named}"
 
 
@@ -527,8 +551,9 @@ def test_top_cohomology_sweep_equals_its_single_n_values():
         h2 = {s: rng.choice([0, 1, 2, 5, -1]) for s in all_subsets(k)}
         for first, last in ((1, 1), (1, 7), (2, 6), (4, 4)):
             q = rng.randint(0, 3)
-            assert top_cohomology_dim_sweep(k, range(first, last + 1), h2, q) == [
-                top_cohomology_dim(k, n, h2, q) for n in range(first, last + 1)]
+            assert top_cohomology_dim(k, range(first, last + 1), h2, q) == [
+                top_cohomology_dim(k, at(n), h2, q)[0]
+                for n in range(first, last + 1)]
 
 
 @pytest.mark.parametrize("first,named", [(1, "{1,2,3}"), (2, "{3}")])
@@ -537,26 +562,26 @@ def test_top_cohomology_sweep_fails_as_its_first_failing_n(first, named):
     # mask order: a sweep names the subset that its first n alone names
     h2 = {frozenset({1}): 1, frozenset({2}): 1}
     with pytest.raises(ValueError) as exc:
-        top_cohomology_dim_sweep(3, range(first, 5), h2, 1)
+        top_cohomology_dim(3, range(first, 5), h2, 1)
     assert str(exc.value) == f"missing top-cohomology value for subset {named}"
 
 
 def test_top_cohomology_ignores_unused_keys():
     h2 = {frozenset({1}): 1, frozenset({2}): 2, frozenset({1, 2}): 3}
     # partitions {1}{2} and {12}: 1*2*S^0(1) + 3*S^1(1) = 5
-    assert top_cohomology_dim(2, 2, h2, 1) == 5
+    assert top_cohomology_dim(2, at(2), h2, 1) == [5]
     extra = {**h2, frozenset({5}): 7, frozenset({1, 5}): 4, frozenset({0}): 2,
              frozenset(): 9}
-    assert top_cohomology_dim(2, 2, extra, 1) == 5
-    assert top_cohomology_dim(2, 1, extra, 1) == 3
+    assert top_cohomology_dim(2, range(1, 3), extra, 1) == [3, 5]
 
 
 def test_global_sections_dim():
-    assert global_sections_dim([2, 3], 2) == 6
-    assert global_sections_dim([2, 0, 5], 3) == 0
-    assert global_sections_dim([4], 1) == 4
-    with pytest.raises(ValueError, match="n >= k"):
-        global_sections_dim([1, 1, 1], 2)
+    assert global_sections_dim([2, 3], at(2)) == [6]
+    assert global_sections_dim([2, 0, 5], range(3, 6)) == [0, 0, 0]
+    assert global_sections_dim([4], range(1, 4)) == [4, 4, 4]
+    for ns in (at(2), range(2, 5), range(3, 3), range(4, 1, -1)):
+        with pytest.raises(ValueError, match="ascending range of n >= 3"):
+            global_sections_dim([1, 1, 1], ns)
 
 
 # --- integrality across engines ----------------------------------------------------------
@@ -566,6 +591,6 @@ def test_integer_outputs_on_integral_inputs():
         e = o_line(surface, coords)
         o = unit(surface)
         assert chi_taut_product_two(surface, [e, e, e]).value.denominator == 1
-        assert chi_taut_triple(surface, 3, e, e, o).value.denominator == 1
+        assert chi_taut_triple(surface, at(3), e, e, o)[0].value.denominator == 1
         assert chi_hom_pair_two(surface, [e], [e, e]).value.denominator == 1
         assert chi_sym_power_two(surface, e, 3).denominator == 1
