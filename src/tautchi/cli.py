@@ -220,7 +220,8 @@ class Job:
     # The params its rows echo, each row of a kind with n adding its n; None
     # for a kind whose evaluation makes its own rows.
     params: dict[str, Any] | None
-    # What the kind's own check parsed: h_top's h2 values keyed by subset.
+    # What the kind's own check parsed: h_top's h2 values keyed by subset,
+    # verify_complexes' k_max.
     data: Any
 
 
@@ -442,18 +443,15 @@ def _check_k0(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> Non
                            f"{K0_MAX_WORK}")
 
 
-def _check_verify(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> None:
-    if "k_max" in p:
-        k_max = _need_int(jid, p, "k_max", 1)
-        if k_max > VERIFY_MAX_K:
-            raise JobFileError(f"job {jid!r}: {_verify_budget_message(k_max)}")
+def _check_verify(jf: JobFile, jid: str, p: dict[str, Any], ns: range | None) -> int:
+    """The suite's k_max, 7 by default."""
+    k_max = _need_int(jid, p, "k_max", 1) if "k_max" in p else 7
+    if k_max > VERIFY_MAX_K:
+        raise JobFileError(f"job {jid!r}: k_max = {k_max} exceeds the "
+                           f"verification budget k <= {VERIFY_MAX_K}")
     # Loaded here, not in run_one_job, so the job's run time excludes it.
     from . import complexes  # noqa: F401
-
-
-def _verify_budget_message(k_max: int) -> str:
-    return (f"k_max = {k_max} exceeds the verification budget "
-            f"k <= {VERIFY_MAX_K}")
+    return k_max
 
 
 def _parse_subset_key(jid: str, key: str, k: int) -> frozenset:
@@ -511,8 +509,7 @@ KINDS: dict[str, Kind] = {
             jf.surface, job.ns, _classes(jf, job, "bundles"), jf.twist)),
     "verify_complexes": Kind(
         other=("k_max",), echo=None, check=_check_verify,
-        evaluate=lambda jf, job: run_verification(
-            job.payload.get("k_max", 7), id_prefix=job.id)[0]),
+        evaluate=lambda jf, job: run_verification(job.data, job.id)),
 }
 
 
@@ -555,9 +552,9 @@ def _row(jf: JobFile, job: Job, row_id: str, params: dict[str, Any],
     return ResultRow(row_id, job.kind, params, rational_to_str(value), terms)
 
 
-def run_verification(k_max: int = 7, id_prefix: str = "verify"
-                     ) -> tuple[list[ResultRow], bool]:
-    """Structural verification suite over the complexes machinery.
+def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
+    """Structural verification suite over the complexes machinery; a check
+    that fails has a FAIL row.
 
     Covers: d^(i+1) d^i = 0 and exactness in degrees >= 0 for all parameter
     pairs up to k_max; brute-force swap-invariant kernel counts against the
@@ -567,12 +564,9 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
     vanishing of slot-invariants in positive degrees (k <= min(k_max, 6)).
     """
     from . import complexes
-    all_ok = True
 
     def add(rows: list[ResultRow], name: str, params: dict, ok: bool,
             detail: str = "") -> None:
-        nonlocal all_ok
-        all_ok = all_ok and ok
         value = "PASS" if ok else ("FAIL" + (f" ({detail})" if detail else ""))
         rows.append(ResultRow(f"{id_prefix}[{name}]", "verify_complexes",
                               params, value))
@@ -642,7 +636,7 @@ def run_verification(k_max: int = 7, id_prefix: str = "verify"
             if sym_pow_chi(m, chi) != gen_binomial(chi + m - 1, m):
                 ok = False
     add(rows, "reflection-binomial", {"chi_max": 10, "m_max": 10}, ok)
-    return rows + slot_rows, all_ok
+    return rows + slot_rows
 
 
 def render_table(rows: Sequence[ResultRow]) -> str:
@@ -712,6 +706,7 @@ def write_rows(path: str, rows: Sequence[ResultRow]) -> None:
 
 
 def run(path: str, out: str | None = None) -> int:
+    """Run the job file at path: `run_document` of its parsed JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=unique_keys)
@@ -728,6 +723,12 @@ def run(path: str, out: str | None = None) -> int:
     except ValueError as exc:  # an integer literal beyond the digit limit
         print(f"error: parse error in {path}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return run_document(doc, out)
+
+
+def run_document(doc: Any, out: str | None = None) -> int:
+    """Validate a parsed job file, run its jobs, print their table and write
+    their rows to out; returns the exit code."""
     try:
         jf = parse_job_file(doc)
     except JobFileError as exc:
@@ -776,12 +777,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="tautchi",
         description="Exact Euler characteristics of induced bundles on "
                     "Hilbert schemes of points, plus structural verification.")
-    parser.add_argument("--jobs", metavar="FILE", help="JSON job file to run")
+    task = parser.add_mutually_exclusive_group()
+    task.add_argument("--jobs", metavar="FILE", help="JSON job file to run")
+    task.add_argument("--verify", metavar="k=MAX",
+                      help="run the structural verification suite up to the "
+                           "given k: the job file of one verify_complexes job")
     parser.add_argument("--out", metavar="FILE",
                         help="write machine-readable results (JSON) here")
-    parser.add_argument("--verify", metavar="k=MAX",
-                        help="run the structural verification suite up to the "
-                             "given k and exit")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
@@ -793,15 +795,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: --verify expects k=<positive integer>, got "
                   f"{args.verify!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        if int(spec) > VERIFY_MAX_K:
-            print(f"error: --verify: {_verify_budget_message(int(spec))}",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
-        rows, ok = run_verification(int(spec))
-        print(render_table(rows))
-        if args.out:
-            write_rows(args.out, rows)
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        # A job file names a surface; the suite reads none.
+        return run_document({"surface": {"preset": "P2"}, "jobs": [
+            {"id": "verify", "kind": "verify_complexes", "k_max": int(spec)}]},
+            args.out)
 
     if not args.jobs:
         parser.print_usage(sys.stderr)

@@ -45,6 +45,7 @@ computed by fraction-free elimination.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -327,13 +328,15 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
     differentials find their rows by this arithmetic, not by label lookups.
     A column (N; a; T) and a freed element m give the support M = N + {m},
     formed once per (N, m), and the position sign of m in M and the wedge
-    images of T, which depend only on the position of m in M and are formed
-    once per position.  The values enter by one bit: b is a with the bit of
-    m deleted, and that bit gives the sign of the freed value.
+    images of T under the inclusion of the difference representation on N
+    into the one on M, which depend only on the position of m in M and are
+    formed once per position.  The values enter by one bit: b is a with the
+    bit of m deleted, and that bit gives the sign of the freed value.
     """
     if not (1 <= ell <= k):
         raise ValueError("need 1 <= ell <= k")
     universe = range(1, k + 1)
+    identity = Permutation.identity(k)
     top = k - ell
     supports, wedges = zip(*(_degree_layout(k, ell, i) for i in range(top + 1)))
     basis: dict[int, list[DegreeLabel]] = {
@@ -384,10 +387,10 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                 h = m_set.index(m)
                 entries = by_position.get(h)
                 if entries is None:
-                    sgn = position_sign(m, m_set)
-                    one = [(w, wedge_index[wedge2], sgn * coeff)
-                           for w, wedge in enumerate(wedges[i])
-                           for wedge2, coeff in _inclusion_wedge(m_set, m, wedge)]
+                    one = _wedge_entries(
+                        position_sign(m, m_set),
+                        _difference_rep_matrix(identity, n_set, m_set),
+                        wedges[i], wedge_index)
                     entries = by_position[h] = (one, [(w, w2, -v) for w, w2, v in one])
                 row0 = support_index[m_set] * (n_vals >> 1) * n_wedge2
                 shift = free - 1 - pos  # the bit of m's value in a value index
@@ -399,40 +402,6 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                         rows[rbase + w2][cols[cbase + w]] = val
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
     return ChainComplexQ(k, ell, basis, diffs)
-
-
-def _inclusion_wedge(m_set: tuple[int, ...], m: int, wedge: tuple[int, ...]
-                     ) -> list[tuple[tuple[int, ...], int]]:
-    """Expand a wedge basis vector of the difference representation on
-    M \\ {m} inside the one on M.
-
-    With M = {n_1 < ... < n_s} and m = n_h, the basis vectors rewrite as
-    z^r -> z^{r+1} (h = 1), z^r -> z^r (h = s), and otherwise z^r -> z^r for
-    r < h-1, z^{h-1} -> z^{h-1} + z^h, z^r -> z^{r+1} for r >= h.  The index
-    images are strictly increasing, so no reordering signs appear.
-    """
-    s = len(m_set)
-    h = m_set.index(m) + 1
-    terms: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for t in wedge:
-        if h == 1:
-            images = ((t + 1),)
-        elif h == s:
-            images = (t,)
-        elif t < h - 1:
-            images = (t,)
-        elif t == h - 1:
-            images = (h - 1, h)
-        else:
-            images = (t + 1,)
-        new_terms = []
-        for prefix, coeff in terms:
-            for idx in images:
-                if idx in prefix:
-                    continue
-                new_terms.append((prefix + (idx,), coeff))
-        terms = new_terms
-    return [(t, c) for t, c in terms if c]
 
 
 @dataclass
@@ -508,14 +477,9 @@ def _wedge_of_map(cols: list[dict[int, int]], wedge: tuple[int, ...]
             for idx, c in col.items():
                 if idx in prefix:
                     continue
-                lst = list(prefix)
-                pos = len(lst)
-                for ii, v in enumerate(lst):
-                    if idx < v:
-                        pos = ii
-                        break
-                sgn = -1 if (len(lst) - pos) % 2 else 1
-                key = tuple(lst[:pos] + [idx] + lst[pos:])
+                pos = bisect.bisect(prefix, idx)
+                sgn = -1 if (len(prefix) - pos) % 2 else 1
+                key = prefix[:pos] + (idx,) + prefix[pos:]
                 nv = new_terms.get(key, 0) + coeff * c * sgn
                 if nv:
                     new_terms[key] = nv
@@ -523,6 +487,18 @@ def _wedge_of_map(cols: list[dict[int, int]], wedge: tuple[int, ...]
                     new_terms.pop(key, None)
         terms = new_terms
     return terms
+
+
+def _wedge_entries(sign: int, cols: list[dict[int, int]],
+                   wedges: Sequence[tuple[int, ...]],
+                   wedge_index: dict[tuple[int, ...], int]
+                   ) -> list[tuple[int, int, int]]:
+    """The entries (wedge index of the column, wedge index of the row, value)
+    of sign times the exterior power of a support map given column-wise (as
+    by `_difference_rep_matrix`), for the source wedge indices in order and
+    the positions of the target ones."""
+    return [(w, wedge_index[wedge2], sign * coeff) for w, wedge in enumerate(wedges)
+            for wedge2, coeff in _wedge_of_map(cols, wedge).items()]
 
 
 def _value_index_map(order: Sequence[int]) -> list[int]:
@@ -571,10 +547,9 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
         comp_n = [t for t in universe if t not in n_set]
         moved = _value_index_map([comp_n.index(inv(t)) for t in universe
                                   if t not in m_set])
-        e = sign_on_subset(perm, n_set)
-        cols = _difference_rep_matrix(perm, n_set, m_set)
-        entries = [(w, wedge_index[wedge2], e * coeff) for w, wedge in enumerate(wedges)
-                   for wedge2, coeff in _wedge_of_map(cols, wedge).items()]
+        entries = _wedge_entries(sign_on_subset(perm, n_set),
+                                 _difference_rep_matrix(perm, n_set, m_set),
+                                 wedges, wedge_index)
         row0, col0 = support_index[m_set] * block, sn * block
         for v in range(n_vals):
             rbase, cbase = row0 + moved[v] * n_wedge, col0 + v * n_wedge

@@ -161,6 +161,8 @@ def _diag_chis(surface: SurfaceModel, product: ClassCoords,
     """chi of the diagonal correction classes for ell = 1..top: S^(ell-1) of
     the cotangent bundle times the product of all inputs times the twist
     squared, each one value of the form chi(. product L^2)."""
+    if top < 1:
+        return []
     times_twist = input_class(twist, surface)
     form = chi_functional(times_twist.times(times_twist.times(product)), surface)
     return [_apply(form, _sym_cotangent_coords(m, surface)) for m in range(top)]
@@ -234,14 +236,6 @@ def _split_sums(first: ClassCoords, others: Sequence[ClassMultiplier]
     return graded, den
 
 
-def _pair_eval(phi: tuple[Sequence[int], int], tensor: tuple, den: int) -> Fraction:
-    """(phi (x) phi) applied to an element of A (x) A with integer numerators
-    over the denominator den."""
-    form, d = phi
-    return Fraction(sum(a * sum(map(operator.mul, row, form))
-                        for a, row in zip(form, tensor)), d * d * den)
-
-
 def _frobenius(s: tuple, t: tuple) -> int:
     """The pairing sum_ij s_ij t_ij of an element s of A (x) A with an
     element t of the tensor square of the forms on A."""
@@ -280,20 +274,23 @@ def chi_taut_product_two(surface: SurfaceModel, bundles: Sequence[ChernCharacter
     The main sum runs over subsets P of [k] containing 1 and multiplies the
     two complementary twisted products chi(E_P L) chi(E_(P^c) L).  It is
     (chi_L (x) chi_L) applied to (x_1 (x) 1) * prod_(t>=2) (z x_t (x) 1 + 1 (x) x_t)
-    in A (x) A [z], one term per power of z, labelled |P|=r; the cost is
-    O(k^2 (p+2)^2) for Picard rank p.  From it, one diagonal correction per
-    ell in 1..k-1 is subtracted with the closed-form invariant count
-    `diagonal_multiplicity` as its coefficient.
+    in A (x) A [z], one term per power of z, labelled |P|=r: the integer
+    pairing `_frobenius` of its grade with chi_L (x) chi_L, which is formed
+    once per call.  The cost is O(k^2 (p+2)^2) for Picard rank p.  From it,
+    one diagonal correction per ell in 1..k-1 is subtracted with the
+    closed-form invariant count `diagonal_multiplicity` as its coefficient.
     """
     k = len(bundles)
     if k < 1:
         raise ValueError("need at least one bundle")
     if twist is None:
         twist = default_twist(surface)
-    phi = require_line_bundle_class(twist, surface, "twist").form(1)
+    form, d_phi = require_line_bundle_class(twist, surface, "twist").form(1)
+    square = tuple(tuple(a * b for b in form) for a in form)
     graded, den = _split_sums(class_coords(bundles[0], surface),
                               [input_class(e, surface) for e in bundles[1:]])
-    terms = [Term(f"|P|={r}", Fraction(1), (_pair_eval(phi, t, den),))
+    den *= d_phi * d_phi
+    terms = [Term(f"|P|={r}", Fraction(1), (Fraction(_frobenius(t, square), den),))
              for r, t in enumerate(graded, 1)]
     diag = _diag_chis(surface, _product_all(surface, bundles), twist, k - 1)
     terms += [Term(f"diag ell={ell}", Fraction(-diagonal_multiplicity(k, ell)),

@@ -36,8 +36,8 @@ from math import comb, factorial, prod
 from typing import Callable, Hashable, Iterable, Sequence
 
 from tautchi.complexes import (ChainComplexQ, SparseRationalMatrix,
-                               _difference_rep_matrix, _inclusion_wedge,
-                               _wedge_indices, _wedge_of_map,
+                               _difference_rep_matrix, _wedge_indices,
+                               _wedge_of_map,
                                slot_action_matrix, swap_action_matrix)
 from tautchi.euler import ChiResult, Term, surviving_count
 from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_coords, ch_hom,
@@ -344,12 +344,40 @@ def projector_invariant_dim(cx, degree, group, slot_character="trivial"):
     return by_trace
 
 
+def inclusion_wedge(m_set, m, wedge):
+    """Expand a wedge basis vector of the difference representation on
+    M \\ {m} inside the one on M, by the explicit rule for the inclusion.
+
+    With M = {n_1 < ... < n_s} and m = n_h, the basis vectors rewrite as
+    z^r -> z^{r+1} (h = 1), z^r -> z^r (h = s), and otherwise z^r -> z^r for
+    r < h-1, z^{h-1} -> z^{h-1} + z^h, z^r -> z^{r+1} for r >= h.  The index
+    images are strictly increasing, so no reordering signs appear.
+    """
+    s = len(m_set)
+    h = m_set.index(m) + 1
+    terms = [((), 1)]
+    for t in wedge:
+        if h == 1:
+            images = (t + 1,)
+        elif h == s or t < h - 1:
+            images = (t,)
+        elif t == h - 1:
+            images = (h - 1, h)
+        else:
+            images = (t + 1,)
+        terms = [(prefix + (idx,), coeff) for prefix, coeff in terms
+                 for idx in images if idx not in prefix]
+    return terms
+
+
 def build_complex_by_labels(k, ell):
     """The (k, ell) complex built column by column: for every basis label and
     every freed element, the target label (M; b; T') is formed and looked up
-    in the index, with its sign and wedge images computed afresh.  The
-    reference for `tautchi.complexes.build_complex`, which fills the same
-    entries from per-support tables and integer offsets."""
+    in the index, with its sign and wedge images computed afresh by the
+    explicit inclusion rule `inclusion_wedge`.  The reference for
+    `tautchi.complexes.build_complex`, which fills the same entries from
+    per-support tables and integer offsets, with the wedge images of the
+    general `_wedge_of_map` that the slot action uses."""
     universe = list(range(1, k + 1))
     basis = {-1: list(itertools.product((1, 2), repeat=k))}
     for i in range(0, k - ell + 1):
@@ -383,7 +411,7 @@ def build_complex_by_labels(k, ell):
                 m_set = tuple(sorted(n_set + (m,)))
                 b = tuple(v for t, v in zip(comp_n, a) if t != m)
                 sgn = position_sign(m, m_set) * (1 if a[pos] == 1 else -1)
-                for wedge2, coeff in _inclusion_wedge(m_set, m, wedge):
+                for wedge2, coeff in inclusion_wedge(m_set, m, wedge):
                     rows[target[(m_set, b, wedge2)]][col] = sgn * coeff
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
     return ChainComplexQ(k, ell, basis, diffs)

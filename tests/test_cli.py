@@ -672,7 +672,8 @@ def test_writer_matches_json_dumps_beyond_the_int_digit_limit(big, negative):
 
 USAGE_ERRORS = {"unknown-flag": ["--bogus"], "missing-value": ["--jobs"],
                 "threads": ["--jobs", "x.json", "--threads", "2"],
-                "force-brute": ["--jobs", "x.json", "--force-brute-N"]}
+                "force-brute": ["--jobs", "x.json", "--force-brute-N"],
+                "jobs-and-verify": ["--jobs", "x.json", "--verify", "k=2"]}
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
@@ -725,7 +726,7 @@ def stub_verification(monkeypatch):
     """Replace the suite by a recorder of its k_max; returns the record."""
     calls = []
     monkeypatch.setattr(cli, "run_verification",
-                        lambda k_max: (calls.append(k_max) or [], True))
+                        lambda k_max, id_prefix: calls.append(k_max) or [])
     return calls
 
 
@@ -747,8 +748,27 @@ def test_canonical_verify_spec_accepted(monkeypatch, capsys, spec):
 def test_verify_k5_out_matches_golden(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert cli.main(["--verify", "k=5", "--out", str(out)]) == cli.EXIT_OK
-    capsys.readouterr()
+    table = capsys.readouterr().out
     assert out.read_bytes() == (REPO / "tests" / "data" / "verify_k5.out.json").read_bytes()
+    # --verify k=5 is the job file of one verify_complexes job
+    path = write_jobs(tmp_path, {"surface": {"preset": "P2"}, "jobs": [
+        {"id": "verify", "kind": "verify_complexes", "k_max": 5}]})
+    job_out = tmp_path / "job.json"
+    assert cli.main(["--jobs", path, "--out", str(job_out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == table
+    assert job_out.read_bytes() == out.read_bytes()
+
+
+def test_crash_inside_the_suite_is_an_error_row(monkeypatch, capsys):
+    def crash(k, ell):
+        raise RuntimeError("injected crash")
+
+    monkeypatch.setattr(complexes, "build_complex", crash)
+    assert cli.main(["--verify", "k=2"]) == cli.EXIT_JOB_ERROR
+    captured = capsys.readouterr()
+    assert "ERROR (injected crash)" in captured.out
+    assert ("error: job 'verify' failed: RuntimeError: injected crash"
+            in captured.err)
 
 
 def test_verification_builds_each_complex_once(monkeypatch):
@@ -756,8 +776,8 @@ def test_verification_builds_each_complex_once(monkeypatch):
     build = complexes.build_complex
     monkeypatch.setattr(complexes, "build_complex",
                         lambda k, ell: built.append((k, ell)) or build(k, ell))
-    rows, ok = cli.run_verification(5)
-    assert ok and len(rows) == 47
+    rows = cli.run_verification(5, "verify")
+    assert not failing_rows(rows) and len(rows) == 47
     assert sorted(built) == [(k, ell) for k in range(1, 6) for ell in range(1, k + 1)]
 
 
@@ -775,8 +795,8 @@ def test_kernel_count_failure_keeps_its_row(monkeypatch):
         return count(cx)
 
     monkeypatch.setattr(complexes, "swap_invariant_kernel_dim", fail_at_3_2)
-    rows, ok = cli.run_verification(5)
-    assert not ok and len(rows) == 47
+    rows = cli.run_verification(5, "verify")
+    assert len(rows) == 47
     # position and detail as in the suite that built each complex per check
     assert failing_rows(rows) == [
         (19, "verify[kernel-count k=3,l=2]", "FAIL (injected mismatch)")]
@@ -791,8 +811,8 @@ def test_slot_invariant_failure_keeps_its_row(monkeypatch):
         return invariants(cx, degree, group, slot_character)
 
     monkeypatch.setattr(complexes, "group_invariant_dim", one_at_4_2_1)
-    rows, ok = cli.run_verification(5)
-    assert not ok and len(rows) == 47
+    rows = cli.run_verification(5, "verify")
+    assert len(rows) == 47
     assert failing_rows(rows) == [
         (45, "verify[slot-invariants k=4]", "FAIL (dim=1 at ell=2, i=1)")]
 
@@ -808,8 +828,8 @@ def test_slot_invariant_error_is_a_fail_row(monkeypatch, capsys):
         return invariants(cx, degree, group, slot_character)
 
     monkeypatch.setattr(complexes, "group_invariant_dim", mismatch_at_4_2_1)
-    rows, ok = cli.run_verification(5)
-    assert not ok and len(rows) == 47
+    rows = cli.run_verification(5, "verify")
+    assert len(rows) == 47
     assert failing_rows(rows) == [
         (45, "verify[slot-invariants k=4]",
          "FAIL (injected trace mismatch at ell=2, i=1)")]
@@ -828,8 +848,8 @@ def test_corrupted_differential_fails_its_exactness_row(monkeypatch, capsys):
         return cx
 
     monkeypatch.setattr(complexes, "build_complex", corrupt_3_1)
-    rows, ok = cli.run_verification(5)
-    assert not ok and len(rows) == 47
+    rows = cli.run_verification(5, "verify")
+    assert len(rows) == 47
     assert failing_rows(rows) == [
         (3, "verify[exact k=3,l=1]", "FAIL (d^(i+1) d^i != 0 at i=-1; H={0: -1})")]
     assert cli.main(["--verify", "k=3"]) == cli.EXIT_VERIFY_FAILED
@@ -1075,7 +1095,7 @@ def test_verify_flag_budget(monkeypatch, capsys):
 def test_verify_job_budget(monkeypatch, tmp_path, capsys):
     calls = []
     monkeypatch.setattr(cli, "run_verification",
-                        lambda k_max, id_prefix: (calls.append(k_max) or [], True))
+                        lambda k_max, id_prefix: calls.append(k_max) or [])
     path = write_jobs(tmp_path, {**BASE, "jobs": [
         {"id": "vc", "kind": "verify_complexes", "k_max": 11}]})
     assert cli.run(path) == cli.EXIT_BAD_INPUT
