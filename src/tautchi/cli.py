@@ -64,8 +64,10 @@ def k0_work(k: int, n: int) -> int:
     return (k * min(n, k)) ** 2
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
-# k_max): k = 7 takes 0.5-0.8 s, k = 8 2.4-3.5 s, k = 9 15-17 s and k = 10
-# 1.9 min with a 256 MB peak, most of it exact rank (same host).
+# k_max), which runs on the value-free blocks R(k', ell): k = 7 takes 0.13 s,
+# k = 8 0.17-0.2 s, k = 9 0.35-0.4 s and k = 10 0.9-1.0 s with a 35 MB peak,
+# process start included (CPython 3.11, 2-core Xeon); k = 11 would take 3 s.
+# The limit moves only with a cost estimate for every kind.
 VERIFY_MAX_K = 10
 
 
@@ -557,11 +559,13 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
     that fails has a FAIL row.
 
     Covers: d^(i+1) d^i = 0 and exactness in degrees >= 0 for all parameter
-    pairs up to k_max; brute-force swap-invariant kernel counts against the
-    closed form; dimensions counted factor by factor against the closed form
+    pairs up to k_max; swap-invariant kernel counts against the closed form;
+    dimensions counted factor by factor against the closed form
     (k <= max(k_max, 10)); the alternating-sum binomial identity
     (k <= max(k_max, 20)); the falling-factorial reflection identity; and
     vanishing of slot-invariants in positive degrees (k <= min(k_max, 6)).
+    The exactness, kernel-count and slot-invariant checks of (k, ell) read
+    the blocks R(k', ell), k' <= k, of `complexes.Splitting`.
     """
     from . import complexes
 
@@ -571,8 +575,11 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
         rows.append(ResultRow(f"{id_prefix}[{name}]", "verify_complexes",
                               params, value))
 
-    # Each complex is built once and serves the exactness, kernel-count and
-    # slot-invariant checks; their rows are buffered to keep the row order.
+    # The value-free complexes R(k', ell) are built and reduced once, in one
+    # Splitting per ell, and serve the exactness, kernel-count and
+    # slot-invariant checks of every k; their rows are buffered to keep the
+    # row order.
+    splittings = [complexes.Splitting(k_max, ell) for ell in range(1, k_max + 1)]
     exact_rows: list[ResultRow] = []
     kernel_rows: list[ResultRow] = []
     slot_rows: list[ResultRow] = []
@@ -580,8 +587,8 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
         slot_ok = True
         slot_detail = ""
         for ell in range(1, k + 1):
-            cx = complexes.build_complex(k, ell)
-            report = complexes.verify_exactness(cx)
+            split = splittings[ell - 1]
+            report = split.exactness(k)
             bad = {i: d for i, d in report.cohomology.items() if i >= 0 and d}
             detail = [f"d^(i+1) d^i != 0 at i={i}" for i in report.nonzero_squares]
             if bad:
@@ -589,7 +596,7 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
             add(exact_rows, f"exact k={k},l={ell}", {"k": k, "ell": ell},
                 report.passed, "; ".join(detail))
             try:
-                complexes.swap_invariant_kernel_dim(cx)
+                split.swap_invariant_kernel_dim(k)
                 add(kernel_rows, f"kernel-count k={k},l={ell}",
                     {"k": k, "ell": ell}, True)
             except ArithmeticError as exc:
@@ -598,7 +605,7 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
             if k <= 6:
                 for i in range(1, k - ell + 1):
                     try:
-                        d = complexes.group_invariant_dim(cx, i, "slot")
+                        d = split.slot_invariant_dim(k, i)
                     except ArithmeticError as exc:
                         slot_ok = False
                         slot_detail = f"{exc} at ell={ell}, i={i}"

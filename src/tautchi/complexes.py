@@ -30,14 +30,24 @@ representative's trace off its cycle lengths (`class_trace`); only the
 generators' matrices are formed.
 
 The builder lists each basis support by support, so a label's position is
-an integer offset from its support, its value bits and its wedge index, and
-the differentials are filled from tables formed once per support and freed
-element, without looking up labels.
+an integer offset from its support, its value digits and its wedge index,
+and the differentials are filled from tables formed once per support and
+freed element, without looking up labels.  The same builder, with one value
+per slot instead of two, gives the value-free complex R(k, ell), defined for
+every k >= 0.
+
+In the basis s = e_1 + e_2, delta = e_1 of each slot's values the full
+complex splits: it is the block-diagonal sum, over the sets S of slots that
+carry s, of R(k - |S|, ell) on the other slots.  `Splitting` reads the
+exactness, the swap-invariant kernel count and the slot invariants of every
+(k, ell), k <= k_max, off the blocks R(k', ell), k' <= k_max, each built
+once; the suite runs on it.  The full complexes stay as the oracle of the
+splitting in the tests.
 
 No formula uses this module: it is the verification layer, loaded only by
 the tests, `--verify` and `verify_complexes` jobs.  The closed forms
-`surviving_count` and `diagonal_multiplicity` of `euler` are bound here
-under their names and checked against the invariant counts.
+`surviving_count` and `diagonal_multiplicity` of `euler`, derived from the
+blocks, are bound here under their names and checked against the counts.
 
 All matrices are sparse with exact integer or rational entries; ranks are
 computed by fraction-free elimination.
@@ -50,6 +60,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -257,16 +268,20 @@ DegreeLabel = tuple  # (M, a, T) in degrees >= 0; a bare value tuple in degree -
 
 @dataclass
 class ChainComplexQ:
-    """The complex for parameters (k, ell): bases, dimensions, differentials."""
+    """The complex for parameters (k, ell): bases, dimensions, differentials.
+
+    `values` is the number of values a slot outside the support takes: 2 for
+    the full complex, 1 for the value-free complex R(k, ell)."""
 
     k: int
     ell: int
     basis: dict[int, list[DegreeLabel]]
     differentials: dict[int, SparseRationalMatrix]  # degree d -> map C^d -> C^{d+1}
+    values: int = 2
 
     @property
     def degrees(self) -> range:
-        return range(-1, self.k - self.ell + 1)
+        return range(-1, max(self.k - self.ell, -1) + 1)
 
     def dim(self, degree: int) -> int:
         return len(self.basis.get(degree, ()))
@@ -313,15 +328,16 @@ def _degree_layout(k: int, ell: int, i: int
             _wedge_indices(ell, ell + i))
 
 
-def build_complex(k: int, ell: int) -> ChainComplexQ:
-    """Construct the full complex with its differentials.
+def build_complex(k: int, ell: int, values: int = 2) -> ChainComplexQ:
+    """Construct the full complex (values=2), or the value-free complex
+    R(k, ell) (values=1), with its differentials.
 
     The degree-i basis runs over the supports M in lexicographic order, then
     over the values a on the complement in product order, then over the wedge
-    indices T.  Reading a - 1 as binary digits, first slot highest, gives the
-    value index of a, so the position of (M; a; T) is
+    indices T.  Reading a - 1 as digits in base `values`, first slot highest,
+    gives the value index of a, so the position of (M; a; T) is
 
-        support_index(M) * 2^free * n_wedge + value_index(a) * n_wedge
+        support_index(M) * values^free * n_wedge + value_index(a) * n_wedge
             + wedge_index(T),    free = k - ell - i,
 
     and degree -1 lists the maps a by their value index alone.  The
@@ -330,48 +346,58 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
     formed once per (N, m), and the position sign of m in M and the wedge
     images of T under the inclusion of the difference representation on N
     into the one on M, which depend only on the position of m in M and are
-    formed once per position.  The values enter by one bit: b is a with the
-    bit of m deleted, and that bit gives the sign of the freed value.
+    formed once per position.  The values enter by one digit: b is a with the
+    digit of m deleted, and that digit gives the sign of the freed value.
+
+    R(k, ell) has the value-1 entries of the full complex and one vector in
+    degree -1.  It is defined for every k >= 0: for k < ell only its degree
+    -1 is nonzero.
     """
-    if not (1 <= ell <= k):
-        raise ValueError("need 1 <= ell <= k")
+    if values not in (1, 2):
+        raise ValueError("a slot takes 1 or 2 values")
+    if ell < 1 or k < (ell if values == 2 else 0):
+        raise ValueError("need 1 <= ell <= k, or 1 <= ell and 0 <= k for values=1")
     universe = range(1, k + 1)
     identity = Permutation.identity(k)
     top = k - ell
-    supports, wedges = zip(*(_degree_layout(k, ell, i) for i in range(top + 1)))
+    value_range = range(1, values + 1)
+    layouts = [_degree_layout(k, ell, i) for i in range(top + 1)]
+    supports = [support for support, _ in layouts]
+    wedges = [wedge for _, wedge in layouts]
     basis: dict[int, list[DegreeLabel]] = {
-        -1: list(itertools.product((1, 2), repeat=k))}
+        -1: list(itertools.product(value_range, repeat=k))}
     for i in range(top + 1):
-        values = list(itertools.product((1, 2), repeat=top - i))
+        fills = list(itertools.product(value_range, repeat=top - i))
         basis[i] = [(m_set, a, wedge) for m_set in supports[i]
-                    for a in values for wedge in wedges[i]]
+                    for a in fills for wedge in wedges[i]]
 
     # Each (row, column) pair below is written once: the columns' images
     # under distinct supports M, and under distinct wedge terms, are distinct.
     # Column indices are read from `cols`, so that a column's entries share
     # one int object, as they would with a per-column loop.
     diffs: dict[int, SparseRationalMatrix] = {}
-    # degree -1: row (M; r) holds the signed sum over all extensions of r
-    # across M.  Slot t carries the bit 2^(k-t) of a column index; the
-    # extensions' bits and signs are the same for every r.
-    rows: list[dict[int, int]] = []
-    cols = list(range(1 << k))
-    for m_set in supports[0]:
-        rest_bits = [0]
-        extensions = [(0, 1)]
-        for t in universe:
-            bit = 1 << (k - t)
-            if t in m_set:
-                extensions = [(x + y, s * u) for x, s in extensions
-                              for y, u in ((0, 1), (bit, -1))]
-            else:
-                rest_bits = [x + y for x in rest_bits for y in (0, bit)]
-        rows.extend({cols[r + x]: s for x, s in extensions} for r in rest_bits)
-    diffs[-1] = SparseRationalMatrix.from_row_list(rows, len(basis[-1]))
+    if top >= 0:
+        # degree -1: row (M; r) holds the signed sum over all extensions of r
+        # across M.  Slot t carries the weight values^(k-t) in a column index;
+        # the extensions' offsets and signs are the same for every r.
+        rows: list[dict[int, int]] = []
+        cols = list(range(values ** k))
+        for m_set in supports[0]:
+            rest = [0]
+            extensions = [(0, 1)]
+            for t in universe:
+                weight = values ** (k - t)
+                if t in m_set:
+                    extensions = [(x + d * weight, (-1) ** d * s)
+                                  for x, s in extensions for d in range(values)]
+                else:
+                    rest = [x + d * weight for x in rest for d in range(values)]
+            rows.extend({cols[r + x]: s for x, s in extensions} for r in rest)
+        diffs[-1] = SparseRationalMatrix.from_row_list(rows, len(basis[-1]))
 
     for i in range(top):
         free = top - i
-        n_vals, n_wedge, n_wedge2 = 1 << free, len(wedges[i]), len(wedges[i + 1])
+        n_vals, n_wedge, n_wedge2 = values ** free, len(wedges[i]), len(wedges[i + 1])
         support_index = {m_set: p for p, m_set in enumerate(supports[i + 1])}
         wedge_index = {wedge: p for p, wedge in enumerate(wedges[i + 1])}
         # by the position h of m in M: for a freed value 1 and for 2, the
@@ -392,16 +418,17 @@ def build_complex(k: int, ell: int) -> ChainComplexQ:
                         _difference_rep_matrix(identity, n_set, m_set),
                         wedges[i], wedge_index)
                     entries = by_position[h] = (one, [(w, w2, -v) for w, w2, v in one])
-                row0 = support_index[m_set] * (n_vals >> 1) * n_wedge2
-                shift = free - 1 - pos  # the bit of m's value in a value index
-                low = (1 << shift) - 1
+                row0 = support_index[m_set] * (n_vals // values) * n_wedge2
+                unit = values ** (free - 1 - pos)  # the weight of m's value
                 for v in range(n_vals):
-                    rbase = row0 + ((v >> (shift + 1) << shift) | (v & low)) * n_wedge2
+                    high, low = divmod(v, unit)
+                    high, digit = divmod(high, values)
+                    rbase = row0 + (high * unit + low) * n_wedge2
                     cbase = col0 + v * n_wedge
-                    for w, w2, val in entries[v >> shift & 1]:
+                    for w, w2, val in entries[digit]:
                         rows[rbase + w2][cols[cbase + w]] = val
         diffs[i] = SparseRationalMatrix.from_row_list(rows, len(basis[i]))
-    return ChainComplexQ(k, ell, basis, diffs)
+    return ChainComplexQ(k, ell, basis, diffs, values)
 
 
 @dataclass
@@ -501,16 +528,16 @@ def _wedge_entries(sign: int, cols: list[dict[int, int]],
             for wedge2, coeff in _wedge_of_map(cols, wedge).items()]
 
 
-def _value_index_map(order: Sequence[int]) -> list[int]:
+def _value_index_map(order: Sequence[int], values: int) -> list[int]:
     """For the values a_j = b[order[j]], the value index of a at each value
     index of b (first value highest, as in the bases of `build_complex`)."""
     free = len(order)
     weights = [0] * free
     for j, p in enumerate(order):
-        weights[p] = 1 << (free - 1 - j)
+        weights[p] = values ** (free - 1 - j)
     table = [0]
     for weight in weights:
-        table = [x + y for x in table for y in (0, weight)]
+        table = [x + d * weight for x in table for d in range(values)]
     return table
 
 
@@ -527,7 +554,7 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
     universe = range(1, cx.k + 1)
     if degree == -1:
         # (g.s)(a) = s(a o g): the component at a o g^{-1} reads off column a
-        moved = _value_index_map([inv(t) - 1 for t in universe])
+        moved = _value_index_map([inv(t) - 1 for t in universe], cx.values)
         rows = [{} for _ in range(dim)]
         for v in range(dim):
             rows[moved[v]][v] = 1
@@ -539,14 +566,14 @@ def slot_action_matrix(cx: ChainComplexQ, perm: Permutation, degree: int
     supports, wedges = _degree_layout(cx.k, cx.ell, degree)
     support_index = {m_set: p for p, m_set in enumerate(supports)}
     wedge_index = {wedge: p for p, wedge in enumerate(wedges)}
-    n_vals, n_wedge = 1 << (cx.k - cx.ell - degree), len(wedges)
+    n_vals, n_wedge = cx.values ** (cx.k - cx.ell - degree), len(wedges)
     block = n_vals * n_wedge
     rows: list[dict[int, int]] = [{} for _ in range(dim)]
     for sn, n_set in enumerate(supports):
         m_set = tuple(sorted(perm(t) for t in n_set))
         comp_n = [t for t in universe if t not in n_set]
         moved = _value_index_map([comp_n.index(inv(t)) for t in universe
-                                  if t not in m_set])
+                                  if t not in m_set], cx.values)
         entries = _wedge_entries(sign_on_subset(perm, n_set),
                                  _difference_rep_matrix(perm, n_set, m_set),
                                  wedges, wedge_index)
@@ -564,7 +591,10 @@ def swap_action_matrix(cx: ChainComplexQ, degree: int) -> SparseRationalMatrix:
     degree i >= 0, the signs that make it a chain map.
 
     In `build_complex`'s basis layout the flip complements the value index v
-    of a label and keeps its support and wedge index."""
+    of a label and keeps its support and wedge index.  It needs two values
+    per slot."""
+    if cx.values != 2:
+        raise ValueError("the value swap needs two values per slot")
     dim = cx.dim(degree)
     if degree == -1:
         scalar, n_vals, n_wedge = -1 if (cx.ell - 1) % 2 else 1, dim, 1
@@ -619,8 +649,11 @@ def class_trace(cx: ChainComplexQ, perm: Permutation, degree: int,
     count for its cycles, and the wedge factor contributes the sign of perm
     on N, (-1)^(|N| - cycles in N), times tr Lambda^(ell-1) on the
     difference representation of N.  The swap's scalar and chi(perm)
-    multiply in.
+    multiply in.  With one value per slot, as in R(k, ell), each cycle
+    outside N fixes one fill, not two; the swap needs two values.
     """
+    if swap and cx.values != 2:
+        raise ValueError("the value swap needs two values per slot")
     lengths = _cycle_lengths(perm)
     if degree == -1:
         splits = [((), lengths)]
@@ -638,13 +671,19 @@ def class_trace(cx: ChainComplexQ, perm: Permutation, degree: int,
     for inside, rest in splits:
         if swap and any(x % 2 for x in rest):
             continue
-        term = 2 ** len(rest)
+        term = cx.values ** len(rest)
         if degree >= 0:
             term *= (-1) ** (size - len(inside)) * _wedge_trace(inside, cx.ell - 1)
         total += term
     if swap:
         total *= scalar
     return total * perm.sign() if slot_character == "sign" else total
+
+
+@cache
+def _classes(k: int) -> tuple[tuple[Permutation, int], ...]:
+    """A representative and the size of each conjugacy class of S_k."""
+    return tuple((class_representative(ct), class_size(ct)) for ct in cycle_types(k))
 
 
 def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
@@ -678,12 +717,11 @@ def group_invariant_dim(cx: ChainComplexQ, degree: int, group: str,
         trace_sum = dim + swap_mat.trace()
     else:
         order, trace_sum = factorial(cx.k), 0
-        for ct in cycle_types(cx.k):
-            rep = class_representative(ct)
+        for rep, size in _classes(cx.k):
             tr = class_trace(cx, rep, degree, slot_character)
             if swap_mat is not None:
                 tr += class_trace(cx, rep, degree, slot_character, swap=True)
-            trace_sum += class_size(ct) * tr
+            trace_sum += size * tr
         gens = [twisted(g) for g in generators(cx.k)]
         if swap_mat is not None:
             order *= 2
@@ -734,12 +772,89 @@ def swap_invariant_kernel_dim(cx: ChainComplexQ) -> int:
         inv_dim = group_invariant_dim(cx, i, "swap")
         alternating += inv_dim if i % 2 == 0 else -inv_dim
 
+    return _checked_kernel_count(k, ell, direct, alternating)
+
+
+def _checked_kernel_count(k: int, ell: int, direct: int, alternating: int) -> int:
+    """direct, if it equals the alternating count and the closed form."""
     closed = diagonal_multiplicity(k, ell)
     if not (direct == alternating == closed):
         raise ArithmeticError(
             f"swap-invariant kernel count mismatch at (k, ell) = ({k}, {ell}): "
             f"kernel {direct}, alternating sum {alternating}, closed form {closed}")
     return direct
+
+
+# ---------------------------------------------------------------------------
+# The s/t splitting
+
+
+class Splitting:
+    """The complexes (k, ell), k <= k_max, of one ell, read off their blocks.
+
+    Change the basis of each slot's two values to s = e_1 + e_2 and
+    delta = e_1; the change is unimodular.  The freeing functional of the
+    differentials sends s to 0 and delta to 1, so in the new basis every
+    differential of `build_complex(k, ell)` is block-diagonal over the set S
+    of slots that carry s, and the block of S is R(k - |S|, ell) =
+    `build_complex(k - |S|, ell, values=1)` on the other slots, relabelled
+    in order.  A count that adds over the blocks is therefore
+    sum_j C(k, j) times its value on R(k - j, ell), and every R(k', ell),
+    k' <= k_max, is built and reduced once for all k.
+    """
+
+    def __init__(self, k_max: int, ell: int):
+        self.ell = ell
+        self.blocks = [build_complex(kk, ell, values=1) for kk in range(k_max + 1)]
+        self.reports = [verify_exactness(block) for block in self.blocks]
+        self._slot_dims: dict[tuple[int, int], int] = {}
+
+    def exactness(self, k: int) -> ExactnessReport:
+        """The report of (k, ell): cohomology and ranks are the sums over the
+        blocks, and d^(i+1) d^i is zero where it is zero on every block."""
+        terms = [(comb(k, kk), self.reports[kk]) for kk in range(k + 1)]
+        whole = self.reports[k]  # the block S = {}, with every degree of (k, ell)
+        return ExactnessReport(
+            k, self.ell,
+            {d: sum(c * r.cohomology.get(d, 0) for c, r in terms) for d in whole.cohomology},
+            {d: sum(c * r.ranks.get(d, 0) for c, r in terms) for d in whole.ranks},
+            sorted({d for _, r in terms for d in r.nonzero_squares}))
+
+    def swap_invariant_kernel_dim(self, k: int) -> int:
+        """`swap_invariant_kernel_dim(build_complex(k, ell))` from the blocks.
+
+        Over Q, in the basis s, t = e_1 - e_2, the twisted swap is the sign
+        -(-1)^(k' - ell) on a block R(k', ell), in every degree.  So the
+        invariant kernel of d^0 is the sum of the kernels of d^0 on the blocks
+        of sign +1, and the alternating count sums their signed dimensions.
+        """
+        direct = alternating = 0
+        for kk in range(k + 1):
+            if (kk - self.ell) % 2 == 0:  # the twisted swap is -1 on R(kk, ell)
+                continue
+            block, report = self.blocks[kk], self.reports[kk]
+            direct += comb(k, kk) * (block.dim(0) - report.ranks.get(0, 0))
+            alternating += comb(k, kk) * sum(
+                (-1) ** i * block.dim(i) for i in range(kk - self.ell + 1))
+        return _checked_kernel_count(k, self.ell, direct, alternating)
+
+    def slot_invariant_dim(self, k: int, degree: int) -> int:
+        """`group_invariant_dim(build_complex(k, ell), degree, "slot")` from
+        the blocks.
+
+        The slot group permutes the blocks with |S| = j, with stabilizer
+        S_j x S_(k-j), and S_j acts trivially on the s-slots.  By Frobenius
+        reciprocity the invariants are sum_j dim R^degree(k - j, ell)^S_(k-j),
+        and each term is counted once by `group_invariant_dim`.
+        """
+        total = 0
+        for kk in range(k + 1):
+            if self.blocks[kk].dim(degree):
+                if (kk, degree) not in self._slot_dims:
+                    self._slot_dims[kk, degree] = group_invariant_dim(
+                        self.blocks[kk], degree, "slot")
+                total += self._slot_dims[kk, degree]
+        return total
 
 
 def sym_power_multiplicity(k: int, ell: int) -> int:

@@ -244,8 +244,14 @@ def _frobenius(s: tuple, t: tuple) -> int:
 
 
 def surviving_count(k: int, ell: int) -> int:
-    """The Euler characteristic of the degrees >= 0 of the complex for (k, ell)
-    in closed form: the number of subsets of [k] of size at least ell."""
+    """The Euler characteristic of the degrees >= 0 of the complex for (k, ell):
+    sum_(m >= ell) C(k, m), the number of subsets of [k] of size at least ell.
+
+    From the blocks of the s/t splitting (`complexes.Splitting`): the complex
+    is the sum of C(k, m) copies of the value-free complex R(m, ell), and
+    R(m, ell) is exact in the degrees > 0 with the kernel of d^0 the image of
+    its one vector in degree -1, so its Euler characteristic in the degrees
+    >= 0 is 1 if m >= ell and 0 otherwise."""
     return sum(comb(k, j) for j in range(ell, k + 1))
 
 
@@ -256,9 +262,16 @@ def _surviving_counts(k: int) -> list[int]:
 
 
 def diagonal_multiplicity(k: int, ell: int) -> int:
-    """Closed-form count (surviving_count(k, ell) - binom(k-1, ell-1)) / 2 of
-    swap-invariant kernel vectors; the coefficient of the ell-th diagonal term
-    in the two-point Euler characteristic formula."""
+    """The number of swap-invariant kernel vectors in degree 0 of the complex
+    for (k, ell); the coefficient of the ell-th diagonal term in the
+    two-point Euler characteristic formula.
+
+    From the blocks of the s/t splitting (`complexes.Splitting`): over Q the
+    twisted swap is the sign -(-1)^(m - ell) on each of the C(k, m) blocks
+    R(m, ell), and the kernel of d^0 on a block has dimension 1 if m >= ell.
+    So the count is sum_(m >= ell, m - ell odd) C(k, m), which by
+    sum_(m >= ell) (-1)^(m - ell) C(k, m) = C(k-1, ell-1) is
+    (surviving_count(k, ell) - C(k-1, ell-1)) / 2."""
     if not (1 <= ell <= k):
         raise ValueError("need 1 <= ell <= k")
     num = surviving_count(k, ell) - comb(k - 1, ell - 1)

@@ -36,9 +36,8 @@ from math import comb, factorial, prod
 from typing import Callable, Hashable, Iterable, Sequence
 
 from tautchi.complexes import (ChainComplexQ, SparseRationalMatrix,
-                               _difference_rep_matrix, _wedge_indices,
-                               _wedge_of_map,
-                               slot_action_matrix, swap_action_matrix)
+                               _wedge_indices, slot_action_matrix,
+                               swap_action_matrix)
 from tautchi.euler import ChiResult, Term, surviving_count
 from tautchi.surface import (ChernCharacter, ch_anticanonical, ch_coords, ch_hom,
                              ch_sym_cotangent, ch_tangent, ch_tensor,
@@ -417,11 +416,45 @@ def build_complex_by_labels(k, ell):
     return ChainComplexQ(k, ell, basis, diffs)
 
 
+def leibniz_det(rows):
+    """Determinant of a square integer matrix, summed over every permutation
+    with its sign read off the inversion count."""
+    n = len(rows)
+    total = 0
+    for cols in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if cols[a] > cols[b])
+        total += (-1) ** inversions * prod(rows[r][c] for r, c in enumerate(cols))
+    return total
+
+
+def permuted_wedge(perm, n_set, wedge):
+    """Expand perm applied to the wedge basis vector z_N^T in the wedge basis
+    of the difference representation on M = perm(N), by the explicit rule.
+
+    perm sends z_N^t = e_(n_t) - e_(n_(t+1)) to e_(m_p) - e_(m_q) with
+    m_p = perm(n_t), m_q = perm(n_(t+1)).  The functional
+    f_r(v) = v_1 + ... + v_r, in the order of M, reads the z_M^r coordinate
+    off a difference vector, so the coefficient of z_M^T' in the image is
+    the minor det[f_(t'_a)(perm z_N^(t_b))] (Cauchy-Binet), with
+    f_r(e_(m_p) - e_(m_q)) = [p <= r] - [q <= r]."""
+    ns = sorted(n_set)
+    position = {t: p for p, t in enumerate(sorted(perm(t) for t in ns), 1)}
+    images = [(position[perm(ns[t - 1])], position[perm(ns[t])]) for t in wedge]
+    terms = []
+    for wedge2 in itertools.combinations(range(1, len(ns)), len(wedge)):
+        coeff = leibniz_det([[(p <= r) - (q <= r) for p, q in images] for r in wedge2])
+        if coeff:
+            terms.append((wedge2, coeff))
+    return terms
+
+
 def slot_action_matrix_by_labels(cx, perm, degree):
     """The slot action of perm in a degree, column by column: each image
     label (M; a; T') is formed and looked up in a map from the labels of
-    `cx.basis` to their positions.  The reference for
-    `tautchi.complexes.slot_action_matrix`, which finds rows by offsets."""
+    `cx.basis` to their positions, with its wedge images by the explicit
+    rule `permuted_wedge`.  The reference for
+    `tautchi.complexes.slot_action_matrix`, which finds rows by offsets and
+    forms the wedge images with the builder's `_wedge_of_map`."""
     labels = cx.basis[degree]
     idx = {label: p for p, label in enumerate(labels)}
     rows = [{} for _ in labels]
@@ -436,8 +469,7 @@ def slot_action_matrix_by_labels(cx, perm, degree):
         comp_n = [t for t in universe if t not in n_set]
         a = tuple(b[comp_n.index(inv(t))] for t in universe if t not in m_set)
         e = sign_on_subset(perm, n_set)
-        cols = _difference_rep_matrix(perm, n_set, m_set)
-        for wedge2, coeff in _wedge_of_map(cols, wedge).items():
+        for wedge2, coeff in permuted_wedge(perm, n_set, wedge):
             rows[idx[(m_set, a, wedge2)]][col] = e * coeff
     return SparseRationalMatrix.from_row_list(rows, len(labels))
 

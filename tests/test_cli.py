@@ -760,7 +760,7 @@ def test_verify_k5_out_matches_golden(tmp_path, capsys):
 
 
 def test_crash_inside_the_suite_is_an_error_row(monkeypatch, capsys):
-    def crash(k, ell):
+    def crash(k, ell, values=2):
         raise RuntimeError("injected crash")
 
     monkeypatch.setattr(complexes, "build_complex", crash)
@@ -772,13 +772,14 @@ def test_crash_inside_the_suite_is_an_error_row(monkeypatch, capsys):
 
 
 def test_verification_builds_each_complex_once(monkeypatch):
+    # every value-free block R(k', ell), k' <= k_max, once; no full complex
     built = []
     build = complexes.build_complex
-    monkeypatch.setattr(complexes, "build_complex",
-                        lambda k, ell: built.append((k, ell)) or build(k, ell))
+    monkeypatch.setattr(complexes, "build_complex", lambda k, ell, values=2:
+                        built.append((k, ell, values)) or build(k, ell, values))
     rows = cli.run_verification(5, "verify")
     assert not failing_rows(rows) and len(rows) == 47
-    assert sorted(built) == [(k, ell) for k in range(1, 6) for ell in range(1, k + 1)]
+    assert sorted(built) == [(kk, ell, 1) for kk in range(0, 6) for ell in range(1, 6)]
 
 
 def failing_rows(rows):
@@ -787,26 +788,37 @@ def failing_rows(rows):
 
 
 def test_kernel_count_failure_keeps_its_row(monkeypatch):
-    count = complexes.swap_invariant_kernel_dim
+    # a wrong rank of d^0 on the block R(3, 2) fails the kernel-count rows
+    # of every k >= 3 with ell = 2, which read it (the twisted swap is +1 on
+    # that block), and no exactness row, which reads the blocks' cohomology
+    verify = complexes.verify_exactness
 
-    def fail_at_3_2(cx):
-        if (cx.k, cx.ell) == (3, 2):
-            raise ArithmeticError("injected mismatch")
-        return count(cx)
+    def wrong_rank_at_3_2(cx):
+        report = verify(cx)
+        if (cx.k, cx.ell, cx.values) == (3, 2, 1):
+            report.ranks[0] += 1
+        return report
 
-    monkeypatch.setattr(complexes, "swap_invariant_kernel_dim", fail_at_3_2)
+    monkeypatch.setattr(complexes, "verify_exactness", wrong_rank_at_3_2)
     rows = cli.run_verification(5, "verify")
     assert len(rows) == 47
-    # position and detail as in the suite that built each complex per check
+    mismatch = "FAIL (swap-invariant kernel count mismatch at (k, ell) = "
     assert failing_rows(rows) == [
-        (19, "verify[kernel-count k=3,l=2]", "FAIL (injected mismatch)")]
+        (19, "verify[kernel-count k=3,l=2]",
+         mismatch + "(3, 2): kernel 0, alternating sum 1, closed form 1)"),
+        (22, "verify[kernel-count k=4,l=2]",
+         mismatch + "(4, 2): kernel 0, alternating sum 4, closed form 4)"),
+        (26, "verify[kernel-count k=5,l=2]",
+         mismatch + "(5, 2): kernel 1, alternating sum 11, closed form 11)")]
 
 
 def test_slot_invariant_failure_keeps_its_row(monkeypatch):
+    # a wrong count on the block R(4, 2) in degree 1 fails the slot rows of
+    # k = 4 and k = 5, whose degree-1 invariants at ell = 2 add it
     invariants = complexes.group_invariant_dim
 
     def one_at_4_2_1(cx, degree, group, slot_character="trivial"):
-        if group == "slot" and (cx.k, cx.ell, degree) == (4, 2, 1):
+        if group == "slot" and (cx.k, cx.ell, cx.values, degree) == (4, 2, 1, 1):
             return 1
         return invariants(cx, degree, group, slot_character)
 
@@ -814,16 +826,17 @@ def test_slot_invariant_failure_keeps_its_row(monkeypatch):
     rows = cli.run_verification(5, "verify")
     assert len(rows) == 47
     assert failing_rows(rows) == [
-        (45, "verify[slot-invariants k=4]", "FAIL (dim=1 at ell=2, i=1)")]
+        (45, "verify[slot-invariants k=4]", "FAIL (dim=1 at ell=2, i=1)"),
+        (46, "verify[slot-invariants k=5]", "FAIL (dim=1 at ell=2, i=1)")]
 
 
 def test_slot_invariant_error_is_a_fail_row(monkeypatch, capsys):
-    # a trace that disagrees with the fixed-space rank fails its row; the
+    # a trace that disagrees with the fixed-space rank fails its rows; the
     # suite goes on and --verify exits 2
     invariants = complexes.group_invariant_dim
 
     def mismatch_at_4_2_1(cx, degree, group, slot_character="trivial"):
-        if group == "slot" and (cx.k, cx.ell, degree) == (4, 2, 1):
+        if group == "slot" and (cx.k, cx.ell, cx.values, degree) == (4, 2, 1, 1):
             raise ArithmeticError("injected trace mismatch")
         return invariants(cx, degree, group, slot_character)
 
@@ -832,17 +845,21 @@ def test_slot_invariant_error_is_a_fail_row(monkeypatch, capsys):
     assert len(rows) == 47
     assert failing_rows(rows) == [
         (45, "verify[slot-invariants k=4]",
+         "FAIL (injected trace mismatch at ell=2, i=1)"),
+        (46, "verify[slot-invariants k=5]",
          "FAIL (injected trace mismatch at ell=2, i=1)")]
     assert cli.main(["--verify", "k=5"]) == cli.EXIT_VERIFY_FAILED
     assert "FAIL (injected trace mismatch" in capsys.readouterr().out
 
 
 def test_corrupted_differential_fails_its_exactness_row(monkeypatch, capsys):
+    # one corrupt block R(3, 1) fails the exactness rows of every k >= 3
+    # with ell = 1, which are built from it
     build = complexes.build_complex
 
-    def corrupt_3_1(k, ell):
-        cx = build(k, ell)
-        if (k, ell) == (3, 1):
+    def corrupt_3_1(k, ell, values=2):
+        cx = build(k, ell, values)
+        if (k, ell, values) == (3, 1, 1):
             row = next(iter(cx.differentials[-1].rows.values()))
             row[next(iter(row))] *= 2
         return cx
@@ -850,10 +867,12 @@ def test_corrupted_differential_fails_its_exactness_row(monkeypatch, capsys):
     monkeypatch.setattr(complexes, "build_complex", corrupt_3_1)
     rows = cli.run_verification(5, "verify")
     assert len(rows) == 47
-    assert failing_rows(rows) == [
-        (3, "verify[exact k=3,l=1]", "FAIL (d^(i+1) d^i != 0 at i=-1; H={0: -1})")]
+    square = "FAIL (d^(i+1) d^i != 0 at i=-1)"
+    assert failing_rows(rows) == [(3, "verify[exact k=3,l=1]", square),
+                                  (6, "verify[exact k=4,l=1]", square),
+                                  (10, "verify[exact k=5,l=1]", square)]
     assert cli.main(["--verify", "k=3"]) == cli.EXIT_VERIFY_FAILED
-    assert "FAIL (d^(i+1) d^i != 0 at i=-1; H={0: -1})" in capsys.readouterr().out
+    assert square in capsys.readouterr().out
 
 
 def test_help_exits_ok(capsys):

@@ -1,14 +1,15 @@
 """Construction, exactness, and equivariance of the sign-wedge complexes."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 import oracles
 from tautchi import complexes, symgroup
-from tautchi.complexes import (SparseRationalMatrix, build_complex,
+from tautchi.complexes import (SparseRationalMatrix, Splitting, build_complex,
                                class_trace, diagonal_multiplicity,
                                enumerated_dim,
                                expected_dim, ext_power_multiplicity,
@@ -253,6 +254,102 @@ def test_low_column_restriction_spans_kernel(k):
         assert cx.dim(0) - cx.differential(0).rank() == len(cols)
 
 
+# --- the s/t splitting -------------------------------------------------------------
+
+# In the new basis of a slot's values, value 1 is s = e_1 + e_2 and value 2 is
+# delta = e_1: the columns of the basis change, and of its inverse.
+TO_OLD = {1: {1: 1, 2: 1}, 2: {1: 1}}
+TO_NEW = {1: {2: 1}, 2: {1: 1, 2: -1}}
+
+
+def value_basis_change(cx, degree, table):
+    """The per-slot change of basis `table` (value -> {value: coefficient})
+    applied to every value of every label of cx in a degree."""
+    labels = cx.basis[degree]
+    index = {label: p for p, label in enumerate(labels)}
+    rows = [{} for _ in labels]
+    for col, label in enumerate(labels):
+        fill = label if degree == -1 else label[1]
+        for image in itertools.product(*(table[v].items() for v in fill)):
+            target = tuple(v for v, _ in image)
+            key = target if degree == -1 else (label[0], target, label[2])
+            rows[index[key]][col] = prod(c for _, c in image)
+    return SparseRationalMatrix.from_row_list(rows, len(labels))
+
+
+def block_diagonal_sum(cx, degree):
+    """d^degree of the sum over the sets S of slots of R(k - |S|, ell), on
+    the slots outside S relabelled in order, written in the labels of cx with
+    the value 1 (s) on S and 2 (delta) on the other slots outside M."""
+    k, ell = cx.k, cx.ell
+    index = {d: {label: p for p, label in enumerate(cx.basis[d])}
+             for d in (degree, degree + 1)}
+    blocks = {kk: build_complex(kk, ell, values=1) for kk in range(k + 1)}
+    triples = []
+    for j in range(k + 1):
+        for s_set in itertools.combinations(range(1, k + 1), j):
+            rest = [t for t in range(1, k + 1) if t not in s_set]
+            block = blocks[len(rest)]
+
+            def label(d, position):
+                if d == -1:
+                    return tuple(1 if t in s_set else 2 for t in range(1, k + 1))
+                m_set, _, wedge = block.basis[d][position]
+                m_set = tuple(rest[t - 1] for t in m_set)
+                fill = tuple(1 if t in s_set else 2
+                             for t in range(1, k + 1) if t not in m_set)
+                return (m_set, fill, wedge)
+
+            triples.extend((index[degree + 1][label(degree + 1, r)],
+                            index[degree][label(degree, c)], v)
+                           for r, c, v in block.differential(degree).triples())
+    return SparseRationalMatrix.from_triples(
+        cx.dim(degree + 1), cx.dim(degree), triples)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_basis_change_splits_into_value_free_blocks(k):
+    # entry by entry, not only by rank: conjugated by the unimodular change
+    # to (s, delta) in every slot, each differential of (k, ell) is the
+    # block-diagonal sum of C(k, j) copies of R(k - j, ell)
+    for ell in range(1, k + 1):
+        cx = build_complex(k, ell)
+        to_old = {d: value_basis_change(cx, d, TO_OLD) for d in cx.degrees}
+        to_new = {d: value_basis_change(cx, d, TO_NEW) for d in cx.degrees}
+        for d in cx.degrees:
+            assert to_new[d] @ to_old[d] == SparseRationalMatrix.identity(cx.dim(d))
+        for d in range(-1, k - ell):
+            conjugated = to_new[d + 1] @ cx.differential(d) @ to_old[d]
+            assert conjugated.triples() == block_diagonal_sum(cx, d).triples(), (ell, d)
+
+
+def test_splitting_gives_the_brute_force_values():
+    # every value the blocks give, against the full complexes, for k <= 6
+    for ell in range(1, 7):
+        split = Splitting(6, ell)
+        for k in range(ell, 7):
+            cx = build_complex(k, ell)
+            full, blocks = verify_exactness(cx), split.exactness(k)
+            assert ((blocks.cohomology, blocks.ranks, blocks.nonzero_squares)
+                    == (full.cohomology, full.ranks, full.nonzero_squares)), (k, ell)
+            assert (split.swap_invariant_kernel_dim(k)
+                    == swap_invariant_kernel_dim(cx)), (k, ell)
+            for d in cx.degrees:
+                assert (split.slot_invariant_dim(k, d)
+                        == group_invariant_dim(cx, d, "slot")), (k, ell, d)
+
+
+def test_value_free_complex_below_ell_is_one_vector():
+    for k in range(0, 4):
+        cx = build_complex(k, 4, values=1)
+        assert list(cx.degrees) == [-1] and cx.dim(-1) == 1
+        assert verify_exactness(cx).cohomology == {-1: 1}
+    with pytest.raises(ValueError):
+        build_complex(2, 1, values=3)
+    with pytest.raises(ValueError):
+        swap_action_matrix(build_complex(3, 1, values=1), 0)
+
+
 # --- swap actions -----------------------------------------------------------------
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -304,6 +401,23 @@ def test_slot_action_matches_label_oracle(k):
                 ref = oracles.slot_action_matrix_by_labels(cx, perm, d)
                 assert (mat.nrows, mat.ncols) == (ref.nrows, ref.ncols)
                 assert mat.triples() == ref.triples(), (ell, d, perm.images)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_value_free_slot_action(k):
+    # on R(k, ell) the slot action is a chain map, equals the label oracle,
+    # and has the class traces read off cycle lengths with one value per slot
+    reps = [symgroup.class_representative(ct) for ct in symgroup.cycle_types(k)]
+    for ell in range(1, k + 1):
+        cx = build_complex(k, ell, values=1)
+        for perm in symgroup.generators(k):
+            assert_chain_map(cx, {d: slot_action_matrix(cx, perm, d) for d in cx.degrees})
+        for d in cx.degrees:
+            for rep in reps:
+                mat = slot_action_matrix(cx, rep, d)
+                ref = oracles.slot_action_matrix_by_labels(cx, rep, d)
+                assert mat.triples() == ref.triples(), (ell, d, rep.images)
+                assert class_trace(cx, rep, d) == mat.trace(), (ell, d, rep.images)
 
 
 def test_slot_action_is_group_homomorphism():

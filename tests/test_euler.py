@@ -416,6 +416,19 @@ def test_hom_coeff_pair_values():
         assert c_plus + c_minus == surviving_count(k, ell) * surviving_count(khat, ellhat)
 
 
+def test_block_counts_give_the_closed_forms():
+    # the block derivation of the two-point coefficients: surviving_count
+    # counts the blocks R(m, ell) with m >= ell, diagonal_multiplicity those
+    # with m - ell odd as well, and the parity identity links the two
+    for k in range(1, 40):
+        for ell in range(1, k + 1):
+            surviving = euler.surviving_count(k, ell)
+            odd = sum(comb(k, m) for m in range(ell + 1, k + 1, 2))
+            assert surviving == sum(comb(k, m) for m in range(ell, k + 1)), (k, ell)
+            assert 2 * odd == surviving - comb(k - 1, ell - 1), (k, ell)
+            assert odd == euler.diagonal_multiplicity(k, ell), (k, ell)
+
+
 def test_hom_pair_integrality_on_line_bundles():
     rng = random.Random(23)
     for _ in range(8):
