@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import comb, prod
+from math import prod
 from typing import Any, Callable, Sequence
 
 from . import euler
@@ -64,9 +64,10 @@ def k0_work(k: int, n: int) -> int:
     return (k * min(n, k)) ** 2
 
 # Budget of the verification suite (`--verify k=MAX` and `verify_complexes`
-# k_max), which runs on the value-free blocks R(k', ell): k = 7 takes 0.13 s,
-# k = 8 0.17-0.2 s, k = 9 0.35-0.4 s and k = 10 0.9-1.0 s with a 35 MB peak,
-# process start included (CPython 3.11, 2-core Xeon); k = 11 would take 3 s.
+# k_max), which runs on the value-free blocks R(k', ell): k = 7 takes
+# 0.12-0.19 s, k = 8 0.16-0.18 s, k = 9 0.43-0.52 s and k = 10 0.76-0.82 s
+# with a 35 MB peak, process start included (CPython 3.11, 2-core Xeon);
+# k = 11 would take 2.7-3.8 s in process.
 # The limit moves only with a cost estimate for every kind.
 VERIFY_MAX_K = 10
 
@@ -569,72 +570,51 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
     """
     from . import complexes
 
-    def add(rows: list[ResultRow], name: str, params: dict, ok: bool,
-            detail: str = "") -> None:
+    rows: list[ResultRow] = []
+
+    def add(name: str, params: dict, ok: bool, detail: str = "") -> None:
         value = "PASS" if ok else ("FAIL" + (f" ({detail})" if detail else ""))
         rows.append(ResultRow(f"{id_prefix}[{name}]", "verify_complexes",
                               params, value))
 
+    def alternating_sum(k: int, ell: int) -> int:
+        return sum((-1) ** i * complexes.expected_dim(k, ell, i)
+                   for i in range(0, k - ell + 1))
+
     # The value-free complexes R(k', ell) are built and reduced once, in one
     # Splitting per ell, and serve the exactness, kernel-count and
-    # slot-invariant checks of every k; their rows are buffered to keep the
-    # row order.
+    # slot-invariant checks of every k.
     splittings = [complexes.Splitting(k_max, ell) for ell in range(1, k_max + 1)]
-    exact_rows: list[ResultRow] = []
-    kernel_rows: list[ResultRow] = []
-    slot_rows: list[ResultRow] = []
-    for k in range(1, k_max + 1):
-        slot_ok = True
-        slot_detail = ""
-        for ell in range(1, k + 1):
-            split = splittings[ell - 1]
-            report = split.exactness(k)
-            bad = {i: d for i, d in report.cohomology.items() if i >= 0 and d}
-            detail = [f"d^(i+1) d^i != 0 at i={i}" for i in report.nonzero_squares]
-            if bad:
-                detail.append(f"H={bad}")
-            add(exact_rows, f"exact k={k},l={ell}", {"k": k, "ell": ell},
-                report.passed, "; ".join(detail))
-            try:
-                split.swap_invariant_kernel_dim(k)
-                add(kernel_rows, f"kernel-count k={k},l={ell}",
-                    {"k": k, "ell": ell}, True)
-            except ArithmeticError as exc:
-                add(kernel_rows, f"kernel-count k={k},l={ell}",
-                    {"k": k, "ell": ell}, False, str(exc))
-            if k <= 6:
-                for i in range(1, k - ell + 1):
-                    try:
-                        d = split.slot_invariant_dim(k, i)
-                    except ArithmeticError as exc:
-                        slot_ok = False
-                        slot_detail = f"{exc} at ell={ell}, i={i}"
-                        continue
-                    if d != 0:
-                        slot_ok = False
-                        slot_detail = f"dim={d} at ell={ell}, i={i}"
-        if k <= 6:
-            add(slot_rows, f"slot-invariants k={k}", {"k": k}, slot_ok, slot_detail)
-    rows = exact_rows + kernel_rows
+    pairs = [(k, ell) for k in range(1, k_max + 1) for ell in range(1, k + 1)]
+    for k, ell in pairs:
+        report = splittings[ell - 1].exactness(k)
+        bad = {i: d for i, d in report.cohomology.items() if i >= 0 and d}
+        detail = [f"d^(i+1) d^i != 0 at i={i}" for i in report.nonzero_squares]
+        if bad:
+            detail.append(f"H={bad}")
+        add(f"exact k={k},l={ell}", {"k": k, "ell": ell}, report.passed,
+            "; ".join(detail))
+    for k, ell in pairs:
+        try:
+            splittings[ell - 1].swap_invariant_kernel_dim(k)
+            add(f"kernel-count k={k},l={ell}", {"k": k, "ell": ell}, True)
+        except ArithmeticError as exc:
+            add(f"kernel-count k={k},l={ell}", {"k": k, "ell": ell}, False, str(exc))
     for k in range(1, max(k_max, 10) + 1):
         ok = True
         for ell in range(1, k + 1):
             for i in range(0, k - ell + 1):
                 if complexes.enumerated_dim(k, ell, i) != complexes.expected_dim(k, ell, i):
                     ok = False
-            alt = sum((-1) ** i * complexes.expected_dim(k, ell, i)
-                      for i in range(0, k - ell + 1))
-            if alt != complexes.surviving_count(k, ell):
+            if alternating_sum(k, ell) != complexes.surviving_count(k, ell):
                 ok = False
-        add(rows, f"dims k={k}", {"k": k}, ok)
+        add(f"dims k={k}", {"k": k}, ok)
     ok = True
     for k in range(1, max(k_max, 20) + 1):
         for ell in range(1, k + 1):
-            lhs = sum((-1) ** i * 2 ** (k - ell - i) * comb(k, ell + i)
-                      * comb(ell + i - 1, ell - 1) for i in range(0, k - ell + 1))
-            if lhs != complexes.surviving_count(k, ell):
+            if alternating_sum(k, ell) != complexes.surviving_count(k, ell):
                 ok = False
-    add(rows, "alternating-binomial", {"k_max": max(k_max, 20)}, ok)
+    add("alternating-binomial", {"k_max": max(k_max, 20)}, ok)
     ok = True
     for chi in range(-10, 11):
         for m in range(0, 11):
@@ -642,8 +622,23 @@ def run_verification(k_max: int, id_prefix: str) -> list[ResultRow]:
                 ok = False
             if sym_pow_chi(m, chi) != gen_binomial(chi + m - 1, m):
                 ok = False
-    add(rows, "reflection-binomial", {"chi_max": 10, "m_max": 10}, ok)
-    return rows + slot_rows
+    add("reflection-binomial", {"chi_max": 10, "m_max": 10}, ok)
+    for k in range(1, min(k_max, 6) + 1):
+        ok = True
+        detail = ""
+        for ell in range(1, k + 1):
+            for i in range(1, k - ell + 1):
+                try:
+                    d = splittings[ell - 1].slot_invariant_dim(k, i)
+                except ArithmeticError as exc:
+                    ok = False
+                    detail = f"{exc} at ell={ell}, i={i}"
+                    continue
+                if d != 0:
+                    ok = False
+                    detail = f"dim={d} at ell={ell}, i={i}"
+        add(f"slot-invariants k={k}", {"k": k}, ok, detail)
+    return rows
 
 
 def render_table(rows: Sequence[ResultRow]) -> str:

@@ -49,14 +49,13 @@ the tests, `--verify` and `verify_complexes` jobs.  The closed forms
 `surviving_count` and `diagonal_multiplicity` of `euler`, derived from the
 blocks, are bound here under their names and checked against the counts.
 
-All matrices are sparse with exact integer or rational entries; ranks are
-computed by fraction-free elimination.
+All matrices are sparse with exact integer or rational entries; a rank is
+computed by fraction-free echelon insertion of the rows.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,69 +198,39 @@ class SparseRationalMatrix:
         return rows
 
     def rank(self) -> int:
-        """Exact rank by fraction-free elimination.
+        """Exact rank by fraction-free echelon insertion.
 
-        Rows are scaled to coprime integers (rank is scaling-invariant);
-        elimination uses the cross-multiplication update a*row - b*pivot with
-        a gcd reduction per row, so no divisions occur.  Pivots are chosen
-        deterministically: the column with fewest live entries (ties: the
-        smaller column index), then within it the shortest row, then the
-        smallest leading magnitude, then the earlier row.
+        The rows, scaled to coprime integers, are inserted one at a time.
+        While a row is nonzero, its leading column is its largest column
+        index: if no pivot leads there, the row becomes that column's pivot;
+        otherwise it is replaced by a*row - b*pivot (a the pivot's leading
+        entry, b the row's), with cancelled entries dropped and the gcd
+        divided out.  The rank is the number of pivots.  No row dictionary
+        is changed in place: `_integer_rows` may hand out the matrix's own.
 
-        A live column index maps each column to the ids of the live rows that
-        hold it, so no step recounts the remaining rows.  Eliminating with a
-        pivot changes the entries of the updated rows only in the pivot's
-        columns (fill-in and cancellation happen there and nowhere else), so
-        only those columns' index entries are updated.  A heap of
-        (live count, column) pairs, with stale pairs skipped when popped,
-        yields the pivot column.
+        The largest column is a fixed rule, chosen by measurement: on the
+        45 060 rows, in basis order, that `cli.run_verification(10)` ranks,
+        it takes 127 000 reduction steps over 1.3 million entries and the
+        smallest column 376 000 over 12 million; the suite takes 0.7-0.9 s
+        against 2.3-3.8 s (process time; CPython 3.11, 2-core Xeon).
         """
-        rows = dict(enumerate(self._integer_rows()))
-        holders: dict[int, set[int]] = {}
-        for rid, row in rows.items():
-            for c in row:
-                holders.setdefault(c, set()).add(rid)
-        heap = [(len(ids), c) for c, ids in holders.items()]
-        heapq.heapify(heap)
-        rank = 0
-        while heap:
-            count, pc = heapq.heappop(heap)
-            ids = holders.get(pc)
-            if ids is None or len(ids) != count:
-                continue
-            pid = min(ids, key=lambda r: (len(rows[r]), abs(rows[r][pc]), r))
-            pivot = rows.pop(pid)
-            a = pivot[pc]
-            for c in pivot:
-                holders[c].discard(pid)
-            for rid in list(ids):
-                row = rows[rid]
-                b = row[pc]
-                nr = {}
-                for c, v in row.items():
-                    nv = a * v - b * pivot.get(c, 0)
-                    if nv:
-                        nr[c] = nv
+        pivots: dict[int, dict[int, int]] = {}
+        for row in self._integer_rows():
+            while row:
+                lead = max(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = row
+                    break
+                a, b = pivot[lead], row[lead]
+                new = {c: a * v for c, v in row.items()}
                 for c, v in pivot.items():
-                    if c not in row:
-                        nr[c] = -b * v
-                        holders[c].add(rid)
-                    elif c not in nr:
-                        holders[c].discard(rid)
-                if nr:
-                    g = gcd(*nr.values())
-                    if g > 1:
-                        nr = {c: x // g for c, x in nr.items()}
-                    rows[rid] = nr
-                else:
-                    del rows[rid]
-            for c in pivot:
-                if holders[c]:
-                    heapq.heappush(heap, (len(holders[c]), c))
-                else:
-                    del holders[c]
-            rank += 1
-        return rank
+                    new[c] = new.get(c, 0) - b * v
+                row = {c: v for c, v in new.items() if v}
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+        return len(pivots)
 
 DegreeLabel = tuple  # (M, a, T) in degrees >= 0; a bare value tuple in degree -1
 

@@ -623,7 +623,8 @@ def written_json(value):
 
 @pytest.mark.parametrize("name", ["sample_jobs.out.json", "sweeps.out.json",
                                   "hom_pairs.out.json", "k0.out.json",
-                                  "verify_k5.out.json", "verify_k8.out.json"])
+                                  "verify_k5.out.json", "verify_k8.out.json",
+                                  "verify_k10.out.json"])
 def test_writer_matches_json_dumps_on_golden_outputs(name):
     text = (REPO / "tests" / "data" / name).read_text(encoding="utf-8")
     rows = json.loads(text)
@@ -745,14 +746,16 @@ def test_canonical_verify_spec_accepted(monkeypatch, capsys, spec):
     assert calls == [10]
 
 
-def test_verify_k5_out_matches_golden(tmp_path, capsys):
+@pytest.mark.parametrize("k", [5, 8])
+def test_verify_out_matches_golden(tmp_path, capsys, k):
     out = tmp_path / "verify.json"
-    assert cli.main(["--verify", "k=5", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["--verify", f"k={k}", "--out", str(out)]) == cli.EXIT_OK
     table = capsys.readouterr().out
-    assert out.read_bytes() == (REPO / "tests" / "data" / "verify_k5.out.json").read_bytes()
-    # --verify k=5 is the job file of one verify_complexes job
+    golden = REPO / "tests" / "data" / f"verify_k{k}.out.json"
+    assert out.read_bytes() == golden.read_bytes()
+    # --verify k=K is the job file of one verify_complexes job
     path = write_jobs(tmp_path, {"surface": {"preset": "P2"}, "jobs": [
-        {"id": "verify", "kind": "verify_complexes", "k_max": 5}]})
+        {"id": "verify", "kind": "verify_complexes", "k_max": k}]})
     job_out = tmp_path / "job.json"
     assert cli.main(["--jobs", path, "--out", str(job_out)]) == cli.EXIT_OK
     assert capsys.readouterr().out == table

@@ -92,9 +92,11 @@ def _random_entry(rng, fractions):
 def random_rank_case(seed):
     """A seeded sparse matrix with zero rows, duplicate and scaled duplicate
     rows, and rows that are combinations of others (their elimination first
-    fills in and then cancels), in a square, wide or tall shape."""
+    fills in and then cancels), in a square, wide or tall shape; in the
+    larger shapes a row is reduced through many pivots."""
     rng = random.Random(seed)
-    nrows, ncols = rng.choice([(8, 8), (4, 12), (12, 4), (10, 7), (6, 9)])
+    nrows, ncols = rng.choice([(8, 8), (4, 12), (12, 4), (10, 7), (6, 9),
+                               (30, 30), (16, 48), (48, 16)])
     fractions = seed % 2 == 1
     base = []
     for _ in range(nrows // 2):
@@ -136,6 +138,19 @@ def test_rank_matches_dense_oracle():
         expect = oracles.dense_rank(m)
         assert m.rank() == expect, seed
         assert transpose.rank() == expect, seed
+
+
+def test_rank_leaves_the_rows_unchanged():
+    # coprime integer rows are handed to the elimination as they are stored
+    m = SparseRationalMatrix.from_triples(4, 3, [
+        (0, 0, 1), (0, 2, 2), (1, 1, 1), (1, 2, 3),
+        (2, 0, 1), (2, 1, -1), (2, 2, -1), (3, 0, 2), (3, 2, 1)])
+    cases = [m] + [random_rank_case(seed) for seed in range(0, 40, 2)]
+    for case in cases:
+        before = {r: dict(row) for r, row in case.rows.items()}
+        case.rank()
+        assert case.rows == before
+    assert m.rank() == 3
 
 
 # --- dimensions -------------------------------------------------------------------
